@@ -25,7 +25,8 @@ reproduction:
   (SCA002) — a hard-coded non-Fibonacci size silently reintroduces the
   power-of-two clustering the paper's footnote 4 measured;
 * the kernel's dispatch path never allocates event objects (SCA003) —
-  ``Simulator.step()``/``run()`` must route immediate wakeups through the
+  ``Simulator._dispatch()`` and its ``run()``/``run_until_process()``
+  wrappers must route immediate wakeups through the
   deferred-resume ring and recycled timeout storage, or the allocation
   rate the ``benchmarks/perf`` suite gates on silently creeps back.
 
@@ -451,7 +452,7 @@ class FibonacciTableSizes(Rule):
 @register
 class NoDispatchAllocation(Rule):
     id = "SCA003"
-    title = "no Event/Timeout/Process construction inside Simulator.step()/run()"
+    title = "no Event/Timeout/Process construction on the Simulator dispatch path"
     rationale = (
         "The dispatch loop runs once per simulated event — the hottest path "
         "in the repo, tracked by `benchmarks/perf` and gated by "
@@ -463,7 +464,8 @@ class NoDispatchAllocation(Rule):
     )
 
     _EVENT_TYPES = frozenset({"Event", "Timeout", "Process"})
-    _DISPATCH_METHODS = frozenset({"step", "run"})
+    # The one event loop and the two wrappers that enter it.
+    _DISPATCH_METHODS = frozenset({"_dispatch", "run", "run_until_process"})
 
     def check(self, tree: ast.Module, ctx: "FileContext") -> None:
         for cls in ast.walk(tree):

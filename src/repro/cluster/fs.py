@@ -39,6 +39,10 @@ class ServerFS:
 
     def __init__(self) -> None:
         self._files: dict[str, FileData] = {}
+        # Running sum of every file's size: heartbeats report free space
+        # once a second per server, so total_bytes() must not walk the
+        # whole store.
+        self._total = 0
         self.bytes_written = 0
         self.bytes_read = 0
 
@@ -60,7 +64,11 @@ class ServerFS:
     def put(self, path: str, data: bytes, now: float = 0.0) -> FileData:
         """Create-or-replace with contents (cluster population helper)."""
         f = FileData(path=path, data=bytearray(data), created_at=now)
+        old = self._files.get(path)
+        if old is not None:
+            self._total -= old.size
         self._files[path] = f
+        self._total += f.size
         return f
 
     def stat(self, path: str) -> FileData:
@@ -85,15 +93,17 @@ class ServerFS:
             raise FSError("negative offset")
         end = offset + len(data)
         if end > len(f.data):
+            self._total += end - len(f.data)
             f.data.extend(b"\x00" * (end - len(f.data)))
         f.data[offset:end] = data
         self.bytes_written += len(data)
         return len(data)
 
     def remove(self, path: str) -> None:
-        if path not in self._files:
+        f = self._files.pop(path, None)
+        if f is None:
             raise FSError(f"no such file: {path!r}")
-        del self._files[path]
+        self._total -= f.size
 
     def list(self, prefix: str = "/") -> list[str]:
         """All paths under *prefix*, sorted (POSIX-ish directory walk)."""
@@ -103,4 +113,4 @@ class ServerFS:
         return sorted(self._files)
 
     def total_bytes(self) -> int:
-        return sum(f.size for f in self._files.values())
+        return self._total

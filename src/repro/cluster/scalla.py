@@ -58,11 +58,9 @@ class ScallaConfig:
 
     exports: tuple[str, ...] = ("/store",)
     fanout: int = 64
-    manager_replicas: int = 1
-    #: Preferred spelling of ``manager_replicas``: N shared-nothing peer
-    #: managers, each receiving every top-level login and HaveFile
-    #: advisory.  Wins over ``manager_replicas`` when set.
-    managers: int | None = None
+    #: N shared-nothing peer managers, each receiving every top-level
+    #: login and HaveFile advisory.
+    managers: int = 1
     seed: int = 0
 
     #: One-way wire latency between any two hosts.
@@ -183,7 +181,6 @@ class ScallaCluster:
             n_servers,
             fanout=self.config.fanout,
             exports=self.config.exports,
-            manager_replicas=self.config.manager_replicas,
             managers=self.config.managers,
         )
         self.cnsd = CnsDaemon(self.sim, self.network)

@@ -94,34 +94,30 @@ def build_topology(
     *,
     fanout: int = FANOUT,
     exports: tuple[str, ...] = ("/store",),
-    manager_replicas: int = 1,
-    managers: int | None = None,
+    managers: int = 1,
 ) -> Topology:
     """Build the shallowest tree holding *n_servers* leaves.
 
     Levels are filled bottom-up: servers are grouped into sets of
     ``fanout``, each set under a supervisor, supervisor sets under further
     supervisors, until one set remains — that set's parent is the manager
-    (replicated ``manager_replicas`` times; replicas share all
-    subordinates).  ``managers=N`` is the preferred spelling of
-    ``manager_replicas=N``: N shared-nothing peer managers that each
-    receive every top-level login and unsolicited HaveFile advisory, so
-    any one of them can serve clients while the others are down.
+    level: ``managers`` shared-nothing peer managers that share all
+    subordinates and each receive every top-level login and unsolicited
+    HaveFile advisory, so any one of them can serve clients while the
+    others are down.
 
     Every interior node also gets a ``standbys`` list (see
     :class:`NodeSpec`) so its subtree can re-home when it dies.
     """
-    if managers is not None:
-        manager_replicas = managers
     if n_servers < 1:
         raise ValueError("need at least one server")
     if not 2 <= fanout <= FANOUT:
         raise ValueError(f"fanout must be in [2, {FANOUT}] (64-bit vectors)")
-    if manager_replicas < 1:
+    if managers < 1:
         raise ValueError("need at least one manager")
 
     topo = Topology(fanout=fanout)
-    manager_names = tuple(f"mgr{i}" for i in range(manager_replicas))
+    manager_names = tuple(f"mgr{i}" for i in range(managers))
     topo.managers = manager_names
 
     # Current level being grouped, bottom-up.

@@ -20,15 +20,19 @@ Design rules:
   :class:`Process` (join), a bare :class:`Event` (signal), or the composite
   :class:`AnyOf` / :class:`AllOf`.  That is enough to express every protocol
   in the paper.
+* **One dispatch loop, one resume path.**  :meth:`Simulator._dispatch`
+  services every event; :meth:`Simulator.run` and
+  :meth:`Simulator.run_until_process` only choose where it stops, and
+  every generator step goes through :meth:`Process._resume`.
 * **Never allocate on the dispatch path.**  This is the hottest loop in the
   repo (``benchmarks/perf`` tracks it), so the kernel follows the paper's
   allocation discipline: process bootstrap, interrupt delivery and
   already-processed wakeups go through a *deferred-resume ring* — a FIFO of
-  ``(seq, fn, value, exc)`` tuples serviced in exact ``(time, seq)`` order
-  with the heap — instead of allocating throwaway ``Event`` objects, and
+  ``(seq, fn, arg)`` tuples serviced in exact ``(time, seq)`` order with
+  the heap — instead of allocating throwaway ``Event`` objects, and
   :meth:`Simulator.sleep` hands out pooled :class:`Timeout` storage that the
   dispatch loop recycles after firing.  scalla-lint rule SCA003 keeps
-  per-event allocations out of ``step()``/``run()``.
+  per-event allocations out of ``_dispatch()`` and its wrappers.
 
 Example::
 
@@ -57,6 +61,7 @@ from repro.sim.errors import Interrupt, SimError, StopSimulation
 __all__ = ["Event", "Timeout", "Process", "AnyOf", "AllOf", "Simulator"]
 
 _PENDING = object()
+_INF = float("inf")
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -128,6 +133,13 @@ class Event:
             cb(self)
 
 
+# The pre-triggered "event" a bootstrap ring entry hands to
+# Process._resume: a generator's first step must be send(None).
+_BOOT = Event(None)  # type: ignore[arg-type]
+_BOOT._value = None
+_BOOT.callbacks = None
+
+
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
@@ -136,8 +148,8 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimError(f"negative timeout {delay}")
-        # Event.__init__ and Simulator._enqueue, flattened: a Timeout is
-        # born once per simulated delay, squarely on the hot path.
+        # Event.__init__ and the heap push, flattened: a Timeout is born
+        # once per simulated delay, squarely on the hot path.
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -170,6 +182,9 @@ class _PooledTimeout(Timeout):
     still works as a fallback (``_wait_on``'s slow path and condition
     children append to ``callbacks`` like any event) so a stray composite
     over a pooled timeout degrades to correct, not silent.
+
+    Firing and recycling live inline in :meth:`Simulator._dispatch`, the
+    only code that fires heap events; this class adds no ``_fire``.
     """
 
     __slots__ = ("_cb_store", "_waiter")
@@ -177,23 +192,6 @@ class _PooledTimeout(Timeout):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         Timeout.__init__(self, sim, delay, value)
         self._waiter: Process | None = None
-
-    def _fire(self) -> None:
-        value = self._pending_value
-        self._value = value
-        callbacks = self.callbacks
-        self.callbacks = None
-        waiter = self._waiter
-        if waiter is not None:
-            self._waiter = None
-            waiter._resume_core(value, None)
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-            callbacks.clear()
-        # Keep the (empty) waiter list for the next lease of this
-        # storage — one fewer allocation per recycled sleep.
-        self._cb_store = callbacks
 
 
 class Process(Event):
@@ -230,7 +228,7 @@ class Process(Event):
         # at a *later* time but after events already queued for now.  Goes
         # through the deferred-resume ring: same (time, seq) slot a
         # bootstrap Event would occupy, without allocating one.
-        sim._ready.append((sim._seq, self._resume_core, None, None))
+        sim._ready.append((sim._seq, self._resume, _BOOT))
         sim._seq += 1
 
     @property
@@ -250,13 +248,21 @@ class Process(Event):
         """
         if self._value is not _PENDING or self._exception is not None:
             return
-        self.sim._defer(self._interrupt_deferred, cause, None)
+        self.sim._defer(self._interrupt_deferred, cause)
 
     # -- internals ---------------------------------------------------------
 
     def _resume(self, trigger: Event) -> None:
-        # Mirror of _resume_core with the trigger unpacked inline; kept
-        # as a separate body so event callbacks pay one call, not two.
+        """Advance the generator by one step, fed *trigger*'s outcome.
+
+        The one resume body: event callbacks, pooled-timeout fires and
+        deferred-resume ring entries (bootstrap passes the pre-triggered
+        ``_BOOT``; an already-processed wakeup passes the event itself)
+        all enter here.  The common wait-on cases are inlined below — a
+        pooled timeout parks in its ``_waiter`` slot, other same-sim
+        events get the callback — and :meth:`_wait_on` remains the slow
+        path for yield errors.
+        """
         if self._value is not _PENDING or self._exception is not None:
             return  # interrupted to death while this wakeup was in flight
         self._waiting_on = None
@@ -265,6 +271,8 @@ class Process(Event):
             if exc is not None:
                 target = self.gen.throw(exc)
             else:
+                # _value is never _PENDING here: a failed trigger carries
+                # its exception and takes the throw branch above.
                 target = self._send(trigger._value)
         except StopIteration as stop:
             self.succeed(stop.value)
@@ -281,56 +289,12 @@ class Process(Event):
             if callbacks is not None:
                 callbacks.append(self._resume)
             else:
-                sim = self.sim
-                sim._ready.append((sim._seq, self._resume_core, target._value, target._exception))
-                sim._seq += 1
+                # Already processed: resume now, via the ring.
+                self.sim._defer(self._resume, target)
         else:
             self._wait_on(target)
 
-    def _resume_core(self, value: Any, exc: BaseException | None) -> None:
-        """Advance the generator by one yielded event.
-
-        Entered with the ``(value, exc)`` protocol by the deferred-resume
-        ring and by pooled-timeout fires; event callbacks go through the
-        inlined twin :meth:`_resume`.  The common wait-on cases are
-        inlined below — a pooled timeout parks in its ``_waiter`` slot,
-        other same-sim events get the callback — and :meth:`_wait_on`
-        remains the slow path for yield errors.
-        """
-        if self._value is not _PENDING or self._exception is not None:
-            return  # interrupted to death while this wakeup was in flight
-        self._waiting_on = None
-        try:
-            if exc is not None:
-                target = self.gen.throw(exc)
-            else:
-                # value is never _PENDING here: a failed trigger carries
-                # its exception and takes the throw branch above.
-                target = self._send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as err:  # noqa: BLE001 - process died; propagate via event
-            self.fail(err)
-            return
-        if target.__class__ is _PooledTimeout and target.sim is self.sim:
-            self._waiting_on = target
-            target._waiter = self
-        elif isinstance(target, Event) and target.sim is self.sim:
-            self._waiting_on = target
-            callbacks = target.callbacks
-            if callbacks is not None:
-                callbacks.append(self._resume)
-            else:
-                # Already processed: resume immediately (at the current
-                # time), carrying the event's outcome through the ring.
-                sim = self.sim
-                sim._ready.append((sim._seq, self._resume_core, target._value, target._exception))
-                sim._seq += 1
-        else:
-            self._wait_on(target)
-
-    def _interrupt_deferred(self, cause: object, _exc: BaseException | None) -> None:
+    def _interrupt_deferred(self, cause: object) -> None:
         self._throw(Interrupt(cause))
 
     def _throw(self, exc: BaseException) -> None:
@@ -367,9 +331,8 @@ class Process(Event):
             return
         self._waiting_on = target
         if target.callbacks is None:
-            # Already processed: resume immediately (at the current time),
-            # carrying the event's outcome through the ring.
-            self.sim._defer(self._resume_core, target._value, target._exception)
+            # Already processed: resume now, via the ring.
+            self.sim._defer(self._resume, target)
         else:
             target.callbacks.append(self._resume)
 
@@ -438,18 +401,21 @@ class Simulator:
       ``(time, sequence)``;
     * ``_ready`` — the deferred-resume ring: immediate callbacks (process
       bootstrap, interrupts, already-processed wakeups) recorded as
-      ``(seq, fn, value, exc)`` tuples.  Ring entries are always stamped
-      at the current time, so the ring is FIFO and an entry runs before
-      any heap event at a later time and interleaves by sequence number
-      with heap events at the same time — bit-identical ordering to the
-      throwaway bootstrap/poke ``Event`` objects it replaced, without the
+      ``(seq, fn, arg)`` tuples.  Ring entries are always stamped at the
+      current time, so the ring is FIFO and an entry runs before any heap
+      event at a later time and interleaves by sequence number with heap
+      events at the same time — bit-identical ordering to the throwaway
+      bootstrap/poke ``Event`` objects it replaced, without the
       allocation.
+
+    Both sources are drained by one loop, :meth:`_dispatch`; :meth:`run`
+    and :meth:`run_until_process` only choose where it stops.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
-        self._ready: deque[tuple[int, Callable, Any, BaseException | None]] = deque()
+        self._ready: deque[tuple[int, Callable[[Any], None], Any]] = deque()
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
         self.events_processed = 0
@@ -519,63 +485,29 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        self._seq += 1
-
-    def _defer(self, fn: Callable, value: Any, exc: BaseException | None) -> None:
-        """Schedule ``fn(value, exc)`` at the current time, next sequence.
+    def _defer(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at the current time, next sequence.
 
         The ring equivalent of enqueueing an immediately-succeeded Event:
         same position in the global (time, seq) order, no allocation
         beyond the ring tuple itself.
         """
-        self._ready.append((self._seq, fn, value, exc))
+        self._ready.append((self._seq, fn, arg))
         self._seq += 1
 
     # -- running -----------------------------------------------------------
 
-    def _ring_first(self) -> bool:
-        """True when the ring head precedes the heap head in (time, seq)."""
-        if not self._ready:
-            return False
-        if not self._heap:
-            return True
-        top = self._heap[0]
-        return top[0] > self._now or top[1] > self._ready[0][0]
+    def _dispatch(self, until: float, proc: Process | None) -> None:
+        """The event loop: service heap and ring in exact (time, seq) order.
 
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if self._ring_first():
-            seq, fn, value, exc = self._ready.popleft()
-            self.events_processed += 1
-            if self._obs_events is not None:
-                self._obs_events.inc()
-                self._obs_heap.value = len(self._heap) + len(self._ready)
-            fn(value, exc)
-            return
-        when, _seq, event = heapq.heappop(self._heap)
-        assert when >= self._now, "time went backwards"
-        self._now = when
-        self.events_processed += 1
-        if self._obs_events is not None:
-            self._obs_events.inc()
-            self._obs_heap.value = len(self._heap) + len(self._ready)
-        event._fire()
-        if event.__class__ is _PooledTimeout:
-            self._timeout_pool.append(event)
+        Stops when both queues are empty, when the next heap event lies
+        later than *until* (it stays queued; the clock stays at the last
+        event run), or — checked before every event — once *proc* has
+        triggered, so same-time events after its finish stay queued too.
 
-    def run(self, until: float | None = None) -> None:
-        """Run until the queues drain or the clock passes *until*.
-
-        With *until* given, the clock is left exactly at *until* (events
-        scheduled later stay queued), which makes staged test scenarios
-        ("run 5 simulated seconds, assert, run more") straightforward.
-
-        The loop body is a hand-inlined :meth:`step` with the heap ops,
-        queues and pool bound to locals — this is the hot loop the
-        ``benchmarks/perf`` kernel suite tracks, so it avoids repeated
-        attribute lookups and per-event method-call overhead.
+        Heap ops, queues and the pool are bound to locals: every
+        ``benchmarks/perf`` kernel scenario and every
+        ``ScallaCluster.run_process`` round runs here.
         """
         heap = self._heap
         ready = self._ready
@@ -587,53 +519,23 @@ class Simulator:
         obs_events = self._obs_events
         obs_heap = self._obs_heap
         pooled = _PooledTimeout
+        pending = _PENDING
         processed = 0
         try:
-            if until is None and obs_events is None:
-                # The common case — whole-workload runs without metrics —
-                # pays for nothing but dispatch itself.
-                while heap or ready:
-                    if ready and (
-                        not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]
-                    ):
-                        _seq, fn, value, exc = popleft()
-                        processed += 1
-                        fn(value, exc)
-                        continue
-                    when, _seq, event = pop(heap)
-                    self._now = when
-                    processed += 1
-                    if event.__class__ is pooled:
-                        # _PooledTimeout._fire + recycle, inlined.
-                        value = event._pending_value
-                        event._value = value
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter._resume_core(value, None)
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(event)
-                            callbacks.clear()
-                        event._cb_store = callbacks
-                        pool.append(event)
-                    else:
-                        event._fire()
-                return
             while heap or ready:
+                if proc is not None and (
+                    proc._value is not pending or proc._exception is not None
+                ):
+                    return
                 if ready and (not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]):
-                    _seq, fn, value, exc = popleft()
+                    _seq, fn, arg = popleft()
                     processed += 1
                     if obs_events is not None:
                         obs_events.inc()
                         obs_heap.value = len(heap) + len(ready)
-                    fn(value, exc)
+                    fn(arg)
                     continue
-                when = heap[0][0]
-                if until is not None and when > until:
-                    self._now = until
+                if heap[0][0] > until:
                     return
                 when, _seq, event = pop(heap)
                 self._now = when
@@ -641,28 +543,54 @@ class Simulator:
                 if obs_events is not None:
                     obs_events.inc()
                     obs_heap.value = len(heap) + len(ready)
-                event._fire()
-                if event.__class__ is pooled:
-                    pool.append(event)  # _fire left it drained and detached
-        except StopSimulation:
-            return
+                if event.__class__ is not pooled:
+                    event._fire()
+                    continue
+                # Pooled timeout: fire, resume the parked waiter, run any
+                # fallback callbacks, then recycle the storage.
+                event._value = event._pending_value
+                callbacks = event.callbacks
+                event.callbacks = None
+                waiter = event._waiter
+                if waiter is not None:
+                    event._waiter = None
+                    waiter._resume(event)
+                if callbacks:
+                    for cb in callbacks:
+                        cb(event)
+                    callbacks.clear()
+                # Keep the (empty) callback list for the next lease of
+                # this storage — one fewer allocation per recycled sleep.
+                event._cb_store = callbacks
+                pool.append(event)
         finally:
             self.events_processed += processed
+
+    def run(self, until: float | None = None) -> None:
+        """Run until the queues drain or the clock passes *until*.
+
+        With *until* given, the clock is left exactly at *until* (events
+        scheduled later stay queued), which makes staged test scenarios
+        ("run 5 simulated seconds, assert, run more") straightforward.
+        A :class:`StopSimulation` raised by a callback ends the run early.
+        """
+        try:
+            self._dispatch(_INF if until is None else until, None)
+        except StopSimulation:
+            return
         if until is not None and until > self._now:
             self._now = until
 
     def run_until_process(self, proc: Process, limit: float | None = None) -> Any:
         """Run until *proc* finishes; return its value (raising its error).
 
-        ``limit`` bounds simulated time as a safety net against deadlocked
-        protocols in tests.
+        The clock is left at *proc*'s finish time, with every later event
+        still queued.  ``limit`` bounds simulated time as a safety net
+        against deadlocked protocols in tests.
         """
-        while not proc.triggered:
+        self._dispatch(_INF if limit is None else limit, proc)
+        if not proc.triggered:
             if not self._heap and not self._ready:
                 raise SimError(f"deadlock: {proc.name!r} waits but no events remain")
-            if limit is not None:
-                next_time = self._now if self._ready else self._heap[0][0]
-                if next_time > limit:
-                    raise SimError(f"time limit {limit} exceeded waiting for {proc.name!r}")
-            self.step()
+            raise SimError(f"time limit {limit} exceeded waiting for {proc.name!r}")
         return proc.value

@@ -216,10 +216,10 @@ class TestSca002FibonacciSizes:
 
 
 class TestSca003NoDispatchAllocation:
-    def test_event_in_step(self):
+    def test_event_in_dispatch(self):
         src = """
         class Simulator:
-            def step(self):
+            def _dispatch(self, until, proc):
                 poke = Event(self)
                 poke.succeed()
         """
@@ -239,7 +239,7 @@ class TestSca003NoDispatchAllocation:
         import repro.sim.kernel as kernel
 
         class Simulator:
-            def step(self):
+            def run_until_process(self, proc, limit=None):
                 kernel.Event(self)
         """
         assert "SCA003" in rule_ids(src)
@@ -260,16 +260,16 @@ class TestSca003NoDispatchAllocation:
     def test_other_classes_are_clean(self):
         src = """
         class Network:
-            def step(self):
+            def _dispatch(self, until, proc):
                 return Event(self.sim)
         """
         assert rule_ids(src) == []
 
-    def test_non_event_calls_in_step_are_clean(self):
+    def test_non_event_calls_in_dispatch_ok(self):
         src = """
         class Simulator:
-            def step(self):
-                self._ready.append((self._seq, fn, None, None))
+            def _dispatch(self, until, proc):
+                self._ready.append((self._seq, fn, None))
                 heappush(self._heap, item)
         """
         assert rule_ids(src) == []
@@ -277,7 +277,7 @@ class TestSca003NoDispatchAllocation:
     def test_applies_in_tests_too(self):
         src = """
         class Simulator:
-            def step(self):
+            def _dispatch(self, until, proc):
                 Event(self)
         """
         assert "SCA003" in rule_ids(src, path="tests/sim/t.py")
@@ -285,7 +285,7 @@ class TestSca003NoDispatchAllocation:
     def test_suppressed(self):
         src = """
         class Simulator:
-            def step(self):
+            def _dispatch(self, until, proc):
                 poke = Event(self)  # scalla-lint: disable=SCA003
         """
         assert rule_ids(src) == []

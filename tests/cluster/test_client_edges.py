@@ -14,7 +14,7 @@ from repro.cluster import (
 
 class TestFailover:
     def test_all_managers_dead_raises_unreachable(self):
-        cluster = ScallaCluster(2, config=ScallaConfig(seed=321, manager_replicas=2))
+        cluster = ScallaCluster(2, config=ScallaConfig(seed=321, managers=2))
         cluster.populate(["/store/f.root"], size=32)
         cluster.settle()
         for m in cluster.managers:
@@ -24,7 +24,7 @@ class TestFailover:
             cluster.run_process(client.open("/store/f.root"), limit=120)
 
     def test_failover_count_visible_in_stats(self):
-        cluster = ScallaCluster(2, config=ScallaConfig(seed=322, manager_replicas=2))
+        cluster = ScallaCluster(2, config=ScallaConfig(seed=322, managers=2))
         cluster.populate(["/store/f.root"], size=32)
         cluster.settle()
         cluster.node(cluster.managers[0]).crash()
@@ -181,7 +181,7 @@ class TestRequestCorrelation:
 
     def test_late_reply_after_timeout_is_dropped(self):
         """A reply arriving after the client failed over must be ignored."""
-        cluster = ScallaCluster(1, config=ScallaConfig(seed=331, manager_replicas=2))
+        cluster = ScallaCluster(1, config=ScallaConfig(seed=331, managers=2))
         cluster.populate(["/store/f.root"], size=32)
         cluster.settle()
         # Partition the client from mgr0 so its first locate times out, then

@@ -1,5 +1,7 @@
 """Unit tests for the per-server filesystem."""
 
+import random
+
 import pytest
 
 from repro.cluster.fs import FSError, ServerFS
@@ -100,3 +102,26 @@ class TestRemoveAndList:
         fs.put("/a", b"12345")
         fs.put("/b", b"12")
         assert fs.total_bytes() == 7
+
+    def test_total_bytes_tracks_random_mutations(self):
+        """The running count equals the sum over files after every op:
+        put (new and replacing), create, write (in place and extending),
+        remove — including the ones that fail."""
+        rng = random.Random(20120521)
+        fs = ServerFS()
+        paths = [f"/store/f{i}" for i in range(6)]
+        for _ in range(2000):
+            path = rng.choice(paths)
+            op = rng.choice(("put", "create", "write", "remove"))
+            try:
+                if op == "put":
+                    fs.put(path, bytes(rng.randrange(40)))
+                elif op == "create":
+                    fs.create(path)
+                elif op == "write":
+                    fs.write(path, rng.randrange(50), bytes(rng.randrange(20)))
+                else:
+                    fs.remove(path)
+            except FSError:
+                pass  # duplicate create / missing file: state unchanged
+            assert fs.total_bytes() == sum(fs.stat(p).size for p in fs.paths())

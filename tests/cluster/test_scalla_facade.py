@@ -30,7 +30,7 @@ class TestConstruction:
         assert c1.name != c2.name
 
     def test_manager_cmsd_accessor(self):
-        cluster = ScallaCluster(1, config=ScallaConfig(manager_replicas=2))
+        cluster = ScallaCluster(1, config=ScallaConfig(managers=2))
         assert cluster.manager_cmsd(0).node_id.role is Role.MANAGER
         assert cluster.manager_cmsd(1).node_id.name == "mgr1"
 

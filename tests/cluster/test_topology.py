@@ -61,7 +61,7 @@ class TestDeepTrees:
 
 class TestReplication:
     def test_replicated_managers_share_children(self):
-        topo = build_topology(10, manager_replicas=3)
+        topo = build_topology(10, managers=3)
         assert len(topo.managers) == 3
         kids = {topo.nodes[m].children for m in topo.managers}
         assert len(kids) == 1  # identical child sets
@@ -69,7 +69,7 @@ class TestReplication:
             assert set(topo.nodes[s].parents) == set(topo.managers)
 
     def test_roles(self):
-        topo = build_topology(70, manager_replicas=2)
+        topo = build_topology(70, managers=2)
         assert all(topo.nodes[m].role is Role.MANAGER for m in topo.managers)
         assert all(topo.nodes[s].role is Role.SUPERVISOR for s in topo.supervisors)
         assert all(topo.nodes[s].role is Role.SERVER for s in topo.servers)
@@ -91,7 +91,7 @@ class TestValidation:
 
     def test_zero_managers_rejected(self):
         with pytest.raises(ValueError):
-            build_topology(10, manager_replicas=0)
+            build_topology(10, managers=0)
 
     def test_exports_propagate(self):
         topo = build_topology(5, exports=("/store", "/atlas"))
@@ -100,10 +100,6 @@ class TestValidation:
 
 
 class TestRedundantManagers:
-    def test_managers_spelling_wins(self):
-        topo = build_topology(8, fanout=4, manager_replicas=1, managers=3)
-        assert topo.managers == ("mgr0", "mgr1", "mgr2")
-
     def test_top_level_logs_into_every_manager(self):
         topo = build_topology(8, fanout=4, managers=2)
         for sup in topo.supervisors:

@@ -107,7 +107,7 @@ class TestManagerRestart:
 
     def test_manager_replica_failover(self):
         cluster = ScallaCluster(
-            4, config=fast_config(manager_replicas=2)
+            4, config=fast_config(managers=2)
         )
         cluster.populate(["/store/d.root"], size=32)
         cluster.settle()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.sim.errors import Interrupt, SimError
 from repro.sim.kernel import Simulator
 
@@ -146,6 +147,66 @@ class TestProcesses:
         proc = sim.process(p())
         with pytest.raises(SimError, match="deadlock"):
             sim.run_until_process(proc)
+
+    def test_run_until_process_stops_at_finish(self):
+        """The clock stops at the finish time; later events — including
+        same-time ones queued after the finishing wakeup — stay queued."""
+        sim = Simulator()
+        log = []
+
+        def p():
+            yield sim.sleep(2.0)
+            return "x"
+
+        def other(tag, delay):
+            yield sim.sleep(delay)
+            log.append(tag)
+
+        proc = sim.process(p())
+        sim.process(other("same-time", 2.0))
+        sim.process(other("later", 5.0))
+        assert sim.run_until_process(proc) == "x"
+        assert sim.now == 2.0
+        assert log == []
+        assert len(sim._heap) == 3  # proc's own trigger + both sleeps
+        sim.run()
+        assert log == ["same-time", "later"]
+        assert sim.now == 5.0
+
+    def test_run_until_process_limit_leaves_events_queued(self):
+        sim = Simulator()
+
+        def p():
+            yield sim.sleep(10.0)
+            return "late"
+
+        def ticker():
+            yield sim.sleep(1.0)
+
+        proc = sim.process(p())
+        sim.process(ticker())
+        with pytest.raises(SimError, match="time limit 3.0 exceeded"):
+            sim.run_until_process(proc, limit=3.0)
+        assert sim.now == 1.0
+        assert len(sim._heap) == 1  # the 10 s sleep
+        assert sim.run_until_process(proc) == "late"
+        assert sim.now == 10.0
+
+    def test_run_until_process_counts_events_in_observability(self):
+        sim = Simulator()
+        obs = Observability()
+        sim.attach_observability(obs)
+
+        def p():
+            yield sim.sleep(1.0)
+            yield sim.process(child())
+
+        def child():
+            yield sim.timeout(2.0)
+
+        sim.run_until_process(sim.process(p()))
+        assert sim.events_processed > 0
+        assert obs.metrics.counter_total("sim_events_total") == sim.events_processed
 
     def test_cross_simulator_event_rejected(self):
         sim1, sim2 = Simulator(), Simulator()

@@ -348,8 +348,9 @@ class TestIdenticalOrdering:
         second = program()
         assert first == second
 
-    def test_step_granularity_matches_run(self):
-        """Driving with step() yields the same trace as run()."""
+    def test_chunked_driving_matches_run(self):
+        """run() in one go and run(until=...)/run_until_process chunks
+        dispatch the same events in the same order."""
 
         def build():
             sim = Simulator()
@@ -358,17 +359,25 @@ class TestIdenticalOrdering:
             def p(i):
                 yield sim.sleep(float(i))
                 log.append((i, sim.now))
+                ev = sim.event()
+                ev.succeed(i)
+                yield sim.sleep(0.0)  # ev fires first: the next wait is a ring wakeup
+                got = yield ev
+                log.append(("done", got, sim.now))
+                return got
 
-            for i in range(4):
-                sim.process(p(i))
-            return sim, log
+            procs = [sim.process(p(i)) for i in range(4)]
+            return sim, log, procs
 
-        sim_a, log_a = build()
+        sim_a, log_a, _ = build()
         sim_a.run()
 
-        sim_b, log_b = build()
-        while sim_b._heap or sim_b._ready:
-            sim_b.step()
+        sim_b, log_b, procs = build()
+        sim_b.run(until=0.5)
+        assert sim_b.run_until_process(procs[1]) == 1
+        sim_b.run(until=2.0)
+        assert sim_b.run_until_process(procs[3]) == 3
+        sim_b.run()
         assert log_a == log_b
         assert sim_a.events_processed == sim_b.events_processed
 
