@@ -8,9 +8,11 @@ reproduction's cost per operation on exactly those paths:
 * ``insert``      — miss + add, including table growth and window chaining;
 * ``correct``     — fetches that must apply Figure-3 corrections through
   the per-window ``V_wc`` memo after membership churn;
-* ``live_count``  — the population probe observability reads every tick;
+* ``live_count``  — the O(1) findable-object count;
 * ``tick``        — window-clock advance + background removal with
-  observability attached (the ``cache_population`` gauge update path).
+  observability attached (the sweep-fraction histogram and eviction trace
+  annotations; counters and the ``cache_population`` gauge are read at
+  snapshot time, not per tick).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 #   scripts/check.sh           # ruff (if installed) + scalla-lint +
 #                              # tier-1 tests + determinism double-run +
 #                              # sanitized chaos soak
-#   scripts/check.sh --bench   # also run the E1/E6 smoke benches,
+#   scripts/check.sh --bench   # also run the E1/E6/E14 smoke benches,
 #                              # validate their metric snapshots, and
 #                              # gate the perf suite against the
 #                              # committed BENCH_*.json baseline
@@ -53,14 +53,16 @@ echo "== chaos soak (sanitized)"
 SCALLA_SANITIZE=1 python -m pytest tests/integration/test_chaos.py -q
 
 if [ "$run_bench" -eq 1 ]; then
-  echo "== smoke benches (E1, E6)"
+  echo "== smoke benches (E1, E6, E14)"
   python -m pytest benchmarks/bench_e1_redirection.py \
                    benchmarks/bench_e6_fastresponse.py \
+                   benchmarks/bench_e14_failover.py \
                    -p no:cacheprovider -q
   echo "== snapshot gate"
   python scripts/check_snapshots.py \
     benchmarks/results/e1.metrics.json \
-    benchmarks/results/e6.metrics.json
+    benchmarks/results/e6.metrics.json \
+    benchmarks/results/e14.metrics.json
   echo "== perf gate (quick suite vs committed BENCH baseline)"
   python scripts/check_perf.py --quick
 fi

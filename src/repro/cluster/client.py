@@ -87,6 +87,9 @@ class ClientConfig:
 
 @dataclass
 class ClientStats:
+    #: End-to-end resolution walks (one per ``locate``/``open`` attempt).
+    resolutions: int = 0
+    #: Locate messages sent — one walk sends one per hop and per retry.
     locates: int = 0
     redirects: int = 0
     waits: int = 0
@@ -136,13 +139,18 @@ class ScallaClient:
         # trace is born (locate issued) and where it dies (verdict known).
         self._obs = obs
         if obs is not None:
-            m = obs.metrics
-            self._m_locates = m.counter("client_locates_total", node=name)
-            self._m_redirects = m.counter("client_redirects_total", node=name)
-            self._m_waits = m.counter("client_waits_total", node=name)
-            self._m_opens = m.counter("client_opens_total", node=name)
-            self._m_failovers = m.counter("failovers_total", node=name)
-            self._m_resolve = m.histogram("client_resolve_seconds", node=name)
+            obs.metrics.pull(
+                self.stats,
+                counters=[
+                    ("client_locates_total", "resolutions"),
+                    ("client_redirects_total", "redirects"),
+                    ("client_waits_total", "waits"),
+                    ("client_opens_total", "opens"),
+                    ("failovers_total", "failovers"),
+                ],
+                node=name,
+            )
+            self._m_resolve = obs.metrics.histogram("client_resolve_seconds", node=name)
         self._next_req = 1
         self._pending: dict[int, object] = {}
         self._proc = sim.process(self._inbox_loop(), name=f"client:{name}")
@@ -189,7 +197,6 @@ class ScallaClient:
         self._manager_idx = (self._manager_idx + 1) % len(self.managers)
         self.stats.failovers += 1
         if self._obs is not None:
-            self._m_failovers.inc()
             self._obs.tracer.cluster_event(
                 "client.mgr_failover",
                 client=self.name,
@@ -217,10 +224,10 @@ class ScallaClient:
 
     def _locate_full(self, path, mode, create, refresh, avoid):
         """One full resolution walk, wrapped in a resolution trace."""
+        self.stats.resolutions += 1
         obs = self._obs
         if obs is None:
             return (yield from self._locate_walk(path, mode, create, refresh, avoid, None))
-        self._m_locates.inc()
         trace = obs.tracer.start(path, client=self.name, mode=mode, create=create)
         t0 = obs.now()
         try:
@@ -281,7 +288,6 @@ class ScallaClient:
                 interior_waits = 0
                 self.stats.redirects += 1
                 if trace is not None:
-                    self._m_redirects.inc()
                     trace.event(
                         "client.redirect",
                         self._obs.now(),
@@ -302,7 +308,6 @@ class ScallaClient:
                 waits += 1
                 self.stats.waits += 1
                 if trace is not None:
-                    self._m_waits.inc()
                     trace.event("client.wait", self._obs.now(), node=self.name, delay=resp.delay)
                 retries += 1
                 if retries > self.config.max_retries:
@@ -389,8 +394,6 @@ class ScallaClient:
             resp = yield from self._request(xrootd_host(node), omsg, self._open_timeout(pending))
             if isinstance(resp, pr.OpenAck):
                 self.stats.opens += 1
-                if self._obs is not None:
-                    self._m_opens.inc()
                 return OpenResult(
                     path=path,
                     node=node,

@@ -140,8 +140,13 @@ class CmsdConfig:
 
 @dataclass
 class CmsdStats:
+    #: Every message this cmsd put on the wire.
+    messages_sent: int = 0
     locates: int = 0
+    #: Client redirects sent: direct verdicts plus waiters released by a
+    #: Have (the latter also counted in ``released_redirects``).
     redirects: int = 0
+    released_redirects: int = 0
     waits_sent: int = 0
     notfounds: int = 0
     queries_sent: int = 0
@@ -250,23 +255,28 @@ class Cmsd:
         self.instance = instance
         self.host = network.hosts.get(node_id.cmsd) or network.add_host(node_id.cmsd)
         self.stats = CmsdStats()
-        # Observability (repro.obs): obs=None keeps every hot path on the
-        # uninstrumented branch of a single None check.
+        # Observability (repro.obs): the stats above, exported as series.
         self._obs = obs
         if obs is not None:
-            name = node_id.name
-            m = obs.metrics
-            self._m_msgs = m.counter("cmsd_messages_sent_total", node=name)
-            self._m_locates = m.counter("cmsd_locate_requests_total", node=name)
-            self._m_redirects = m.counter("cmsd_redirects_total", node=name)
-            self._m_waits = m.counter("cmsd_waits_sent_total", node=name)
-            self._m_notfounds = m.counter("cmsd_notfounds_total", node=name)
-            self._m_queries = m.counter("cmsd_queries_sent_total", node=name)
-            self._m_haves_rx = m.counter("cmsd_haves_received_total", node=name)
-            self._m_fast_released = m.counter("cmsd_fast_released_total", node=name)
-            self._m_requeries = m.counter("rq_requeries_total", node=name)
-            self._m_rehomes = m.counter("rehomes_total", node=name)
-            self._m_orphaned = m.gauge("orphaned_subtree_seconds", node=name)
+            obs.metrics.pull(
+                self.stats,
+                counters=[
+                    ("cmsd_messages_sent_total", "messages_sent"),
+                    ("cmsd_locate_requests_total", "locates"),
+                    # Direct verdicts only; Have-released redirects are
+                    # cmsd_fast_released_total.
+                    ("cmsd_redirects_total", lambda s: s.redirects - s.released_redirects),
+                    ("cmsd_waits_sent_total", "waits_sent"),
+                    ("cmsd_notfounds_total", "notfounds"),
+                    ("cmsd_queries_sent_total", "queries_sent"),
+                    ("cmsd_haves_received_total", "haves_received"),
+                    ("cmsd_fast_released_total", "fast_released"),
+                    ("rq_requeries_total", "requeries"),
+                    ("rehomes_total", "rehomes"),
+                ],
+                gauges=[("orphaned_subtree_seconds", "orphaned_seconds")],
+                node=node_id.name,
+            )
 
         if node_id.role is not Role.SERVER:
             self.membership = ClusterMembership(obs=obs, node=node_id.name)
@@ -341,8 +351,7 @@ class Cmsd:
     # -- outbound helpers -----------------------------------------------------
 
     def _send(self, to: str, msg: object) -> None:
-        if self._obs is not None:
-            self._m_msgs.inc()
+        self.stats.messages_sent += 1
         self.network.send(self.host.name, to, msg, size=pr.estimate_size(msg))
 
     def _login_to_parent(self, parent: str) -> None:
@@ -387,8 +396,6 @@ class Cmsd:
                     # Every parent unreachable: the whole subtree below us
                     # is orphaned until a re-home or re-login lands.
                     self.stats.orphaned_seconds += self.config.heartbeat_interval
-                    if self._obs is not None:
-                        self._m_orphaned.set(self.stats.orphaned_seconds)
                 for parent in silent:
                     self._handle_silent_parent(parent, now)
                 if self.sanitizer is not None and self.parents:
@@ -400,10 +407,13 @@ class Cmsd:
         """A parent blew the re-login horizon: re-home, or back off and
         re-login.
 
-        Silence past ``relogin_timeout`` means the parent is *unreachable*
-        — a restarted state-less parent still answers heartbeats (with
-        ``known=False``), which the ordinary re-login in
-        ``_on_heartbeat_ack`` covers without ever reaching this path.
+        Silence means no ``known=True`` heartbeat ack for
+        ``relogin_timeout``: the parent is unreachable, or it answers but
+        does not know us.  A restarted state-less parent learns us again
+        from the re-login ``_on_heartbeat_ack`` sends on its first
+        ``known=False`` ack, usually well inside the horizon; a full
+        parent that keeps ignoring that login ends up here and is rotated
+        away from.
         """
         attempts, next_at = self._relogin_state.get(parent, (0, 0.0))
         if now < next_at:
@@ -450,7 +460,6 @@ class Cmsd:
         self.stats.rehomes += 1
         self._login_to_parent(candidate)
         if self._obs is not None:
-            self._m_rehomes.inc()
             self._obs.tracer.cluster_event(
                 "cmsd.rehome",
                 time=now,
@@ -504,8 +513,6 @@ class Cmsd:
                             ),
                         )
                         self.stats.waits_sent += 1
-                        if self._obs is not None:
-                            self._m_waits.inc()
         except Interrupt:
             return
 
@@ -544,7 +551,6 @@ class Cmsd:
                 self._flood_queries(obj, payload.path, ref.hash_val, waiter.mode)
             self.stats.requeries += 1
             if self._obs is not None:
-                self._m_requeries.inc()
                 self._obs.tracer.event(
                     payload.path,
                     "rq.requery",
@@ -687,9 +693,10 @@ class Cmsd:
         try:
             slot = self.membership.login(msg.node, msg.paths)
         except OverflowError:
-            # All 64 slots occupied: ignore the login.  No ack means the
-            # subordinate's silence clock keeps running and it rotates on
-            # to its next standby instead of wedging a full parent.
+            # All 64 slots occupied: ignore the login.  The subordinate's
+            # heartbeats keep drawing HeartbeatAck(known=False), which do
+            # not stop its silence clock, so it rotates on to its next
+            # standby instead of wedging on a full parent.
             return
         self.children[msg.node] = ChildInfo(
             name=msg.node, role=Role(msg.role), last_seen=self.sim.now
@@ -720,11 +727,14 @@ class Cmsd:
         parent = msg.node
         if parent not in self.parents:
             return  # stale ack from a parent we already re-homed away from
-        self._last_parent_ack[parent] = self.sim.now
-        self._relogin_state.pop(parent, None)
-        if not msg.known:
-            # Parent restarted state-less: re-introduce ourselves to it
-            # alone (the other parents still know us).
+        if msg.known:
+            self._last_parent_ack[parent] = self.sim.now
+            self._relogin_state.pop(parent, None)
+        else:
+            # Parent restarted state-less (or is full and ignored our
+            # login): re-introduce ourselves to it alone (the other parents
+            # still know us).  Only a known=True ack stops the silence
+            # clock — a parent that cannot place us is not serving us.
             self._login_to_parent(parent)
 
     # -- server-side query handling (the request-rarely-respond leaf) --------------
@@ -802,7 +812,6 @@ class Cmsd:
                 self.stats.queries_sent += 1
                 fanout += 1
         if self._obs is not None and fanout:
-            self._m_queries.inc(fanout)
             self._obs.tracer.event(path, "query.flood", node=self.node_id.name, fanout=fanout)
         obj.v_q &= ~targets & bitvec.FULL_MASK
 
@@ -862,14 +871,10 @@ class Cmsd:
             pr.Redirect(msg.req_id, msg.path, target=name, target_role=role, pending=pending),
         )
         self.stats.redirects += 1
-        if self._obs is not None:
-            self._m_redirects.inc()
 
     def _send_wait(self, msg: pr.Locate) -> None:
         self._send(msg.reply_to, pr.Wait(msg.req_id, msg.path, self.config.full_delay))
         self.stats.waits_sent += 1
-        if self._obs is not None:
-            self._m_waits.inc()
 
     def _on_locate(self, msg: pr.Locate) -> None:
         """Handle a client Locate; the traced wrapper around the resolution.
@@ -883,7 +888,6 @@ class Cmsd:
         if obs is None:
             self._do_locate(msg)
             return
-        self._m_locates.inc()
         trace = obs.tracer.active(msg.path)
         span = (
             trace.begin("cmsd.locate", obs.now(), node=self.node_id.name, refresh=msg.refresh)
@@ -953,8 +957,6 @@ class Cmsd:
             return self._place_create(msg, obj)
         self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
         self.stats.notfounds += 1
-        if self._obs is not None:
-            self._m_notfounds.inc()
         return "notfound"
 
     def _open_wait_span(self, path: str):
@@ -983,8 +985,6 @@ class Cmsd:
         if not eligible:
             self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
             self.stats.notfounds += 1
-            if self._obs is not None:
-                self._m_notfounds.inc()
             return "notfound"
         slot = self.config.create_policy.choose(eligible, self.metrics)
         self._redirect(msg, slot, pending=False)
@@ -1064,7 +1064,6 @@ class Cmsd:
         now = self.sim.now
         self.stats.haves_received += 1
         if self._obs is not None:
-            self._m_haves_rx.inc()
             self._obs.tracer.event(
                 msg.path, "have.received", node=self.node_id.name, holder=msg.node
             )
@@ -1116,17 +1115,14 @@ class Cmsd:
             return
         self.stats.fast_released += len(released)
         self.stats.late_released += len(late)
-        if self._obs is not None:
-            if released:
-                self._m_fast_released.inc(len(released))
-            if late:
-                self._obs.tracer.event(
-                    msg.path,
-                    "rq.late_release",
-                    node=self.node_id.name,
-                    holder=msg.node,
-                    waiters=len(late),
-                )
+        if self._obs is not None and late:
+            self._obs.tracer.event(
+                msg.path,
+                "rq.late_release",
+                node=self.node_id.name,
+                holder=msg.node,
+                waiters=len(late),
+            )
         name = self.membership.server_name(slot)
         info = self.children.get(name)
         role = info.role.value if info is not None else Role.SERVER.value
@@ -1146,6 +1142,7 @@ class Cmsd:
                     ),
                 )
                 self.stats.redirects += 1
+                self.stats.released_redirects += 1
             elif isinstance(payload, _ParentWaiter):
                 self._send_have_up(
                     payload.parent_host, payload.path, payload.hash_val, pending=msg.pending

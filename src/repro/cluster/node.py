@@ -50,7 +50,8 @@ class ScallaNode:
         self.cnsd_host = cnsd_host
         self.rng = rng if rng is not None else random.Random(0)
         #: Observability hub shared cluster-wide; survives crash/restart
-        #: (metrics are per-node series, a rebooted daemon keeps counting).
+        #: (metrics are per-node series: a rebooted daemon's counters add to
+        #: its predecessor's, its gauges replace them).
         self.obs = obs
 
         # Persistent across restarts: the disk.

@@ -70,18 +70,6 @@ class XrootdServer:
         self.config = config if config is not None else XrootdConfig()
         self.rng = rng if rng is not None else random.Random(0)
         self.host = network.hosts.get(node_id.xrootd) or network.add_host(node_id.xrootd)
-        # Observability (repro.obs): data-plane counters, resolved once.
-        self._obs = obs
-        if obs is not None:
-            name = node_id.name
-            m = obs.metrics
-            self._m_opens = m.counter("xrootd_opens_total", node=name)
-            self._m_open_failures = m.counter("xrootd_open_failures_total", node=name)
-            self._m_stages = m.counter("xrootd_stages_total", node=name)
-            self._m_bytes_read = m.counter("xrootd_bytes_read_total", node=name)
-            self._m_bytes_written = m.counter("xrootd_bytes_written_total", node=name)
-            self._m_load = m.gauge("xrootd_load", node=name)
-
         self._handles: dict[int, str] = {}
         self._next_handle = 1
         self._active = 0
@@ -98,6 +86,24 @@ class XrootdServer:
         self.opens = 0
         self.open_failures = 0
         self.stages = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
+        # Observability (repro.obs): the statistics above plus the live
+        # load exported as series; opens annotate resolution traces.
+        self._obs = obs
+        if obs is not None:
+            obs.metrics.pull(
+                self,
+                counters=[
+                    ("xrootd_opens_total", "opens"),
+                    ("xrootd_open_failures_total", "open_failures"),
+                    ("xrootd_stages_total", "stages"),
+                    ("xrootd_bytes_read_total", "bytes_read"),
+                    ("xrootd_bytes_written_total", "bytes_written"),
+                ],
+                gauges=[("xrootd_load", "load")],
+                node=node_id.name,
+            )
 
     # -- metrics the cmsd heartbeats report -------------------------------------
 
@@ -134,8 +140,6 @@ class XrootdServer:
 
     def _handle(self, msg):
         self._active += 1
-        if self._obs is not None:
-            self._m_load.set(self.load)
         try:
             yield self.sim.sleep(self.config.service_time.sample(self.rng))
             if isinstance(msg, pr.Open):
@@ -159,15 +163,12 @@ class XrootdServer:
     def _handle_open(self, msg: pr.Open):
         self.opens += 1
         if self._obs is not None:
-            self._m_opens.inc()
             self._obs.tracer.event(
                 msg.path, "xrootd.open", node=self.node_id.name, create=msg.create
             )
         if self.fs.exists(msg.path):
             if msg.create:
                 self.open_failures += 1
-                if self._obs is not None:
-                    self._m_open_failures.inc()
                 self._reply(msg.reply_to, pr.OpenFail(msg.req_id, msg.path, "exists"))
                 return
             yield from self._ack_open(msg)
@@ -184,16 +185,12 @@ class XrootdServer:
             # blocks for the stage — "the full delay usually represents a
             # small fraction of the time it takes to stage a file".
             self.stages += 1
-            if self._obs is not None:
-                self._m_stages.inc()
             size = yield self.mss.stage(msg.path)
             if not self.fs.exists(msg.path):
                 self.fs.put(msg.path, b"\x00" * int(size), now=self.sim.now)
             yield from self._ack_open(msg)
             return
         self.open_failures += 1
-        if self._obs is not None:
-            self._m_open_failures.inc()
         self._reply(msg.reply_to, pr.OpenFail(msg.req_id, msg.path, "ENOENT"))
 
     def _ack_open(self, msg: pr.Open):
@@ -216,8 +213,7 @@ class XrootdServer:
             yield self.sim.sleep(len(data) * self.config.per_byte)
         finally:
             self._nic.release()
-        if self._obs is not None:
-            self._m_bytes_read.inc(len(data))
+        self.bytes_read += len(data)
         self._reply(msg.reply_to, pr.ReadAck(msg.req_id, data))
 
     def _handle_write(self, msg: pr.Write):
@@ -231,8 +227,7 @@ class XrootdServer:
         finally:
             self._nic.release()
         written = self.fs.write(path, msg.offset, msg.data)
-        if self._obs is not None:
-            self._m_bytes_written.inc(written)
+        self.bytes_written += written
         self._reply(msg.reply_to, pr.WriteAck(msg.req_id, written))
 
     def _handle_close(self, msg: pr.Close) -> None:

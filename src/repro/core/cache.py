@@ -88,9 +88,9 @@ class NameCache:
     ) -> None:
         """*window_memo* disables the per-window V_wc/C_wn memoization when
         False — an ablation knob for bench F3; production cmsd always
-        memoizes.  *obs* (a :class:`repro.obs.Observability`) turns on
-        metrics + resolution-trace annotations; None keeps the fast path
-        untouched."""
+        memoizes.  *obs* (a :class:`repro.obs.Observability`) exports
+        :attr:`stats` and the population as metric series and turns on
+        resolution-trace annotations."""
         self.membership = membership if membership is not None else ClusterMembership()
         self.table = LocationTable(initial_size)
         self.windows = EvictionWindows(obs=obs, node=node)
@@ -99,17 +99,22 @@ class NameCache:
         self._obs = obs
         self._node = node
         if obs is not None:
-            m = obs.metrics
-            self._m_lookups = m.counter("cache_lookups_total", node=node)
-            self._m_hits = m.counter("cache_hits_total", node=node)
-            self._m_adds = m.counter("cache_adds_total", node=node)
-            self._m_corrections = m.counter("cache_corrections_total", node=node)
-            self._m_vwc_hits = m.counter("cache_vwc_hits_total", node=node)
-            self._m_vwc_misses = m.counter("cache_vwc_misses_total", node=node)
-            self._m_stale = m.counter("cache_stale_holder_updates_total", node=node)
-            self._m_holder_updates = m.counter("cache_holder_updates_total", node=node)
-            self._m_removed = m.counter("cache_removed_total", node=node)
-            self._m_population = m.gauge("cache_population", node=node)
+            obs.metrics.pull(
+                self,
+                counters=[
+                    ("cache_lookups_total", "stats.lookups"),
+                    ("cache_hits_total", "stats.hits"),
+                    ("cache_adds_total", "stats.adds"),
+                    ("cache_corrections_total", "stats.corrections"),
+                    ("cache_vwc_hits_total", "stats.vwc_hits"),
+                    ("cache_vwc_misses_total", "stats.vwc_misses"),
+                    ("cache_stale_holder_updates_total", "stats.stale_holder_updates"),
+                    ("cache_holder_updates_total", "stats.holder_updates"),
+                    ("cache_removed_total", "stats.removed"),
+                ],
+                gauges=[("cache_population", lambda cache: cache.windows.population())],
+                node=node,
+            )
         self._free: list[LocationObject] = []
         #: Incrementally maintained count of findable objects; keeps
         #: :meth:`live_count` O(1) (cross-checked by check_invariants).
@@ -158,9 +163,6 @@ class NameCache:
         h = hash_name(path)
         obj = self.table.find(path, h)
         if self._obs is not None:
-            self._m_lookups.inc()
-            if obj is not None:
-                self._m_hits.inc()
             self._obs.tracer.event(
                 path, "cache.lookup", node=self._node, hit=obj is not None, add=add
             )
@@ -177,8 +179,6 @@ class NameCache:
         self.table.insert(obj)
         self._live += 1
         self.stats.adds += 1
-        if self._obs is not None:
-            self._m_adds.inc()
         return CacheRef(obj=obj, generation=obj.generation, key=path, hash_val=h), True
 
     def revalidate(self, ref: CacheRef) -> CacheRef | None:
@@ -213,13 +213,9 @@ class NameCache:
         obj = self.table.find(path, hash_val)
         if obj is None:
             self.stats.stale_holder_updates += 1
-            if self._obs is not None:
-                self._m_stale.inc()
             return None
         obj.set_holder(server, pending=pending)
         self.stats.holder_updates += 1
-        if self._obs is not None:
-            self._m_holder_updates.inc()
         return obj
 
     def refresh(self, ref: CacheRef, now: float) -> CacheRef | None:
@@ -275,10 +271,6 @@ class NameCache:
         self._live -= result.newly_hidden
         self._pending_removal.extend((obj, obj.generation) for obj in result.hidden)
         self._wmemo[result.window] = None
-        if self._obs is not None:
-            # population() is the O(1) incremental counter, so updating the
-            # gauge every tick no longer scans the window chains.
-            self._m_population.set(self.windows.population())
         return result
 
     def run_background_removal(self, limit: int | None = None) -> int:
@@ -298,8 +290,6 @@ class NameCache:
                 self._free.append(obj)
                 removed += 1
         self.stats.removed += removed
-        if self._obs is not None and removed:
-            self._m_removed.inc(removed)
         return removed
 
     @property
@@ -324,8 +314,6 @@ class NameCache:
             if memo is not None and memo.c_wn == obj.c_n and memo.n_c == self.membership.n_c:
                 v_c = memo.v_wc
                 self.stats.vwc_hits += 1
-                if self._obs is not None:
-                    self._m_vwc_hits.inc()
             else:
                 v_c = self.membership.connected_since(obj.c_n)
                 if self.window_memo:
@@ -333,12 +321,9 @@ class NameCache:
                         c_wn=obj.c_n, n_c=self.membership.n_c, v_wc=v_c
                     )
                 self.stats.vwc_misses += 1
-                if self._obs is not None:
-                    self._m_vwc_misses.inc()
         if apply_corrections(obj, self.membership, v_m, v_c=v_c):
             self.stats.corrections += 1
             if self._obs is not None:
-                self._m_corrections.inc()
                 self._obs.tracer.event(
                     obj.key, "cache.correct", node=self._node, v_q=obj.v_q, v_h=obj.v_h
                 )

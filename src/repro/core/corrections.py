@@ -93,21 +93,26 @@ class ClusterMembership:
         self.v_offline: int = 0
         #: Mask of slots currently occupied (online or offline).
         self.v_members: int = 0
+        #: Cumulative disconnect and drop events (logins are ``n_c``).
+        self.disconnects: int = 0
+        self.drops: int = 0
         # Observability (repro.obs): membership churn counters plus live
         # member/online gauges — the inputs the lazy-correction machinery
         # reacts to.
-        self._obs = obs
         if obs is not None:
-            self._m_logins = obs.metrics.counter("membership_logins_total", node=node)
-            self._m_disconnects = obs.metrics.counter("membership_disconnects_total", node=node)
-            self._m_drops = obs.metrics.counter("membership_drops_total", node=node)
-            self._m_members = obs.metrics.gauge("membership_members", node=node)
-            self._m_online = obs.metrics.gauge("membership_online", node=node)
-
-    def _observe_membership(self) -> None:
-        if self._obs is not None:
-            self._m_members.set(bitvec.count(self.v_members))
-            self._m_online.set(bitvec.count(self.v_online))
+            obs.metrics.pull(
+                self,
+                counters=[
+                    ("membership_logins_total", "n_c"),
+                    ("membership_disconnects_total", "disconnects"),
+                    ("membership_drops_total", "drops"),
+                ],
+                gauges=[
+                    ("membership_members", lambda m: m.member_count()),
+                    ("membership_online", lambda m: bitvec.count(m.v_online)),
+                ],
+                node=node,
+            )
 
     # -- queries -------------------------------------------------------------
 
@@ -185,9 +190,6 @@ class ClusterMembership:
                 current.logins += 1
                 self.v_offline &= ~bitvec.bit(existing) & bitvec.FULL_MASK
                 self._stamp_connection(existing)
-                if self._obs is not None:
-                    self._m_logins.inc()
-                    self._observe_membership()
                 return existing
 
         if slot is None:
@@ -208,9 +210,6 @@ class ClusterMembership:
             entry.v_m |= bitvec.bit(slot)
             entry.refcount[slot] = entry.refcount.get(slot, 0) + 1
         self._stamp_connection(slot)
-        if self._obs is not None:
-            self._m_logins.inc()
-            self._observe_membership()
         return slot
 
     def disconnect(self, name: str) -> int:
@@ -225,9 +224,7 @@ class ClusterMembership:
         assert entry is not None
         entry.online = False
         self.v_offline |= bitvec.bit(slot)
-        if self._obs is not None:
-            self._m_disconnects.inc()
-            self._observe_membership()
+        self.disconnects += 1
         return slot
 
     def drop(self, slot_or_name) -> int:
@@ -255,9 +252,7 @@ class ClusterMembership:
         mask = ~bitvec.bit(slot) & bitvec.FULL_MASK
         self.v_members &= mask
         self.v_offline &= mask
-        if self._obs is not None:
-            self._m_drops.inc()
-            self._observe_membership()
+        self.drops += 1
         return slot
 
     # -- internals ---------------------------------------------------------

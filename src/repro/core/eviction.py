@@ -80,10 +80,6 @@ class EvictionWindows:
         "_population",
         "_obs",
         "_node",
-        "_m_hidden",
-        "_m_rechained",
-        "_m_swept",
-        "_m_ticks",
         "_m_sweep_frac",
     )
 
@@ -98,20 +94,24 @@ class EvictionWindows:
         #: Incrementally maintained chained-object count; keeps
         #: :meth:`population` O(1) (cross-checked by check_invariants).
         self._population = 0
-        # Observability (repro.obs): per-tick counters plus an eviction-
+        # Observability (repro.obs): the cumulative totals above exported
+        # as counters, a sweep-fraction histogram, and an eviction-
         # interference annotation on any resolution trace in flight for a
         # path the sweep hides.
         self._obs = obs
         self._node = node
         if obs is not None:
-            self._m_hidden = obs.metrics.counter("evict_hidden_total", node=node)
-            self._m_rechained = obs.metrics.counter("evict_rechained_total", node=node)
-            self._m_swept = obs.metrics.counter("evict_swept_total", node=node)
-            self._m_ticks = obs.metrics.counter("evict_ticks_total", node=node)
+            obs.metrics.pull(
+                self,
+                counters=[
+                    ("evict_hidden_total", "total_hidden"),
+                    ("evict_rechained_total", "total_rechained"),
+                    ("evict_swept_total", "total_swept"),
+                    ("evict_ticks_total", "t_w"),
+                ],
+                node=node,
+            )
             self._m_sweep_frac = obs.metrics.histogram("evict_sweep_fraction", node=node)
-        else:
-            self._m_hidden = self._m_rechained = self._m_swept = None
-            self._m_ticks = self._m_sweep_frac = None
 
     @property
     def current_window(self) -> int:
@@ -204,10 +204,6 @@ class EvictionWindows:
         self.total_rechained += result.rechained
         self.total_swept += result.swept
         if self._obs is not None:
-            self._m_ticks.inc()
-            self._m_hidden.inc(len(result.hidden))
-            self._m_rechained.inc(result.rechained)
-            self._m_swept.inc(result.swept)
             if population_before:
                 # The paper's ~1.6% claim: fraction of the cache one tick touched.
                 self._m_sweep_frac.record(result.swept / population_before)

@@ -154,21 +154,32 @@ class ResponseQueue:
         self._park_order: list[tuple[float, str, int]] = []
         self._active = 0
         # Statistics surfaced by bench E6 / E6-wan.
+        self.enqueued = 0
         self.fast_responses = 0
         self.timeouts = 0
         self.rejected = 0
         self.late_responses = 0
-        # Observability (repro.obs): instruments resolved once, every hot
-        # site below guards with one `is not None` check.
+        #: Expiry window of the most recently opened anchor.
+        self.last_window = 0.0
+        # Observability (repro.obs): the statistics above exported as
+        # series, plus an anchor-wait histogram sampled on every release.
         self._obs = obs
         if obs is not None:
-            self._m_enq = obs.metrics.counter("rq_enqueued_total", node=node)
-            self._m_rejected = obs.metrics.counter("rq_rejected_total", node=node)
-            self._m_released = obs.metrics.counter("rq_released_total", node=node)
-            self._m_expired = obs.metrics.counter("rq_expired_total", node=node)
-            self._m_late = obs.metrics.counter("rq_late_responses_total", node=node)
-            self._m_active = obs.metrics.gauge("rq_active_anchors", node=node)
-            self._m_window = obs.metrics.gauge("rq_window_seconds", node=node)
+            obs.metrics.pull(
+                self,
+                counters=[
+                    ("rq_enqueued_total", "enqueued"),
+                    ("rq_rejected_total", "rejected"),
+                    ("rq_released_total", "fast_responses"),
+                    ("rq_expired_total", "timeouts"),
+                    ("rq_late_responses_total", "late_responses"),
+                ],
+                gauges=[
+                    ("rq_active_anchors", "active_anchors"),
+                    ("rq_window_seconds", "last_window"),
+                ],
+                node=node,
+            )
             self._m_wait = obs.metrics.histogram("rq_wait_seconds", node=node)
 
     # -- introspection ---------------------------------------------------------
@@ -214,8 +225,6 @@ class ResponseQueue:
         if anchor is None:
             if not self._free:
                 self.rejected += 1
-                if self._obs is not None:
-                    self._m_rejected.inc()
                 return AddOutcome(accepted=False)
             anchor = self._anchors[self._free.pop()]
             anchor.in_use = True
@@ -228,12 +237,9 @@ class ResponseQueue:
             self._active += 1
             heapq.heappush(self._timeline, (anchor.expiry, anchor.index, anchor.stamp))
             self._associate(loc, mode, anchor)
-            if self._obs is not None:
-                self._m_window.set(effective)
+            self.last_window = effective
         anchor.waiters.append(Waiter(payload=payload, enqueued_at=now, mode=mode))
-        if self._obs is not None:
-            self._m_enq.inc()
-            self._m_active.set(self._active)
+        self.enqueued += 1
         return AddOutcome(accepted=True, queue_was_empty=was_empty)
 
     # -- release paths ---------------------------------------------------------
@@ -270,12 +276,8 @@ class ResponseQueue:
             self._free.append(anchor.index)
             self._dissociate(loc, mode)
         self.fast_responses += len(released)
-        if self._obs is not None and released:
-            self._m_released.inc(len(released))
-            self._m_active.set(self._active)
-            if now is not None:
-                for w in released:
-                    self._m_wait.record(now - w.enqueued_at)
+        if now is not None:
+            self._record_waits(released, now)
         return released
 
     def on_late_response(
@@ -314,10 +316,7 @@ class ResponseQueue:
         else:
             del self._parked[key]
         self.late_responses += len(released)
-        if self._obs is not None and released:
-            self._m_late.inc(len(released))
-            for w in released:
-                self._m_wait.record(now - w.enqueued_at)
+        self._record_waits(released, now)
         return released
 
     def expire(self, now: float) -> list[Waiter]:
@@ -346,11 +345,7 @@ class ResponseQueue:
                 if self.park_ttl > 0 and waiters:
                     self._park(loc, waiters, now)
         self.timeouts += len(expired)
-        if self._obs is not None and expired:
-            self._m_expired.inc(len(expired))
-            self._m_active.set(self._active)
-            for w in expired:
-                self._m_wait.record(now - w.enqueued_at)
+        self._record_waits(expired, now)
         return expired
 
     def next_expiry(self) -> float | None:
@@ -384,6 +379,12 @@ class ResponseQueue:
         else:
             del self._parked[key]
         return True
+
+    def _record_waits(self, waiters: list[Waiter], now: float) -> None:
+        """Sample each departing waiter's anchor wait (observability only)."""
+        if self._obs is not None:
+            for w in waiters:
+                self._m_wait.record(now - w.enqueued_at)
 
     def _park(self, loc: LocationObject, waiters: list[Waiter], now: float) -> None:
         key = (loc.key, loc.generation)

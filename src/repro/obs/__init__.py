@@ -3,10 +3,11 @@
 Production XRootD deployments live and die by their monitoring streams;
 this package gives the reproduction the same eyes.  It has three parts:
 
-* :mod:`repro.obs.registry` — a zero-dependency metrics registry of
-  counters, gauges and bench-grade histograms (the histograms are
-  :class:`repro.sim.monitor.Histogram`, so bench reporting and in-system
-  metrics share one percentile vocabulary);
+* :mod:`repro.obs.registry` — a zero-dependency metrics registry.
+  Counters and gauges are *pulled*: they read the components' own
+  always-on stats when a snapshot is taken.  Histograms are bench-grade
+  :class:`repro.sim.monitor.Histogram` series (bench reporting and
+  in-system metrics share one percentile vocabulary);
 * :mod:`repro.obs.trace` — per-request *resolution traces*: spans and
   point events recorded as a lookup walks client → manager cmsd →
   supervisor → server, stamped with sim-kernel time;
@@ -15,9 +16,9 @@ this package gives the reproduction the same eyes.  It has three parts:
   queue-wait percentiles) that ``benchmarks/reporting.py`` consumes.
 
 Everything hangs off one :class:`Observability` hub.  Instrumented
-components take ``obs=None`` and guard every instrumentation site with a
-single ``is not None`` check, so the uninstrumented path stays as fast as
-before this layer existed.  Enable it cluster-wide with
+components take ``obs=None``; with a hub they bind their stats fields to
+it once, in the constructor, and guard only histogram samples and trace
+annotations with an ``is not None`` check.  Enable it cluster-wide with
 ``ScallaConfig(observability=True)``::
 
     cluster = ScallaCluster(16, config=ScallaConfig(observability=True))
@@ -30,12 +31,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.registry import Counter, Gauge, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import ResolutionTrace, Span, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "MetricsRegistry",
     "Observability",
     "ResolutionTrace",

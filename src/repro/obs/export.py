@@ -74,12 +74,12 @@ def snapshot(
 ) -> dict[str, Any]:
     """Freeze the hub's current state into one JSON-serializable dict."""
     metrics = []
-    for kind, name, labels, inst in obs.metrics.collect():
+    for kind, name, labels, value in obs.metrics.collect():
         entry: dict[str, Any] = {"kind": kind, "name": name, "labels": labels}
         if kind == "histogram":
-            entry["summary"] = asdict(inst.summary())
+            entry["summary"] = asdict(value.summary())
         else:
-            entry["value"] = inst.value
+            entry["value"] = value
         metrics.append(entry)
     snap: dict[str, Any] = {
         "schema": SCHEMA,

@@ -419,11 +419,6 @@ class Simulator:
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
         self.events_processed = 0
-        # Observability (repro.obs), off by default.  Instruments are
-        # resolved once at attach; the dispatch loop pays a single None
-        # check when disabled — the kernel is the hottest loop in the repo.
-        self._obs_events = None
-        self._obs_heap = None
 
     @property
     def now(self) -> float:
@@ -432,13 +427,17 @@ class Simulator:
     def attach_observability(self, obs) -> None:
         """Bind *obs* (a :class:`repro.obs.Observability`) to this kernel.
 
-        The hub's clock becomes sim time and the kernel starts counting
-        processed events and sampling its event-heap depth (heap plus
-        ring, so the depth matches what a heap-only kernel reported).
+        The hub's clock becomes sim time, and the hub exports
+        ``events_processed`` and the queued-event depth (heap plus ring,
+        so the depth matches what a heap-only kernel reported), both read
+        at snapshot time — the dispatch loop itself never sees the hub.
         """
         obs.bind_clock(lambda: self._now)
-        self._obs_events = obs.metrics.counter("sim_events_total")
-        self._obs_heap = obs.metrics.gauge("sim_heap_depth")
+        obs.metrics.pull(
+            self,
+            counters=[("sim_events_total", "events_processed")],
+            gauges=[("sim_heap_depth", lambda sim: len(sim._heap) + len(sim._ready))],
+        )
 
     # -- factories ---------------------------------------------------------
 
@@ -514,10 +513,6 @@ class Simulator:
         pool = self._timeout_pool
         pop = _heappop
         popleft = ready.popleft
-        # Observability instruments are bound before any run (attach is a
-        # setup-time call), so the loop hoists the None check to one load.
-        obs_events = self._obs_events
-        obs_heap = self._obs_heap
         pooled = _PooledTimeout
         pending = _PENDING
         processed = 0
@@ -530,9 +525,6 @@ class Simulator:
                 if ready and (not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]):
                     _seq, fn, arg = popleft()
                     processed += 1
-                    if obs_events is not None:
-                        obs_events.inc()
-                        obs_heap.value = len(heap) + len(ready)
                     fn(arg)
                     continue
                 if heap[0][0] > until:
@@ -540,9 +532,6 @@ class Simulator:
                 when, _seq, event = pop(heap)
                 self._now = when
                 processed += 1
-                if obs_events is not None:
-                    obs_events.inc()
-                    obs_heap.value = len(heap) + len(ready)
                 if event.__class__ is not pooled:
                     event._fire()
                     continue

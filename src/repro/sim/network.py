@@ -133,9 +133,10 @@ class Network:
         self.chaos = chaos if chaos is not None and chaos.enabled else None
         self._chaos_rng = random.Random(chaos.seed) if self.chaos is not None else None
         self.stats = NetworkStats()
-        self._obs = obs
         if obs is not None:
-            self._m_chaos_dropped = obs.metrics.counter("chaos_msgs_dropped_total")
+            obs.metrics.pull(
+                self.stats, counters=[("chaos_msgs_dropped_total", "chaos_dropped")]
+            )
 
     # -- topology management -------------------------------------------------
 
@@ -276,8 +277,6 @@ class Network:
             cz, crng = self.chaos, self._chaos_rng
             if cz.drop_prob and crng.random() < cz.drop_prob:
                 self.stats.chaos_dropped += 1
-                if self._obs is not None:
-                    self._m_chaos_dropped.inc()
                 return False
             if cz.dup_prob and crng.random() < cz.dup_prob:
                 # Duplicate re-samples its own latency (chaos RNG), so the

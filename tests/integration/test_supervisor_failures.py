@@ -180,6 +180,31 @@ class TestSupervisorRehome:
         assert cmsd.stats.relogins_by_parent.get("mgr0", 0) <= 8
         assert cmsd.stats.rehomes == 0  # top level: nowhere to re-home
 
+    def test_orphans_leave_a_full_adopter(self):
+        """A full sibling ignores an orphan's Login but still answers its
+        heartbeats with ``known=False``.  Those acks must not reset the
+        orphan's silence clock, or the whole subtree stays wedged on the
+        full sibling while the manager has free slots."""
+        cluster = ScallaCluster(128, config=ScallaConfig(seed=1))  # 2 full supervisors
+        sup0, sup1 = cluster.topology.supervisors
+        cluster.place("/store/x/f.root", "srv00005", size=64)
+        cluster.settle(0.5)
+        assert cluster.node("srv00005").current_parents == (sup0,)
+        cluster.node(sup0).crash()
+        cluster.run(until=cluster.sim.now + 30.0)
+        orphans = cluster.topology.nodes[sup0].children
+        adopted = [o for o in orphans if cluster.node(o).current_parents == ("mgr0",)]
+        mgr = cluster.manager_cmsd()
+        # The manager keeps the dead supervisor's slot until drop_timeout,
+        # so 64 - 2 slots are free for orphans, and all of them get used.
+        assert len(adopted) == 62
+        assert mgr.membership.member_count() == 64
+        assert cluster.node(sup1).cmsd.membership.member_count() == 64  # still full
+        node, _pending = cluster.run_process(
+            cluster.client().locate("/store/x/f.root"), limit=600
+        )
+        assert node == "srv00005"
+
 
 class TestResponseCompression:
     def test_compression_ratio_measured(self):

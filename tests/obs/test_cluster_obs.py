@@ -112,3 +112,82 @@ class TestDisabledPath:
         assert cluster.obs is None
         with pytest.raises(RuntimeError):
             cluster.obs_snapshot()
+
+
+def snapshot_values(cluster, name):
+    """node -> value of every series *name* in a fresh snapshot."""
+    snap = cluster.obs_snapshot(traces=False)
+    return {m["labels"]["node"]: m["value"] for m in snap["metrics"] if m["name"] == name}
+
+
+class TestSeriesReadLiveState:
+    """Counters and gauges are read from the daemons when the snapshot is
+    taken, so they track the live state and survive daemon restarts."""
+
+    def test_restarted_supervisor_keeps_counting_into_its_series(self):
+        cluster = ScallaCluster(8, config=ScallaConfig(seed=17, fanout=4, observability=True))
+        sup = cluster.topology.supervisors[0]
+        below = cluster.topology.nodes[sup].children
+        for i, server in enumerate(below):
+            cluster.place(f"/store/r/before{i}.root", server, size=64)
+            cluster.place(f"/store/r/after{i}.root", server, size=64)
+        cluster.settle(0.5)
+        client = cluster.client()
+
+        def locate_all(prefix):
+            for i in range(len(below)):
+                yield from client.locate(f"/store/r/{prefix}{i}.root")
+
+        cluster.run_process(locate_all("before"), limit=600)
+        old = cluster.node(sup).cmsd
+        cluster.node(sup).crash()
+        cluster.run(until=cluster.sim.now + 1.0)
+        cluster.node(sup).restart()
+        new = cluster.node(sup).cmsd
+        assert new is not old
+
+        # The fresh daemon knows no children yet; the dead one knew all.
+        assert old.membership.member_count() == len(below)
+        assert snapshot_values(cluster, "membership_online")[sup] == 0
+        cluster.run(until=cluster.sim.now + 3.0)
+        online = snapshot_values(cluster, "membership_online")[sup]
+        assert online == len(below) == new.membership.member_count()
+
+        cluster.run_process(locate_all("after"), limit=600)
+        assert old.stats.locates > 0 and new.stats.locates > 0
+        locates = snapshot_values(cluster, "cmsd_locate_requests_total")[sup]
+        assert locates == old.stats.locates + new.stats.locates
+
+    def test_cache_population_is_live_before_the_first_tick(self):
+        cluster = ScallaCluster(4, config=ScallaConfig(seed=13, observability=True))
+        paths = [f"/store/pop/f{i}.root" for i in range(6)]
+        cluster.populate(paths, size=64)
+        cluster.settle()
+        client = cluster.client()
+
+        def workload():
+            for p in paths:
+                yield from client.locate(p)
+
+        cluster.run_process(workload(), limit=600)
+        cache = cluster.manager_cmsd().cache
+        assert cache.windows.t_w == 0  # no eviction tick yet
+        population = snapshot_values(cluster, "cache_population")["mgr0"]
+        assert population == cache.windows.population() == len(paths)
+
+    def test_xrootd_load_returns_to_zero(self):
+        cluster = ScallaCluster(4, config=ScallaConfig(seed=13, observability=True))
+        cluster.populate([f"/store/load/f{i}.root" for i in range(8)], size=64)
+        cluster.settle()
+        client = cluster.client()
+
+        def workload():
+            for i in range(8):
+                yield from client.open(f"/store/load/f{i}.root")
+
+        cluster.run_process(workload(), limit=600)
+        cluster.settle(0.1)  # let every request process finish
+        assert sum(snapshot_values(cluster, "xrootd_opens_total").values()) == 8
+        loads = snapshot_values(cluster, "xrootd_load")
+        assert len(loads) == len(cluster.servers)
+        assert all(v == 0 for v in loads.values())

@@ -1,6 +1,7 @@
 """Snapshot export: strict-JSON round-trip, derived roll-up, file I/O."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,14 +10,25 @@ from repro.obs import Observability, export
 
 def populated_hub():
     obs = Observability()
-    obs.metrics.counter("cache_lookups_total", node="mgr").inc(10)
-    obs.metrics.counter("cache_hits_total", node="mgr").inc(4)
-    obs.metrics.counter("client_locates_total", node="c0").inc(5)
-    obs.metrics.counter("cmsd_locate_requests_total", node="mgr").inc(5)
-    obs.metrics.counter("cmsd_messages_sent_total", node="mgr").inc(40)
-    obs.metrics.counter("rq_released_total", node="mgr").inc(3)
-    obs.metrics.counter("rq_expired_total", node="mgr").inc(1)
-    obs.metrics.gauge("cache_population", node="mgr").set(7)
+    mgr = SimpleNamespace(
+        lookups=10, hits=4, locates=5, sent=40, released=3, expired=1, population=7
+    )
+    obs.metrics.pull(
+        mgr,
+        counters=[
+            ("cache_lookups_total", "lookups"),
+            ("cache_hits_total", "hits"),
+            ("cmsd_locate_requests_total", "locates"),
+            ("cmsd_messages_sent_total", "sent"),
+            ("rq_released_total", "released"),
+            ("rq_expired_total", "expired"),
+        ],
+        gauges=[("cache_population", "population")],
+        node="mgr",
+    )
+    obs.metrics.pull(
+        SimpleNamespace(resolutions=5), counters=[("client_locates_total", "resolutions")], node="c0"
+    )
     obs.metrics.histogram("rq_wait_seconds", node="mgr").record(0.000105)
     trace = obs.tracer.start("/store/f", client="c0")
     span = trace.begin("cmsd.locate", 0.0, node="mgr")
@@ -61,7 +73,11 @@ class TestDerived:
 
     def test_resolutions_falls_back_to_cmsd_count(self):
         obs = Observability()
-        obs.metrics.counter("cmsd_locate_requests_total", node="mgr").inc(7)
+        obs.metrics.pull(
+            SimpleNamespace(locates=7),
+            counters=[("cmsd_locate_requests_total", "locates")],
+            node="mgr",
+        )
         assert export.derive(obs)["resolutions"] == 7
 
     def test_zero_activity_yields_zero_ratios(self):

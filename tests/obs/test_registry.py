@@ -1,4 +1,6 @@
-"""Counter/gauge/registry semantics: identity, label handling, roll-ups."""
+"""Registry semantics: pulled series, identity, label handling, roll-ups."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,50 +8,66 @@ from repro.obs import MetricsRegistry
 from repro.sim.monitor import Histogram
 
 
+def series(reg, kind, name, **labels):
+    """The collected value of one series (KeyError when absent)."""
+    for k, n, lbls, value in reg.collect():
+        if (k, n, lbls) == (kind, name, labels):
+            return value
+    raise KeyError((kind, name, labels))
+
+
 class TestCounter:
     def test_starts_at_zero(self):
         reg = MetricsRegistry()
-        assert reg.counter("c").value == 0
+        reg.pull(SimpleNamespace(n=0), counters=[("c", "n")])
+        assert series(reg, "counter", "c") == 0
 
-    def test_inc_default_and_amount(self):
+    def test_reads_source_at_collection_time(self):
         reg = MetricsRegistry()
-        c = reg.counter("c")
-        c.inc()
-        c.inc(5)
-        assert c.value == 6
+        src = SimpleNamespace(n=0)
+        reg.pull(src, counters=[("c", "n")])
+        src.n += 6
+        assert series(reg, "counter", "c") == 6
+        assert reg.counter_total("c") == 6
 
-    def test_negative_increment_rejected(self):
+    def test_dotted_attribute_and_callable_fields(self):
         reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("c").inc(-1)
+        src = SimpleNamespace(stats=SimpleNamespace(a=5, b=2))
+        reg.pull(src, counters=[("a", "stats.a"), ("diff", lambda s: s.stats.a - s.stats.b)])
+        assert series(reg, "counter", "a") == 5
+        assert series(reg, "counter", "diff") == 3
 
     def test_same_name_and_labels_is_same_instrument(self):
+        """Two sources bound under one key are one series: their sum."""
         reg = MetricsRegistry()
-        a = reg.counter("hits", node="s1")
-        b = reg.counter("hits", node="s1")
-        assert a is b
-        a.inc()
-        assert b.value == 1
+        old, new = SimpleNamespace(n=4), SimpleNamespace(n=0)
+        reg.pull(old, counters=[("hits", "n")], node="s1")
+        reg.pull(new, counters=[("hits", "n")], node="s1")
+        new.n = 3
+        rows = [r for r in reg.collect() if r[1] == "hits"]
+        assert rows == [("counter", "hits", {"node": "s1"}, 7)]
+        assert reg.counter_total("hits") == 7
 
     def test_label_order_does_not_matter(self):
         reg = MetricsRegistry()
-        a = reg.counter("hits", node="s1", role="server")
-        b = reg.counter("hits", role="server", node="s1")
-        assert a is b
+        reg.pull(SimpleNamespace(n=1), counters=[("hits", "n")], node="s1", role="server")
+        reg.pull(SimpleNamespace(n=2), counters=[("hits", "n")], role="server", node="s1")
+        assert len(list(reg.collect())) == 1
+        assert series(reg, "counter", "hits", node="s1", role="server") == 3
 
     def test_different_labels_are_distinct_series(self):
         reg = MetricsRegistry()
-        a = reg.counter("hits", node="s1")
-        b = reg.counter("hits", node="s2")
-        assert a is not b
-        a.inc(3)
-        assert b.value == 0
+        a, b = SimpleNamespace(n=0), SimpleNamespace(n=0)
+        reg.pull(a, counters=[("hits", "n")], node="s1")
+        reg.pull(b, counters=[("hits", "n")], node="s2")
+        a.n = 3
+        assert series(reg, "counter", "hits", node="s1") == 3
+        assert series(reg, "counter", "hits", node="s2") == 0
 
     def test_counter_total_sums_across_label_sets(self):
         reg = MetricsRegistry()
-        reg.counter("hits", node="s1").inc(3)
-        reg.counter("hits", node="s2").inc(4)
-        reg.counter("misses", node="s1").inc(99)
+        reg.pull(SimpleNamespace(h=3, m=99), counters=[("hits", "h"), ("misses", "m")], node="s1")
+        reg.pull(SimpleNamespace(h=4), counters=[("hits", "h")], node="s2")
         assert reg.counter_total("hits") == 7
 
     def test_counter_total_of_unknown_name_is_zero(self):
@@ -57,19 +75,24 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_add(self):
+    def test_reads_newest_source(self):
+        """A restarted daemon's gauge reports the live instance, not the
+        dead one — unlike a counter, which sums both."""
         reg = MetricsRegistry()
-        g = reg.gauge("load")
-        g.set(0.5)
-        g.add(0.25)
-        g.add(-0.5)
-        assert g.value == pytest.approx(0.25)
+        old, new = SimpleNamespace(load=0.9), SimpleNamespace(load=0.1)
+        reg.pull(old, gauges=[("load", "load")], node="s1")
+        reg.pull(new, gauges=[("load", "load")], node="s1")
+        assert series(reg, "gauge", "load", node="s1") == pytest.approx(0.1)
+        new.load = 0.25
+        assert series(reg, "gauge", "load", node="s1") == pytest.approx(0.25)
 
     def test_gauge_and_counter_namespaces_are_separate(self):
         reg = MetricsRegistry()
-        reg.counter("x").inc()
-        g = reg.gauge("x")
-        assert g.value == 0
+        src = SimpleNamespace(n=1, g=0)
+        reg.pull(src, counters=[("x", "n")], gauges=[("x", "g")])
+        assert series(reg, "counter", "x") == 1
+        assert series(reg, "gauge", "x") == 0
+        assert reg.counter_total("x") == 1
 
 
 class TestHistogramSeries:
@@ -98,9 +121,9 @@ class TestHistogramSeries:
 class TestCollect:
     def test_collect_yields_sorted_series(self):
         reg = MetricsRegistry()
-        reg.counter("b").inc()
-        reg.counter("a", node="s1").inc(2)
-        reg.gauge("g").set(1.5)
+        reg.pull(SimpleNamespace(n=1), counters=[("b", "n")])
+        reg.pull(SimpleNamespace(n=2), counters=[("a", "n")], node="s1")
+        reg.pull(SimpleNamespace(g=1.5), gauges=[("g", "g")])
         reg.histogram("h").record(0.1)
         rows = list(reg.collect())
         kinds = [r[0] for r in rows]
@@ -109,4 +132,6 @@ class TestCollect:
         assert names == ["a", "b", "g", "h"]
         by_name = {r[1]: r for r in rows}
         assert by_name["a"][2] == {"node": "s1"}
-        assert by_name["a"][3].value == 2
+        assert by_name["a"][3] == 2
+        assert by_name["g"][3] == 1.5
+        assert isinstance(by_name["h"][3], Histogram)
