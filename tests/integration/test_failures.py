@@ -87,6 +87,36 @@ class TestServerCrashRecovery:
         assert mgr.membership.n_c > n_c_before
 
 
+class TestRestartedDaemonsHearTheirFirstMessage:
+    """A restarted node's daemons must see every message sent to them; the
+    crashed predecessors' inbox getters must not swallow the first one."""
+
+    def test_restarted_xrootd_answers_the_first_stat(self):
+        cluster = ScallaCluster(8, config=ScallaConfig(fanout=8))
+        cluster.place("/store/first.root", "srv00000", size=64)
+        cluster.settle()
+        cluster.node("srv00000").restart()
+        cluster.settle(0.5)
+        exists, size = cluster.run_process(cluster.client().stat("/store/first.root"), limit=60)
+        assert (exists, size) == (True, 64)
+
+    def test_restarted_cmsd_handles_its_login_ack(self):
+        cluster = ScallaCluster(8, config=ScallaConfig(fanout=8))
+        cluster.settle()
+        node = cluster.node("srv00000")
+        node.restart()
+        seen = []
+        dispatch = node.cmsd._dispatch
+
+        def recording(msg, src, sent_at=0.0):
+            seen.append(type(msg).__name__)
+            dispatch(msg, src, sent_at)
+
+        node.cmsd._dispatch = recording
+        cluster.settle()
+        assert seen[:1] == ["LoginAck"]
+
+
 class TestManagerRestart:
     def test_manager_rebuilds_membership_from_relogins(self):
         """§V: no persistent state — a restarted manager re-learns its
