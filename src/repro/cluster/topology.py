@@ -39,8 +39,11 @@ class NodeSpec:
     #: top).  A subordinate whose parent goes silent past the re-login
     #: horizon re-homes to the first reachable standby instead of
     #: heartbeating into the void (§III-A4 treats the adoption as an
-    #: ordinary "server added" membership event on the new parent).
-    standbys: tuple[str, ...] = ()
+    #: ordinary "server added" membership event on the new parent).  A
+    #: standby is one node name, or a tuple of peer nodes adopted
+    #: together: the parent's own parent set, i.e. every peer manager,
+    #: since each answers only for the subordinates logged into it.
+    standbys: tuple[str | tuple[str, ...], ...] = ()
 
     @property
     def name(self) -> str:
@@ -163,14 +166,17 @@ def build_topology(
 def _assign_standbys(topo: Topology) -> None:
     """Compute per-node standby lists: parent's siblings, then grandparents.
 
-    A top-level subordinate already logs into every manager, so its list is
-    empty — there is nowhere else to go, and the capped-backoff re-login
-    loop covers a manager restart instead.
+    The grandparents are one standby: a parent logs into all of its own
+    parents (every peer manager, at the top), so an orphan re-homed to
+    that level must too, or the peers it skipped answer for its files
+    with a false "not found".  A top-level subordinate already logs into
+    every manager, so its list is empty — there is nowhere else to go,
+    and the capped-backoff re-login loop covers a manager restart instead.
     """
     for spec in topo.nodes.values():
         if not spec.parents:
             continue
-        pool: list[str] = []
+        pool: list[str | tuple[str, ...]] = []
         grandparents: list[str] = []
         for p in spec.parents:
             pspec = topo.nodes[p]
@@ -180,9 +186,10 @@ def _assign_standbys(topo: Topology) -> None:
                         pool.append(sib)
                 if gp not in spec.parents and gp not in grandparents:
                     grandparents.append(gp)
-        for gp in grandparents:
-            if gp not in pool:
-                pool.append(gp)
+        if len(grandparents) == 1:
+            pool.append(grandparents[0])
+        elif grandparents:
+            pool.append(tuple(grandparents))
         spec.standbys = tuple(pool)
 
 

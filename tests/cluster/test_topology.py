@@ -117,6 +117,14 @@ class TestStandbys:
         for child in topo.nodes[sup1].children:
             assert topo.nodes[child].standbys == (sup0, "mgr0")
 
+    def test_peer_managers_are_one_standby(self):
+        """Re-homing to the manager level joins every peer manager at
+        once, as the dead supervisor was logged into all of them."""
+        topo = build_topology(8, fanout=4, managers=2)
+        sup0, sup1 = topo.supervisors[:2]
+        for child in topo.nodes[sup0].children:
+            assert topo.nodes[child].standbys == (sup1, ("mgr0", "mgr1"))
+
     def test_top_level_subordinates_have_no_standbys(self):
         """They already log into every manager — nowhere else to go."""
         topo = build_topology(8, fanout=4, managers=2)

@@ -165,6 +165,22 @@ class TestSupervisorRehome:
         res = cluster.run_process(cluster.client().open("/store/t/f3.root"), limit=120)
         assert res.size == 64
 
+    def test_rehome_to_manager_level_joins_every_peer_manager(self):
+        """An orphan escalated to the manager level logs into every peer
+        manager, as its dead supervisor did; one that joined only mgr0
+        would be unknown to mgr1, which then answers a false NotFound."""
+        cluster = tree_cluster(managers=2)
+        for sup in cluster.topology.supervisors:
+            cluster.node(sup).crash()
+        cluster.run(until=cluster.sim.now + 10.0)
+        for srv in cluster.servers:
+            assert cluster.node(srv).current_parents == ("mgr0", "mgr1")
+        client = cluster.client()
+        client._manager_idx = 1  # ask mgr1 first
+        res = cluster.run_process(client.open("/store/t/f1.root"), limit=120)
+        assert res.size == 64
+        assert client.stats.failovers == 0
+
     def test_orphan_accounting_and_relogin_backoff(self):
         """A subordinate with nowhere to go (manager dead, no standbys)
         records orphaned time and backs off its re-login storm instead of
