@@ -4,15 +4,15 @@ Three scenarios cover the kernel's distinct hot paths, sized so the
 per-event kernel overhead (allocation, heap traffic, callback dispatch)
 dominates over the trivial process bodies:
 
-* ``spawn`` — per-message process creation, the ``Network.deliver``
+* ``spawn`` — per-request process creation, the xrootd request-handler
   pattern: thousands of short-lived processes, each one bootstrap +
   one timeout + one completion event.  This is the path the
   deferred-resume ring and ``__slots__`` target.
 * ``timeout`` — long-running processes looping on ``sim.sleep`` (the
   kernel-pooled timeout; plain ``sim.timeout`` on kernels that predate
   pooling).  Pure heap + timeout-object traffic.
-* ``store`` — producer/consumer handoff through ``sim.sync.Store``, the
-  cmsd-inbox pattern: per-item Event allocation and same-time handoff.
+* ``store`` — producer/consumer handoff through ``sim.sync.Store``, a
+  plain host's inbox: per-item Event allocation and same-time handoff.
 
 The headline ``events_per_sec`` aggregates all three (total events over
 total wall time), weighting each path by the events it generates.
@@ -35,9 +35,9 @@ def run_spawn(n_procs: int = 30_000, batch: int = 200) -> tuple[int, float]:
     """Spawn *n_procs* one-shot processes in waves; return (events, elapsed).
 
     A driver process launches *batch* processes per simulated second, the
-    way ``Network.deliver`` spawns one handler per in-flight message: a
-    few hundred live processes at any instant, not all of them at once
-    (which would measure the garbage collector, not the kernel).
+    way an xrootd spawns one handler per request: a few hundred live
+    processes at any instant, not all of them at once (which would
+    measure the garbage collector, not the kernel).
     """
     sim = Simulator()
     sleep = _sleeper(sim)

@@ -27,8 +27,10 @@ reproduction:
 * the kernel's dispatch path never allocates event objects (SCA003) —
   ``Simulator._dispatch()`` and its ``run()``/``run_until_process()``
   wrappers must route immediate wakeups through the
-  deferred-resume ring and recycled timeout storage, or the allocation
-  rate the ``benchmarks/perf`` suite gates on silently creeps back.
+  deferred-resume ring and recycled timeout storage, and the per-message
+  path (``Simulator.call_at()``, ``Network._deliver()``) must stay one
+  callback, or the allocation rate the ``benchmarks/perf`` suite gates on
+  silently creeps back.
 
 Every rule supports per-line suppression with ``# scalla-lint:
 disable=RULE`` and per-file suppression with ``# scalla-lint:
@@ -452,7 +454,7 @@ class FibonacciTableSizes(Rule):
 @register
 class NoDispatchAllocation(Rule):
     id = "SCA003"
-    title = "no Event/Timeout/Process construction on the Simulator dispatch path"
+    title = "no Event/Timeout/Process construction on the dispatch or delivery path"
     rationale = (
         "The dispatch loop runs once per simulated event — the hottest path "
         "in the repo, tracked by `benchmarks/perf` and gated by "
@@ -460,21 +462,31 @@ class NoDispatchAllocation(Rule):
         "`Process`) there reintroduces the per-event bootstrap/poke garbage "
         "the deferred-resume ring and the pooled-timeout free list were "
         "built to remove.  Immediate wakeups go through `Simulator._defer`; "
-        "delays come from the recycled `sleep()` storage."
+        "delays come from the recycled `sleep()` storage.  A message is one "
+        "`Simulator.call_at` callback into `Network._deliver`, so neither "
+        "may allocate an event or a process either."
     )
 
-    _EVENT_TYPES = frozenset({"Event", "Timeout", "Process"})
-    # The one event loop and the two wrappers that enter it.
-    _DISPATCH_METHODS = frozenset({"_dispatch", "run", "run_until_process"})
+    #: The event classes, and the Simulator factories that construct them.
+    _EVENT_TYPES = frozenset(
+        {"Event", "Timeout", "Process", "event", "timeout", "process", "any_of", "all_of"}
+    )
+    #: class -> guarded methods: the one event loop, the two wrappers that
+    #: enter it, and the per-message scheduling and delivery path.
+    _GUARDED = {
+        "Simulator": frozenset({"_dispatch", "run", "run_until_process", "call_at"}),
+        "Network": frozenset({"_deliver"}),
+    }
 
     def check(self, tree: ast.Module, ctx: "FileContext") -> None:
         for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef) or cls.name != "Simulator":
+            if not isinstance(cls, ast.ClassDef) or cls.name not in self._GUARDED:
                 continue
+            guarded = self._GUARDED[cls.name]
             for fn in cls.body:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                if fn.name not in self._DISPATCH_METHODS:
+                if fn.name not in guarded:
                     continue
                 for node in ast.walk(fn):
                     if (
@@ -485,6 +497,7 @@ class NoDispatchAllocation(Rule):
                             self,
                             node,
                             f"`{ast.unparse(node.func)}(...)` allocated inside "
-                            f"Simulator.{fn.name}(); the dispatch path must use "
-                            "the deferred-resume ring / pooled timeouts instead",
+                            f"{cls.name}.{fn.name}(); the dispatch path must use "
+                            "the deferred-resume ring / pooled timeouts / call_at "
+                            "instead",
                         )

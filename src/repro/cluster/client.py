@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.cluster import protocol as pr
 from repro.cluster.ids import Role, cmsd_host, xrootd_host
 from repro.core.response_queue import AccessMode
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Network
 
 __all__ = [
@@ -152,30 +152,44 @@ class ScallaClient:
             )
             self._m_resolve = obs.metrics.histogram("client_resolve_seconds", node=name)
         self._next_req = 1
-        self._pending: dict[int, object] = {}
-        self._proc = sim.process(self._inbox_loop(), name=f"client:{name}")
+        #: req_id -> the event its reply resolves.
+        self._pending: dict[int, Event] = {}
+        self.host.listen(self._on_message)
         self._manager_idx = 0
 
     # -- plumbing ---------------------------------------------------------
 
-    def _inbox_loop(self):
-        while True:
-            env = yield self.host.inbox.get()
-            req_id = getattr(env.payload, "req_id", None)
-            ev = self._pending.pop(req_id, None)
-            if ev is not None and not ev.triggered:
-                ev.succeed(env.payload)
+    def _on_message(self, src: str, payload: object, sent_at: float) -> None:
+        """The host's receiver: resolve the request *payload* answers.
+
+        Replies nobody waits for any more (late, or duplicated) are dropped.
+        """
+        ev = self._pending.pop(getattr(payload, "req_id", None), None)
+        if ev is not None and not ev.triggered:
+            ev.succeed(payload)
+
+    def _await_reply(self, req_id: int, timeout: float) -> Event:
+        """An event resolved by the reply to *req_id*, or by None once
+        *timeout* simulated seconds pass first."""
+        sim = self.sim
+        ev = sim.event()
+        self._pending[req_id] = ev
+        sim.call_at(sim.now + timeout, self._expire, ev)
+        return ev
+
+    @staticmethod
+    def _expire(ev: Event) -> None:
+        # Only this wait's own event: a later request has a fresh one.
+        if not ev.triggered:
+            ev.succeed(None)
 
     def _request(self, to_host: str, msg, timeout: float):
         """Send *msg*, wait for its reply or *timeout*; returns reply or None."""
-        ev = self.sim.event()
-        self._pending[msg.req_id] = ev
         self.network.send(self.host.name, to_host, msg, size=pr.estimate_size(msg))
-        yield self.sim.any_of([ev, self.sim.timeout(timeout)])
-        if ev.triggered:
-            return ev.value
-        self._pending.pop(msg.req_id, None)
-        return None
+        reply = yield self._await_reply(msg.req_id, timeout)
+        if reply is None:
+            self._pending.pop(msg.req_id, None)
+        return reply
 
     def _req_id(self) -> int:
         rid = self._next_req
@@ -316,15 +330,13 @@ class ScallaClient:
                     # The sender parked our request for late-response
                     # reconciliation: keep the req_id registered so an
                     # unsolicited Redirect can cut the wait short.
-                    ev = self.sim.event()
-                    self._pending[msg.req_id] = ev
-                    yield self.sim.any_of([ev, self.sim.timeout(resp.delay)])
-                    if ev.triggered and isinstance(ev.value, (pr.Redirect, pr.NotFound)):
+                    late = yield self._await_reply(msg.req_id, resp.delay)
+                    if isinstance(late, (pr.Redirect, pr.NotFound)):
                         if trace is not None:
                             trace.event(
                                 "client.late_release", self._obs.now(), node=self.name
                             )
-                        early_resp = ev.value
+                        early_resp = late
                     else:
                         self._pending.pop(msg.req_id, None)
                 else:

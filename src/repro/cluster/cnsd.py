@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.cluster import protocol as pr
-from repro.sim.kernel import Process, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
 __all__ = ["CnsDaemon", "CNSD_HOST"]
@@ -31,28 +31,20 @@ class CnsDaemon:
         #: path -> node names currently holding a copy.
         self._holders: dict[str, set[str]] = defaultdict(set)
         self.updates = 0
-        self._proc: Process | None = None
 
     def start(self) -> None:
-        self._proc = self.sim.process(self._main_loop(), name="cnsd")
+        self.host.listen(self._on_message)
 
     def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.interrupt("stop")
-            self._proc = None
+        self.host.listen(None)
 
-    def _main_loop(self):
-        while True:
-            env = yield self.host.inbox.get()
-            msg = env.payload
-            if isinstance(msg, pr.NamespaceUpdate):
-                self.apply(msg.node, msg.path, msg.op)
-            elif isinstance(msg, pr.List):
-                names = tuple(self.list(msg.prefix))
-                reply = pr.ListAck(msg.req_id, names)
-                self.network.send(
-                    self.host.name, msg.reply_to, reply, size=pr.estimate_size(reply)
-                )
+    def _on_message(self, src: str, msg: object, sent_at: float) -> None:
+        if isinstance(msg, pr.NamespaceUpdate):
+            self.apply(msg.node, msg.path, msg.op)
+        elif isinstance(msg, pr.List):
+            names = tuple(self.list(msg.prefix))
+            reply = pr.ListAck(msg.req_id, names)
+            self.network.send(self.host.name, msg.reply_to, reply, size=pr.estimate_size(reply))
 
     # -- namespace maintenance ----------------------------------------------------
 

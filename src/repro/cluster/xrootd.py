@@ -2,9 +2,10 @@
 
 One per leaf node: serves opens/reads/writes/closes against the node's
 local :class:`~repro.cluster.fs.ServerFS`, staging offline files from the
-:class:`~repro.cluster.mss.MassStorage` on demand.  Each request is handled
-in its own simulation process so a minutes-long stage never blocks other
-clients — exactly why the real daemon is heavily threaded.
+:class:`~repro.cluster.mss.MassStorage` on demand.  The host's message
+handler starts each request in its own simulation process, so a
+minutes-long stage never blocks other clients — exactly why the real
+daemon is heavily threaded.
 
 The daemon also feeds two side channels:
 
@@ -23,7 +24,7 @@ from repro.cluster import protocol as pr
 from repro.cluster.fs import FSError, ServerFS
 from repro.cluster.ids import NodeId
 from repro.cluster.mss import MassStorage
-from repro.sim.kernel import Process, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
 from repro.sim.sync import Resource
@@ -77,7 +78,7 @@ class XrootdServer:
         #: Without this, concurrent reads would each enjoy full line rate
         #: and aggregate bandwidth would not scale with server count.
         self._nic = Resource(sim, capacity=1)
-        self._proc: Process | None = None
+        self._req_name = f"xrootd-req:{node_id.name}"
         #: Hooks called with the path of every newly created file.  The
         #: node's cmsd installs its "newfile" advisory here; applications
         #: (e.g. a Qserv worker watching for query files) append their own.
@@ -119,19 +120,16 @@ class XrootdServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self._proc = self.sim.process(self._main_loop(), name=f"xrootd:{self.node_id.name}")
+        self.host.listen(self._on_message)
 
     def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.interrupt("stop")
-            self._proc = None
+        """Stop taking requests; those already started run to completion."""
+        self.host.listen(None)
 
-    def _main_loop(self):
-        while True:
-            env = yield self.host.inbox.get()
-            # Every request gets its own process: staging or long transfers
-            # must not serialize the daemon.
-            self.sim.process(self._handle(env.payload), name=f"xrootd-req:{self.node_id.name}")
+    def _on_message(self, src: str, msg: object, sent_at: float) -> None:
+        # Every request gets its own process: staging or long transfers
+        # must not serialize the daemon.
+        self.sim.process(self._handle(msg), name=self._req_name)
 
     # -- request handling -----------------------------------------------------
 

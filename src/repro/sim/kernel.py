@@ -31,8 +31,11 @@ Design rules:
   ``(seq, fn, arg)`` tuples serviced in exact ``(time, seq)`` order with
   the heap — instead of allocating throwaway ``Event`` objects, and
   :meth:`Simulator.sleep` hands out pooled :class:`Timeout` storage that the
-  dispatch loop recycles after firing.  scalla-lint rule SCA003 keeps
-  per-event allocations out of ``_dispatch()`` and its wrappers.
+  dispatch loop recycles after firing.  Work that needs no process at all
+  is a *timed callback*: :meth:`Simulator.call_at` puts ``fn(arg)`` on the
+  heap as one tuple — how the network delivers every message and how the
+  daemons time their service.  scalla-lint rule SCA003 keeps per-event
+  allocations out of ``_dispatch()``, its wrappers and ``call_at()``.
 
 Example::
 
@@ -62,6 +65,9 @@ __all__ = ["Event", "Timeout", "Process", "AnyOf", "AllOf", "Simulator"]
 
 _PENDING = object()
 _INF = float("inf")
+#: The ``arg`` slot of a heap entry that is an :class:`Event` to fire; any
+#: other value makes the entry a :meth:`Simulator.call_at` callback.
+_FIRE = object()
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -110,7 +116,7 @@ class Event:
             raise SimError("event already triggered")
         self._value = value
         sim = self.sim
-        _heappush(sim._heap, (sim._now, sim._seq, self))
+        _heappush(sim._heap, (sim._now, sim._seq, self, _FIRE))
         sim._seq += 1
         return self
 
@@ -121,7 +127,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._exception = exception
         sim = self.sim
-        _heappush(sim._heap, (sim._now, sim._seq, self))
+        _heappush(sim._heap, (sim._now, sim._seq, self, _FIRE))
         sim._seq += 1
         return self
 
@@ -158,7 +164,7 @@ class Timeout(Event):
         # The value is deferred until the heap pops us: a Timeout must not
         # look triggered before its time arrives (AnyOf inspects children).
         self._pending_value = value
-        _heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        _heappush(sim._heap, (sim._now + delay, sim._seq, self, _FIRE))
         sim._seq += 1
 
     def _fire(self) -> None:
@@ -397,8 +403,9 @@ class Simulator:
 
     Two dispatch sources, serviced in exact ``(time, seq)`` order:
 
-    * ``_heap`` — triggered events and timeouts, ordered by
-      ``(time, sequence)``;
+    * ``_heap`` — ``(time, seq, target, arg)`` entries ordered by
+      ``(time, sequence)``: triggered events and timeouts (``arg`` is the
+      ``_FIRE`` marker) and :meth:`call_at` callbacks (``target(arg)``);
     * ``_ready`` — the deferred-resume ring: immediate callbacks (process
       bootstrap, interrupts, already-processed wakeups) recorded as
       ``(seq, fn, arg)`` tuples.  Ring entries are always stamped at the
@@ -414,7 +421,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Any, Any]] = []
         self._ready: deque[tuple[int, Callable[[Any], None], Any]] = deque()
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
@@ -469,7 +476,7 @@ class Simulator:
         t._exception = None
         t.delay = delay
         t._pending_value = value
-        _heappush(self._heap, (self._now + delay, self._seq, t))
+        _heappush(self._heap, (self._now + delay, self._seq, t, _FIRE))
         self._seq += 1
         return t
 
@@ -483,6 +490,21 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
+
+    def call_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at simulated time *when* (not before now).
+
+        One heap entry and no :class:`Event`: the callback runs in exact
+        ``(time, seq)`` order with events, timeouts and ring entries, but
+        nothing can wait on it and it cannot be cancelled — a callback
+        that may have gone stale checks for that itself.  The network
+        delivers every message this way, and the daemons time their
+        service with it.
+        """
+        if when < self._now:
+            raise SimError(f"call_at({when}) is in the past (now {self._now})")
+        _heappush(self._heap, (when, self._seq, fn, arg))
+        self._seq += 1
 
     def _defer(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` at the current time, next sequence.
@@ -515,6 +537,7 @@ class Simulator:
         popleft = ready.popleft
         pooled = _PooledTimeout
         pending = _PENDING
+        fire = _FIRE
         processed = 0
         try:
             while heap or ready:
@@ -529,9 +552,13 @@ class Simulator:
                     continue
                 if heap[0][0] > until:
                     return
-                when, _seq, event = pop(heap)
+                when, _seq, target, arg = pop(heap)
                 self._now = when
                 processed += 1
+                if arg is not fire:
+                    target(arg)  # a call_at callback
+                    continue
+                event = target
                 if event.__class__ is not pooled:
                     event._fire()
                     continue

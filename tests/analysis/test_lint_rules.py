@@ -244,6 +244,32 @@ class TestSca003NoDispatchAllocation:
         """
         assert "SCA003" in rule_ids(src)
 
+    def test_event_in_call_at(self):
+        src = """
+        class Simulator:
+            def call_at(self, when, fn, arg):
+                Timeout(self, when - self._now).callbacks.append(fn)
+        """
+        assert "SCA003" in rule_ids(src)
+
+    def test_process_in_network_deliver(self):
+        """One message is one callback: delivery must not spawn a process."""
+        src = """
+        class Network:
+            def _deliver(self, item):
+                self.sim.process(relay(item))
+                Process(self.sim, relay(item))
+        """
+        assert rule_ids(src) == ["SCA003", "SCA003"]
+
+    def test_network_send_is_not_guarded(self):
+        src = """
+        class Network:
+            def send(self, src, dst, payload):
+                return Event(self.sim)
+        """
+        assert rule_ids(src) == []
+
     def test_other_methods_are_clean(self):
         # Allocation in the public API (sleep/process) is fine — only the
         # per-event dispatch path is restricted.

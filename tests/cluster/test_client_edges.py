@@ -10,6 +10,11 @@ from repro.cluster import (
     ScallaConfig,
     ScallaError,
 )
+from repro.cluster import protocol as pr
+from repro.cluster.client import ScallaClient
+from repro.sim.kernel import Simulator
+from repro.sim.latency import Fixed
+from repro.sim.network import Network
 
 
 class TestFailover:
@@ -193,3 +198,47 @@ class TestRequestCorrelation:
         cluster.network.heal(client.host.name, "mgr0.cmsd")
         res2 = cluster.run_process(client.open("/store/f.root"), limit=120)
         assert res2.size == 32
+
+
+class TestReplyWaits:
+    """``_request`` waits on one reply event plus a timed expiry; a reply
+    or an expiry must only ever resolve the request it belongs to."""
+
+    def _setup(self, reply_delays):
+        """A client and an echo host answering its n-th Stat after
+        ``reply_delays[n]`` simulated seconds."""
+        sim = Simulator()
+        net = Network(sim, default_latency=Fixed(0.01))
+        echo = net.add_host("echo")
+        client = ScallaClient(sim, net, "c", ("mgr0",))
+        delays = list(reply_delays)
+
+        def answer(msg):
+            net.send("echo", msg.reply_to, pr.StatAck(msg.req_id, True, msg.req_id))
+
+        echo.listen(lambda src, msg, sent_at: sim.call_at(sim.now + delays.pop(0), answer, msg))
+        return sim, client
+
+    def _stat(self, client, timeout):
+        msg = pr.Stat(client._req_id(), client.host.name, "/store/x")
+        reply = yield from client._request("echo", msg, timeout)
+        return client.sim.now, reply
+
+    def test_late_reply_is_ignored(self):
+        sim, client = self._setup([2.0, 0.0])
+        t, reply = sim.run_until_process(sim.process(self._stat(client, 1.0)))
+        assert (t, reply) == (1.0, None)
+        sim.run(until=3.0)  # the late StatAck arrives and finds nobody
+        assert client._pending == {}
+        t, reply = sim.run_until_process(sim.process(self._stat(client, 1.0)))
+        assert isinstance(reply, pr.StatAck) and reply.req_id == 2
+
+    def test_expiry_does_not_resolve_a_later_request(self):
+        """Request 1 is answered early; its expiry at t=5 must not cut
+        short request 2, whose reply arrives at t=6."""
+        sim, client = self._setup([0.0, 5.9])
+        _, first = sim.run_until_process(sim.process(self._stat(client, 5.0)))
+        assert first.req_id == 1
+        t, second = sim.run_until_process(sim.process(self._stat(client, 10.0)))
+        assert second is not None and second.req_id == 2
+        assert t == pytest.approx(0.02 + 0.02 + 5.9)

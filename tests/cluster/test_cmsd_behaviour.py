@@ -4,7 +4,12 @@ import pytest
 
 from repro.cluster import ScallaCluster, ScallaConfig
 from repro.cluster import protocol as pr
+from repro.cluster.cmsd import Cmsd, CmsdConfig
+from repro.cluster.ids import NodeId, Role
 from repro.core.selection import LeastLoad
+from repro.sim.kernel import Simulator
+from repro.sim.latency import Fixed, LatencyModel
+from repro.sim.network import Network
 
 
 class TestHeartbeatMetrics:
@@ -177,3 +182,78 @@ class TestEdgeBehaviour:
             cluster.client().open("/store/x", mode="w", create=True), limit=120
         )
         assert res.size == 0
+
+
+class _Draws(LatencyModel):
+    """Service times from a list, logging the simulated time of each draw."""
+
+    def __init__(self, sim, values):
+        self.sim = sim
+        self.values = list(values)
+        self.drawn_at = []
+
+    def sample(self, rng):
+        self.drawn_at.append(self.sim.now)
+        return self.values.pop(0)
+
+
+class TestFifoServer:
+    """The cmsd serves one message at a time, in arrival order, each for a
+    service time drawn as the message enters service."""
+
+    def _cmsd(self, *service):
+        sim = Simulator()
+        net = Network(sim, default_latency=Fixed(1.0))
+        net.add_host("probe")
+        draws = _Draws(sim, service)
+        cmsd = Cmsd(sim, net, NodeId("srv0", Role.SERVER), config=CmsdConfig(service_time=draws))
+        served = []
+        cmsd._dispatch = lambda msg, src, sent_at=0.0: served.append((msg, sim.now))
+        cmsd.start()
+        return sim, net, cmsd, draws, served
+
+    def _send_at(self, sim, net, when, msg):
+        sim.call_at(when, lambda m: net.send("probe", "srv0.cmsd", m), msg)
+
+    def test_backlog_is_served_in_arrival_order(self):
+        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.25, 0.125)
+        for i, when in enumerate((0.0, 0.1, 0.2)):
+            self._send_at(sim, net, when, f"m{i}")
+        sim.run()
+        assert served == [("m0", 1.5), ("m1", 1.75), ("m2", 1.875)]
+        # Drawn on entering service, not on arrival (1.0, 1.1, 1.2).
+        assert draws.drawn_at == [1.0, 1.5, 1.75]
+
+    def test_idle_server_starts_on_arrival(self):
+        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.5)
+        self._send_at(sim, net, 0.0, "m0")
+        self._send_at(sim, net, 2.0, "m1")
+        sim.run()
+        assert served == [("m0", 1.5), ("m1", 3.5)]
+        assert draws.drawn_at == [1.0, 3.0]
+
+    def test_stop_drops_message_in_service_and_backlog(self):
+        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.5, 0.5)
+        self._send_at(sim, net, 0.0, "m0")
+        self._send_at(sim, net, 0.1, "m1")
+        sim.run(until=1.2)  # m0 in service until 1.5, m1 waiting
+        cmsd.stop()
+        self._send_at(sim, net, 1.3, "while-stopped")
+        sim.run(until=5.0)
+        assert served == []
+        assert [e.payload for e in cmsd.host.inbox._items] == ["while-stopped"]
+
+    def test_restart_serves_the_inbox_and_ignores_stale_service(self):
+        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.25, 0.25)
+        self._send_at(sim, net, 0.0, "m0")  # in service 1.0 -> 1.5
+        self._send_at(sim, net, 0.2, "queued")  # arrives 1.2, while stopped
+        sim.run(until=1.1)
+        cmsd.stop()
+        sim.run(until=1.3)
+        assert len(cmsd.host.inbox) == 1
+        cmsd.start()  # before m0's stale service end at 1.5
+        self._send_at(sim, net, 1.3, "fresh")  # arrives 2.3
+        sim.run()
+        assert [m for m, _ in served] == ["queued", "fresh"]
+        assert [t for _, t in served] == pytest.approx([1.55, 2.55])
+        assert len(cmsd.host.inbox) == 0
