@@ -194,8 +194,8 @@ class Sanitizer:
 
     def check_queue(self, rq: ResponseQueue) -> None:
         """Anchor free/active partition, timeline reachability, waiters."""
-        anchors = rq._anchors
-        in_use = [a for a in anchors if a.in_use]
+        anchors = rq._anchors  # None: a slot never taken yet
+        in_use = [a for a in anchors if a is not None and a.in_use]
         if len(in_use) != rq._active:
             raise AnchorLeakViolation(
                 "active count disagrees with in-use anchors",
@@ -221,7 +221,7 @@ class Sanitizer:
                 anchors=len(anchors),
             )
         for idx in free:
-            if anchors[idx].in_use:
+            if anchors[idx] is not None and anchors[idx].in_use:
                 raise AnchorLeakViolation(
                     "in-use anchor sits on the free list",
                     invariant="free-in-use",

@@ -5,14 +5,17 @@ since each data server uses the host's native file system" (§II-B4).  This
 module is that native file system, reduced to what the experiments exercise:
 hierarchical paths, create/read/write/remove/stat/list, and byte contents.
 
-Contents are stored sparsely (dict of extents would be overkill — files here
-are small synthetic payloads); reads of unwritten ranges return zero bytes,
-like a sparse POSIX file.
+Contents are immutable ``bytes`` shared with whoever supplied them until the
+first write: a cluster populated with thousands of identical zero-filled
+replicas holds one buffer per size, not one per file.  The first
+:meth:`ServerFS.write` to a file gives it a private ``bytearray``
+(copy-on-write).  A write past the end fills the gap with zeros, and reads
+past the end are short, as in POSIX.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FileData", "ServerFS", "FSError"]
 
@@ -21,12 +24,13 @@ class FSError(Exception):
     """Filesystem operation failure (missing file, duplicate create...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FileData:
-    """One stored file."""
+    """One stored file.  ``data`` is shared ``bytes`` until the file is
+    first written, a private ``bytearray`` after."""
 
     path: str
-    data: bytearray = field(default_factory=bytearray)
+    data: bytes | bytearray = b""
     created_at: float = 0.0
 
     @property
@@ -62,8 +66,15 @@ class ServerFS:
         return f
 
     def put(self, path: str, data: bytes, now: float = 0.0) -> FileData:
-        """Create-or-replace with contents (cluster population helper)."""
-        f = FileData(path=path, data=bytearray(data), created_at=now)
+        """Create-or-replace with contents (cluster population helper).
+
+        A caller's ``bytes`` are kept as they are (shared, never mutated
+        here); anything mutable is copied so later changes by the caller
+        cannot reach the stored file.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        f = FileData(path=path, data=data, created_at=now)
         old = self._files.get(path)
         if old is not None:
             self._total -= old.size
@@ -91,11 +102,14 @@ class ServerFS:
         f = self.stat(path)
         if offset < 0:
             raise FSError("negative offset")
+        contents = f.data
+        if type(contents) is not bytearray:
+            contents = f.data = bytearray(contents)  # copy-on-write
         end = offset + len(data)
-        if end > len(f.data):
-            self._total += end - len(f.data)
-            f.data.extend(b"\x00" * (end - len(f.data)))
-        f.data[offset:end] = data
+        if end > len(contents):
+            self._total += end - len(contents)
+            contents.extend(b"\x00" * (end - len(contents)))
+        contents[offset:end] = data
         self.bytes_written += len(data)
         return len(data)
 

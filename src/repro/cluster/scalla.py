@@ -192,7 +192,7 @@ class ScallaCluster:
                 MassStorage(
                     self.sim,
                     stage_latency=self.config.stage_latency,
-                    rng=random.Random(self.rng.random()),
+                    seed=self.rng.random(),
                 )
                 if spec.role is Role.SERVER
                 else None
@@ -205,10 +205,14 @@ class ScallaCluster:
                 xrootd_config=self.config.xrootd_config(),
                 mss=mss,
                 cnsd_host=CNSD_HOST,
-                rng=random.Random(self.rng.random()),
+                seed=self.rng.random(),
                 obs=self.obs,
             )
         self._clients = 0
+        #: One zero-filled buffer per file size, shared by every file
+        #: :meth:`place` creates without explicit contents (the file system
+        #: copies on write).
+        self._zeros: dict[int, bytes] = {}
         if start:
             self.start()
 
@@ -280,7 +284,11 @@ class ScallaCluster:
         node = self.nodes[server]
         if node.role is not Role.SERVER:
             raise ValueError(f"{server} is not a data server")
-        node.fs.put(path, data if data is not None else b"\x00" * size, now=self.sim.now)
+        if data is None:
+            data = self._zeros.get(size)
+            if data is None:
+                data = self._zeros[size] = bytes(size)
+        node.fs.put(path, data, now=self.sim.now)
         self.cnsd.apply(server, path, "create")
 
     def archive(self, path: str, server: str, *, size: int = 1024) -> None:
@@ -302,14 +310,16 @@ class ScallaCluster:
 
         Placement is round-robin with *copies* replicas each (random with
         an explicit *rng*), modelling a pre-loaded production federation.
+        A file never gets more replicas than there are servers.
         """
         servers = self.servers
+        copies = min(copies, len(servers))
         placement: dict[str, list[str]] = {}
         for i, path in enumerate(paths):
             if rng is None:
                 chosen = [servers[(i + c) % len(servers)] for c in range(copies)]
             else:
-                chosen = rng.sample(servers, min(copies, len(servers)))
+                chosen = rng.sample(servers, copies)
             for s in chosen:
                 self.place(path, s, size=size)
             placement[path] = chosen

@@ -7,7 +7,9 @@ absurd when servers typically answer within ~100 µs.  The fast response
 queue (§III-B) closes that gap:
 
 * "The response queue is simply an array of 1024 anchors for a list of
-  response objects and the corresponding cache entry."
+  response objects and the corresponding cache entry."  The array keeps
+  its 1024 slots and its free list, but each anchor object is built the
+  first time its slot is taken, so an idle queue holds just its two lists.
 * A location object carries two slot indices, ``R_r`` (readers) and ``R_w``
   (writers).
 * The queue is **loosely coupled** to the cache: a slot may be reclaimed
@@ -140,7 +142,10 @@ class ResponseQueue:
     ) -> None:
         if anchors < 1:
             raise ValueError("need at least one anchor")
-        self._anchors = [_Anchor(index=i) for i in range(anchors)]
+        #: Anchor slots, each built the first time its index leaves the
+        #: free list (None until then): most supervisors never hold more
+        #: than a few requests in flight, so most of the 1024 never exist.
+        self._anchors: list[_Anchor | None] = [None] * anchors
         self._free: list[int] = list(range(anchors - 1, -1, -1))
         #: Expiry heap: (absolute expiry time, anchor index, stamp).  A heap
         #: (not a deque) because per-anchor windows expire out of FIFO order.
@@ -189,7 +194,7 @@ class ResponseQueue:
         return self._active
 
     def pending_waiters(self) -> int:
-        return sum(len(a.waiters) for a in self._anchors if a.in_use)
+        return sum(len(a.waiters) for a in self._anchors if a is not None and a.in_use)
 
     def parked_waiters(self) -> int:
         """Expired waiters still eligible for late-response release."""
@@ -226,7 +231,10 @@ class ResponseQueue:
             if not self._free:
                 self.rejected += 1
                 return AddOutcome(accepted=False)
-            anchor = self._anchors[self._free.pop()]
+            idx = self._free.pop()
+            anchor = self._anchors[idx]
+            if anchor is None:
+                anchor = self._anchors[idx] = _Anchor(index=idx)
             anchor.in_use = True
             anchor.loc = loc
             anchor.loc_generation = loc.generation

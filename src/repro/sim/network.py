@@ -11,7 +11,8 @@ Each copy of a message is one kernel callback
 network calls the target's ``receive(src, payload, sent_at)``.  The cluster
 daemons (cmsd, xrootd, cnsd, client) install their own message handler
 there; a plain host keeps the default, which queues an :class:`Envelope`
-in its ``inbox`` (:class:`~repro.sim.sync.Store`) for a process to ``get``.
+in its ``inbox`` (:class:`~repro.sim.sync.Store`, built on first use) for
+a process to ``get``.
 
 Message payloads are opaque to the network; the cluster layer defines its
 own message dataclasses (:mod:`repro.cluster.protocol`).
@@ -90,13 +91,32 @@ class NetworkStats:
 
 
 class Host:
-    """A network endpoint.  ``alive`` gates delivery; daemons also watch it."""
+    """A network endpoint.  ``alive`` gates delivery; daemons also watch it.
+
+    The ``inbox`` exists only once something uses it: a host whose daemon
+    listens from boot never builds one, and a stopped daemon's host builds
+    it when the first message arrives.
+    """
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.inbox = Store(sim)
         self.alive = True
+        # Not functools.cached_property: it stores through ``__dict__``,
+        # which on CPython 3.11 turns the instance's inline attribute
+        # values into a real dict and slows every later attribute read on
+        # this host (``receive`` and ``alive`` are read per message).
+        self._inbox: Store | None = None
+
+    @property
+    def inbox(self) -> Store:
+        if self._inbox is None:
+            self._inbox = Store(self.sim)
+        return self._inbox
+
+    def drain(self) -> list[Envelope]:
+        """Remove and return what queued in the inbox, without building one."""
+        return self._inbox.drain() if self._inbox is not None else []
 
     def receive(self, src: str, payload: Any, sent_at: float) -> None:
         """Take delivery of one message: by default, queue it in ``inbox``.

@@ -103,7 +103,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        #: Requests waiting for a slot: a deque built the first time one
+        #: has to wait (most resources never contend).
+        self._waiters: deque[Event] | None = None
 
     @property
     def in_use(self) -> int:
@@ -111,7 +113,7 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        return sum(1 for w in self._waiters if not w.triggered)
+        return sum(1 for w in self._waiters or () if not w.triggered)
 
     @property
     def utilization(self) -> float:
@@ -122,8 +124,10 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed()
-        else:
+        elif self._waiters is not None:
             self._waiters.append(ev)
+        else:
+            self._waiters = deque((ev,))
         return ev
 
     def release(self) -> None:

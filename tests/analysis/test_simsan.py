@@ -225,6 +225,24 @@ class TestQueueChecks:
         assert exc_info.value.invariant in ("anchor-partition", "active-count")
 
 
+    def test_in_use_anchor_on_free_list_among_unbuilt_slots(self):
+        """Free-list slots whose anchors were never built must not hide an
+        in-use anchor pushed onto the free list."""
+        rq, loc = self._queue_with_waiter()
+        assert rq._anchors[rq._free[0]] is None
+        rq._free[0] = loc.rq_read  # corrupt: swap a free slot for the busy one
+        with pytest.raises(AnchorLeakViolation) as exc_info:
+            Sanitizer().check_queue(rq)
+        assert exc_info.value.invariant == "free-in-use"
+
+    def test_duplicate_free_index_is_caught(self):
+        rq, _ = self._queue_with_waiter()
+        rq._free.append(rq._free[-1])
+        with pytest.raises(AnchorLeakViolation) as exc_info:
+            Sanitizer().check_queue(rq)
+        assert exc_info.value.invariant == "free-distinct"
+
+
 class TestSubordinateChecks:
     """Re-home path invariants (fault-tolerance PR): corrupt a live
     subordinate cmsd's parent bookkeeping and SimSan must object."""

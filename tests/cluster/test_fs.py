@@ -125,3 +125,47 @@ class TestRemoveAndList:
             except FSError:
                 pass  # duplicate create / missing file: state unchanged
             assert fs.total_bytes() == sum(fs.stat(p).size for p in fs.paths())
+
+
+class TestCopyOnWrite:
+    """Contents are shared until written: one buffer may back many files."""
+
+    def test_write_to_one_sharer_leaves_the_other_unchanged(self):
+        zeros = bytes(8)
+        fs = ServerFS()
+        fs.put("/a", zeros)
+        fs.put("/b", zeros)
+        assert fs.stat("/a").data is fs.stat("/b").data  # shared, not copied
+        fs.write("/a", 2, b"xy")
+        assert bytes(fs.stat("/a").data) == b"\x00\x00xy\x00\x00\x00\x00"
+        assert bytes(fs.stat("/b").data) == zeros
+        assert zeros == bytes(8)
+        assert fs.total_bytes() == 16
+
+    def test_extending_write_on_a_shared_file(self):
+        zeros = bytes(4)
+        fs = ServerFS()
+        fs.put("/a", zeros)
+        fs.put("/b", zeros)
+        fs.write("/b", 6, b"z")
+        assert bytes(fs.stat("/b").data) == b"\x00" * 6 + b"z"
+        assert bytes(fs.stat("/a").data) == zeros
+        assert fs.total_bytes() == 4 + 7
+        assert fs.read("/b", 5, 10) == b"\x00z"  # short read past EOF
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_put_copies_mutable_contents(self, view):
+        buf = bytearray(b"abc")
+        fs = ServerFS()
+        fs.put("/a", memoryview(buf) if view else buf)
+        buf[0] = ord("X")
+        assert bytes(fs.stat("/a").data) == b"abc"
+        fs.write("/a", 0, b"Z")
+        assert buf == bytearray(b"Xbc")
+
+    def test_created_file_takes_writes(self):
+        fs = ServerFS()
+        fs.create("/a")
+        fs.write("/a", 0, b"hi")
+        assert bytes(fs.stat("/a").data) == b"hi"
+        assert fs.total_bytes() == 2

@@ -79,6 +79,27 @@ class TestPlacement:
         placement = cluster.populate(["/f"], copies=5, rng=random.Random(0))
         assert len(placement["/f"]) == 2
 
+    def test_round_robin_copies_capped_at_server_count(self):
+        """Without an rng, more copies than servers must not put the file
+        twice on one server or count a cnsd update per duplicate."""
+        cluster = ScallaCluster(2, config=ScallaConfig(seed=4))
+        placement = cluster.populate(["/store/a"], copies=3)
+        assert placement["/store/a"] == ["srv00000", "srv00001"]
+        assert cluster.cnsd.updates == 2
+
+    def test_place_shares_one_zero_buffer_per_size(self):
+        cluster = ScallaCluster(3, config=ScallaConfig(seed=5))
+        cluster.populate(["/store/a", "/store/b"], copies=3, size=64)
+        cluster.place("/store/c", "srv00000", size=32)
+        datas = [
+            cluster.node(s).fs.stat(p).data
+            for s in cluster.servers
+            for p in ("/store/a", "/store/b")
+        ]
+        assert all(d is datas[0] for d in datas)
+        assert datas[0] == bytes(64)
+        assert bytes(cluster.node("srv00000").fs.stat("/store/c").data) == bytes(32)
+
 
 class TestRunHelpers:
     def test_settle_advances_clock(self):

@@ -303,3 +303,43 @@ class TestLateResponses:
         assert not q.unpark(loc, parked[0])  # already gone
         released = q.on_late_response(loc, server=1, write_capable=True, now=0.2)
         assert [w.payload for w in released] == ["c2"]
+
+
+class TestAnchorsOnDemand:
+    """Anchor objects are built the first time their slot is taken; the
+    free stack, and so the order slots are handed out, is unchanged."""
+
+    def test_idle_queue_builds_no_anchor(self):
+        q = ResponseQueue()
+        assert q._anchors == [None] * 1024
+        assert len(q._free) == 1024
+
+    def test_first_use_keeps_index_order(self):
+        q = ResponseQueue(anchors=4)
+        locs = [make_loc(f"/store/f{i}") for i in range(3)]
+        for loc in locs:
+            q.add_waiter(loc, AccessMode.READ, loc.key, now=0.0)
+        assert [loc.rq_read for loc in locs] == [0, 1, 2]
+        assert [a.index for a in q._anchors[:3]] == [0, 1, 2]
+        assert q._anchors[3] is None
+        # A released slot goes back on top of the stack and is reused
+        # before the never-built one.
+        q.on_response(locs[1], server=0, write_capable=False)
+        anchor1 = q._anchors[1]
+        again = make_loc("/store/again")
+        q.add_waiter(again, AccessMode.READ, "again", now=0.0)
+        assert again.rq_read == 1
+        assert q._anchors[1] is anchor1
+        assert q._anchors[3] is None
+        assert q.pending_waiters() == 3
+
+    def test_1025th_distinct_anchor_is_rejected(self):
+        q = ResponseQueue()
+        for i in range(1024):
+            out = q.add_waiter(make_loc(f"/store/f{i}"), AccessMode.READ, i, now=0.0)
+            assert out.accepted
+        assert None not in q._anchors
+        out = q.add_waiter(make_loc("/store/one-too-many"), AccessMode.READ, "x", now=0.0)
+        assert not out.accepted
+        assert q.rejected == 1
+        assert q.active_anchors == 1024
