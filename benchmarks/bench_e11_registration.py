@@ -44,14 +44,7 @@ def gfs_registration(n_files):
     net.add_host("master")
     net.add_host("srv1")
     master = CentralMaster()
-
-    def master_loop():
-        host = net.host("master")
-        while True:
-            env = yield host.inbox.get()
-            master.ingest(env.payload)
-
-    sim.process(master_loop())
+    net.host("master").listen(lambda src, chunk, sent_at: master.ingest(chunk))
     tracker = register_over_network(
         sim, net, master,
         master_host="master", node="srv1", node_host="srv1",

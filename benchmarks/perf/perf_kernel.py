@@ -11,8 +11,8 @@ dominates over the trivial process bodies:
 * ``timeout`` — long-running processes looping on ``sim.sleep`` (the
   kernel-pooled timeout; plain ``sim.timeout`` on kernels that predate
   pooling).  Pure heap + timeout-object traffic.
-* ``store`` — producer/consumer handoff through ``sim.sync.Store``, a
-  plain host's inbox: per-item Event allocation and same-time handoff.
+* ``store`` — producer/consumer handoff through ``sim.sync.Store``, the
+  processes' mailbox: per-item Event allocation and same-time handoff.
 
 The headline ``events_per_sec`` aggregates all three (total events over
 total wall time), weighting each path by the events it generates.

@@ -5,8 +5,9 @@
 #                              # tier-1 tests + determinism double-run +
 #                              # sanitized chaos soak
 #   scripts/check.sh --bench   # also run the E1/E6/E14 smoke benches,
-#                              # validate their metric snapshots, and
-#                              # gate the perf suite against the
+#                              # validate their metric snapshots, fail
+#                              # if they differ from the committed ones,
+#                              # and gate the perf suite against the
 #                              # committed BENCH_*.json baseline
 #
 # Ruff is optional locally (CI always has it): when it is not importable
@@ -63,6 +64,8 @@ if [ "$run_bench" -eq 1 ]; then
     benchmarks/results/e1.metrics.json \
     benchmarks/results/e6.metrics.json \
     benchmarks/results/e14.metrics.json
+  echo "== snapshot drift gate (regenerated snapshots match the committed ones)"
+  git diff --exit-code -- benchmarks/results/*.metrics.json
   echo "== perf gate (quick suite vs committed BENCH baseline)"
   python scripts/check_perf.py --quick
 fi

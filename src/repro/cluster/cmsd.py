@@ -23,12 +23,17 @@ message in service at a time, each for a service time drawn from the
 daemon's RNG as it enters service, the rest waiting in a backlog — and
 :meth:`Cmsd._dispatch` acts on a message when its service ends.  Every
 step is a kernel callback, so a protocol message costs one heap entry to
-deliver and one to serve.  The timers are cooperating simulation processes:
+deliver and one to serve.  The timers are kernel callbacks too
+(:meth:`~repro.sim.kernel.Simulator.call_at`), each re-arming itself:
 
     response clock   — the 133 ms fast-response expiry thread (§III-B)
-    window ticker    — L_t/64 cache eviction clock (§III-A3)
-    heartbeat loop   — subordinate -> parents
+    window tick      — L_t/64 cache eviction clock (§III-A3)
+    heartbeat        — subordinate -> parents
     liveness sweep   — parent-side disconnect/drop timers (§III-A4)
+
+A callback cannot be cancelled, so each carries the boot epoch it was
+armed under; :meth:`Cmsd.stop` bumps the epoch and a stale callback does
+nothing.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ from repro.core.crc32 import hash_name
 from repro.core.deadline import DeadlinePolicy
 from repro.core.response_queue import AccessMode, ResponseQueue
 from repro.core.selection import MostSpace, RoundRobin, SelectionPolicy, ServerMetrics
-from repro.sim.errors import Interrupt
-from repro.sim.kernel import Process, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
 
@@ -309,13 +313,17 @@ class Cmsd:
         # their subordinate half (parents, re-home state) is checkable.
         self.sanitizer = Sanitizer(node=node_id.name) if self.config.sanitize else None
 
-        self._procs: list[Process] = []
+        #: Boot epoch: bumped by :meth:`stop`; a timer callback armed under
+        #: an older epoch does nothing.
+        self._epoch = 0
+        #: True while the response clock has an expiry (or a wake) pending,
+        #: or is running; False while it is parked with no open anchor.
+        self._rq_armed = False
         #: The FIFO server: the (msg, src, sent_at) in service (None when
         #: idle) and the arrivals waiting behind it (a deque built the
         #: first time a message has to wait).
         self._in_service: tuple[object, str, float] | None = None
         self._backlog: deque[tuple[object, str, float]] | None = None
-        self._rq_wake = None
         self._last_parent_ack: dict[str, float] = {}
         #: Per-parent re-login backoff: parent -> (attempts, earliest next
         #: send).  Populated only while a parent is silent; cleared by the
@@ -337,34 +345,36 @@ class Cmsd:
 
     def start(self) -> None:
         self.host.listen(self._on_message)
-        # Serve whatever queued in the inbox while we were stopped.
-        for env in self.host.drain():
-            self._on_message(env.src, env.payload, env.sent_at)
-        if self.node_id.role is not Role.SERVER:
-            self._procs.append(
-                self.sim.process(self._response_clock(), name=f"cmsd-rq:{self.node_id.name}")
-            )
-            self._procs.append(
-                self.sim.process(self._window_ticker(), name=f"cmsd-tick:{self.node_id.name}")
-            )
-            self._procs.append(
-                self.sim.process(self._liveness_sweep(), name=f"cmsd-sweep:{self.node_id.name}")
-            )
+        if self.rq is not None or self.parents:
+            # Arm through one same-time callback, not here: a daemon
+            # started while same-time work is still queued then arms
+            # behind it, so at every later tie it fires after the daemons
+            # already running.  Until then the response clock counts as
+            # armed.
+            self._rq_armed = True
+            self.sim.call_at(self.sim.now, self._arm_timers, self._epoch)
         if self.parents:
             self._login_to_parents()
-            self._procs.append(
-                self.sim.process(self._heartbeat_loop(), name=f"cmsd-hb:{self.node_id.name}")
-            )
 
     def stop(self) -> None:
-        """Drop the message in service and the backlog, and stop the timers;
-        later arrivals queue in the host's inbox until :meth:`start`."""
+        """Drop the message in service and the backlog, and disarm the
+        timers; later arrivals are dropped until :meth:`start`."""
         self.host.listen(None)
         self._in_service = None
         self._backlog = None
-        for p in self._procs:
-            p.interrupt("stop")
-        self._procs = []
+        self._epoch += 1
+
+    def _arm_timers(self, epoch: int) -> None:
+        if epoch != self._epoch:
+            return
+        sim = self.sim
+        now = sim.now
+        if self.rq is not None:
+            self._arm_response_clock(epoch)
+            sim.call_at(now + self.cache.tick_interval, self._window_tick, epoch)
+            sim.call_at(now + self.config.heartbeat_interval, self._liveness_sweep, epoch)
+        if self.parents:
+            sim.call_at(now + self.config.heartbeat_interval, self._heartbeat, epoch)
 
     # -- outbound helpers -----------------------------------------------------
 
@@ -395,31 +405,29 @@ class Cmsd:
 
     # -- subordinate half -----------------------------------------------------
 
-    def _heartbeat_loop(self):
-        try:
-            while True:
-                yield self.sim.sleep(self.config.heartbeat_interval)
-                load = self.xrootd.load if self.xrootd is not None else 0.0
-                space = self.xrootd.free_space if self.xrootd is not None else 0.0
-                site = self.network.site_of(self.host.name) or ""
-                hb = pr.Heartbeat(node=self.node_id.name, load=load, free_space=space, site=site)
-                now = self.sim.now
-                silent: list[str] = []
-                for parent in tuple(self.parents):
-                    self._send(cmsd_host(parent), hb)
-                    last = self._last_parent_ack.get(parent, now)
-                    if now - last > self.config.relogin_timeout:
-                        silent.append(parent)
-                if silent and len(silent) == len(self.parents):
-                    # Every parent unreachable: the whole subtree below us
-                    # is orphaned until a re-home or re-login lands.
-                    self.stats.orphaned_seconds += self.config.heartbeat_interval
-                for parent in silent:
-                    self._handle_silent_parent(parent, now)
-                if self.sanitizer is not None and self.parents:
-                    self.sanitizer.check_subordinate(self)
-        except Interrupt:
+    def _heartbeat(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return
+        load = self.xrootd.load if self.xrootd is not None else 0.0
+        space = self.xrootd.free_space if self.xrootd is not None else 0.0
+        site = self.network.site_of(self.host.name) or ""
+        hb = pr.Heartbeat(node=self.node_id.name, load=load, free_space=space, site=site)
+        now = self.sim.now
+        silent: list[str] = []
+        for parent in tuple(self.parents):
+            self._send(cmsd_host(parent), hb)
+            last = self._last_parent_ack.get(parent, now)
+            if now - last > self.config.relogin_timeout:
+                silent.append(parent)
+        if silent and len(silent) == len(self.parents):
+            # Every parent unreachable: the whole subtree below us is
+            # orphaned until a re-home or re-login lands.
+            self.stats.orphaned_seconds += self.config.heartbeat_interval
+        for parent in silent:
+            self._handle_silent_parent(parent, now)
+        if self.sanitizer is not None and self.parents:
+            self.sanitizer.check_subordinate(self)
+        self.sim.call_at(now + self.config.heartbeat_interval, self._heartbeat, epoch)
 
     def _handle_silent_parent(self, parent: str, now: float) -> None:
         """A parent blew the re-login horizon: re-home, or back off and
@@ -494,9 +502,24 @@ class Cmsd:
             self.sanitizer.check_subordinate(self)
         return True
 
-    # -- parent-side background processes ----------------------------------------
+    # -- parent-side timers -----------------------------------------------------
 
-    def _response_clock(self):
+    def _arm_response_clock(self, epoch: int) -> None:
+        """Arm the expiry pass for the oldest open anchor, or park the
+        clock when none is open (the next first waiter wakes it)."""
+        if epoch != self._epoch:
+            return
+        nxt = self.rq.next_expiry() if self.rq.active_anchors else None
+        if nxt is None:
+            self._rq_armed = False
+            return
+        now = self.sim.now
+        # The 1 µs slack guards against float round-off leaving the oldest
+        # anchor infinitesimally younger than the cutoff, which would spin
+        # the clock on zero-length waits.
+        self.sim.call_at(now + (max(0.0, nxt - now) + 1e-6), self._response_clock, epoch)
+
+    def _response_clock(self, epoch: int) -> None:
         """The fast-response 'thread': expire anchors past their window.
 
         An expired client waiter is, in order of preference: ridden through
@@ -505,39 +528,28 @@ class Cmsd:
         turn into a redirect (late-response reconciliation).  Expired
         parent waiters get nothing (non-response = negative).
         """
-        try:
-            while True:
-                if self.rq.active_anchors == 0:
-                    self._rq_wake = self.sim.event()
-                    yield self._rq_wake
-                nxt = self.rq.next_expiry()
-                if nxt is None:
-                    continue
-                # The 1 µs slack guards against float round-off leaving the
-                # oldest anchor infinitesimally younger than the cutoff,
-                # which would spin this loop on zero-length timeouts.
-                yield self.sim.sleep(max(0.0, nxt - self.sim.now) + 1e-6)
-                expired = self.rq.expire(self.sim.now)
-                if self.sanitizer is not None and expired:
-                    self.sanitizer.check_queue(self.rq)
-                for waiter in expired:
-                    payload = waiter.payload
-                    if isinstance(payload, _ClientWaiter):
-                        if self._try_requery(waiter, payload):
-                            continue
-                        self._close_wait_span(payload.span, outcome="timeout")
-                        self._send(
-                            payload.reply_to,
-                            pr.Wait(
-                                payload.req_id,
-                                payload.path,
-                                self.config.full_delay,
-                                watch=self.config.late_release,
-                            ),
-                        )
-                        self.stats.waits_sent += 1
-        except Interrupt:
+        if epoch != self._epoch:
             return
+        expired = self.rq.expire(self.sim.now)
+        if self.sanitizer is not None and expired:
+            self.sanitizer.check_queue(self.rq)
+        for waiter in expired:
+            payload = waiter.payload
+            if isinstance(payload, _ClientWaiter):
+                if self._try_requery(waiter, payload):
+                    continue
+                self._close_wait_span(payload.span, outcome="timeout")
+                self._send(
+                    payload.reply_to,
+                    pr.Wait(
+                        payload.req_id,
+                        payload.path,
+                        self.config.full_delay,
+                        watch=self.config.late_release,
+                    ),
+                )
+                self.stats.waits_sent += 1
+        self._arm_response_clock(epoch)
 
     def _try_requery(self, waiter, payload: "_ClientWaiter") -> bool:
         """Give an expired waiter one more fast-response round, maybe.
@@ -600,47 +612,44 @@ class Cmsd:
         return outcome.accepted
 
     def _wake_response_clock(self) -> None:
-        if self._rq_wake is not None and not self._rq_wake.triggered:
-            self._rq_wake.succeed()
+        """A first anchor opened: unpark the clock with one same-time
+        callback (a no-op while it is armed)."""
+        if not self._rq_armed:
+            self._rq_armed = True
+            self.sim.call_at(self.sim.now, self._arm_response_clock, self._epoch)
 
-    def _window_ticker(self):
-        try:
-            while True:
-                yield self.sim.sleep(self.cache.tick_interval)
-                self.cache.tick()
-                self.cache.run_background_removal()
-                if self.sanitizer is not None:
-                    self.sanitizer.sweep(
-                        cache=self.cache, rq=self.rq, membership=self.membership
-                    )
-        except Interrupt:
+    def _window_tick(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return
+        self.cache.tick()
+        self.cache.run_background_removal()
+        if self.sanitizer is not None:
+            self.sanitizer.sweep(cache=self.cache, rq=self.rq, membership=self.membership)
+        self.sim.call_at(self.sim.now + self.cache.tick_interval, self._window_tick, epoch)
 
-    def _liveness_sweep(self):
+    def _liveness_sweep(self, epoch: int) -> None:
         """Disconnect children whose heartbeats stopped; drop them later.
 
         Implements §III-A4's two-phase removal: a silent child first goes
         *offline* (still a member, cached info stays valid), and only after
         ``drop_timeout`` is it dropped (V_m scrubbed, slot freed).
         """
-        try:
-            while True:
-                yield self.sim.sleep(self.config.heartbeat_interval)
-                now = self.sim.now
-                for name, info in list(self.children.items()):
-                    slot = self.membership.slot_of(name)
-                    if slot is None:
-                        del self.children[name]
-                        continue
-                    silent_for = now - info.last_seen
-                    entry = self.membership.slot(slot)
-                    if entry.online and silent_for > self.config.disconnect_timeout:
-                        self.membership.disconnect(name)
-                    elif not entry.online and silent_for > self.config.drop_timeout:
-                        self.membership.drop(name)
-                        del self.children[name]
-        except Interrupt:
+        if epoch != self._epoch:
             return
+        now = self.sim.now
+        for name, info in list(self.children.items()):
+            slot = self.membership.slot_of(name)
+            if slot is None:
+                del self.children[name]
+                continue
+            silent_for = now - info.last_seen
+            entry = self.membership.slot(slot)
+            if entry.online and silent_for > self.config.disconnect_timeout:
+                self.membership.disconnect(name)
+            elif not entry.online and silent_for > self.config.drop_timeout:
+                self.membership.drop(name)
+                del self.children[name]
+        self.sim.call_at(now + self.config.heartbeat_interval, self._liveness_sweep, epoch)
 
     # -- main dispatch ---------------------------------------------------------
 

@@ -75,14 +75,13 @@ class MassStorage:
         done = Event(self.sim)
         self._staging[path] = done
         self.stages_started += 1
-
-        def run():
-            yield self.sim.sleep(self.stage_latency.sample(self.rng))
-            self.stages_completed += 1
-            done.succeed(self._catalog[path])
-
-        self.sim.process(run(), name=f"stage:{path}")
+        sim = self.sim
+        sim.call_at(sim.now + self.stage_latency.sample(self.rng), self._staged, path)
         return done
+
+    def _staged(self, path: str) -> None:
+        self.stages_completed += 1
+        self._staging[path].succeed(self._catalog[path])
 
     def catalog_paths(self) -> list[str]:
         return sorted(self._catalog)

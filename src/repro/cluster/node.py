@@ -97,11 +97,8 @@ class ScallaNode:
         rng = random.Random(self._seed)
         for _ in range(self._draws):
             rng.random()
-        # Stale messages delivered before a crash are gone after a reboot.
-        self.network.host(self.spec.node_id.cmsd).drain()
         self.network.revive(self.spec.node_id.cmsd)
         if self.spec.role is Role.SERVER:
-            self.network.host(self.spec.node_id.xrootd).drain()
             self.network.revive(self.spec.node_id.xrootd)
             self.xrootd = XrootdServer(
                 self.sim,

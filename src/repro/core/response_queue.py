@@ -36,7 +36,8 @@ the paper's behaviour exactly when unused):
 
 This module is thread-free and clock-agnostic like the rest of
 :mod:`repro.core`: the host calls :meth:`ResponseQueue.expire` from whatever
-plays the role of the response thread (a sim process in the cluster layer).
+plays the role of the response thread (a timed kernel callback in the
+cluster layer).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.sim.failures import (
 from repro.sim.kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from repro.sim.latency import Empirical, Fixed, LatencyModel, LogNormal, Uniform
 from repro.sim.monitor import Histogram, Summary, TimeSeries
-from repro.sim.network import ChaosConfig, Envelope, Host, Network, NetworkStats
+from repro.sim.network import ChaosConfig, Host, Network, NetworkStats
 from repro.sim.sync import Resource, Store
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Resource",
     "Network",
     "Host",
-    "Envelope",
     "NetworkStats",
     "ChaosConfig",
     "LatencyModel",

@@ -2,8 +2,8 @@
 
 Recoverability is one of Scalla's three design objectives, so the
 integration tests and churn experiment (E12) drive clusters through scripted
-and randomized failure schedules: host crashes (process interrupted, network
-delivery stops), restarts, and link partitions.
+and randomized failure schedules: host crashes (the node's daemons stop,
+network delivery stops), restarts, and link partitions.
 
 The injector is deliberately dumb: it executes a schedule against the
 network and a callback table.  Deciding *what the cluster should do about
@@ -56,11 +56,12 @@ class FailureEvent:
 
 
 class FailureInjector:
-    """Executes :class:`FailureEvent` schedules as simulation processes.
+    """Executes :class:`FailureEvent` schedules, one timed kernel callback
+    per event.
 
-    ``on_crash`` / ``on_restart`` hooks let the cluster layer interrupt the
-    node's daemon processes and re-run its login sequence — the network
-    alone cannot know which processes animate a host.
+    ``on_crash`` / ``on_restart`` hooks let the cluster layer stop the
+    node's daemons and re-run its login sequence — the network alone
+    cannot know which daemons animate a host.
     """
 
     def __init__(
@@ -81,16 +82,18 @@ class FailureInjector:
         """Validate and arm *events*.
 
         Validation happens here, at schedule time, not deep inside
-        ``_execute`` hours of simulated time later: a typo'd host name or
-        a partition target that is not an ``(a, b)`` pair is a bug in the
-        *schedule*, and the traceback should say so while the caller is
-        still on the stack.
+        ``_execute`` hours of simulated time later: a typo'd host name, a
+        partition target that is not an ``(a, b)`` pair or an event already
+        in the past is a bug in the *schedule*, and the traceback should say
+        so while the caller is still on the stack.
         """
         for ev in sorted(events, key=lambda e: e.at):
             self._validate(ev)
-            self.sim.process(self._execute(ev), name=f"failure:{ev.kind}@{ev.at}")
+            self.sim.call_at(ev.at, self._execute, ev)
 
     def _validate(self, ev: FailureEvent) -> None:
+        if ev.at < self.sim.now:
+            raise ValueError(f"{ev.kind} at {ev.at} is in the past (now {self.sim.now})")
         if ev.kind not in FailureEvent.KINDS:
             raise ValueError(f"unknown failure kind {ev.kind!r}")
         if ev.kind in FailureEvent.PAIR_KINDS:
@@ -109,8 +112,7 @@ class FailureInjector:
             if ev.target not in self.network.hosts:
                 raise ValueError(f"{ev.kind} names unknown host {ev.target!r}")
 
-    def _execute(self, ev: FailureEvent):
-        yield self.sim.sleep(ev.at - self.sim.now)
+    def _execute(self, ev: FailureEvent) -> None:
         if ev.kind == "crash":
             self.network.kill(ev.target)
             if self.on_crash is not None:

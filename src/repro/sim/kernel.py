@@ -33,8 +33,10 @@ Design rules:
   :meth:`Simulator.sleep` hands out pooled :class:`Timeout` storage that the
   dispatch loop recycles after firing.  Work that needs no process at all
   is a *timed callback*: :meth:`Simulator.call_at` puts ``fn(arg)`` on the
-  heap as one tuple — how the network delivers every message and how the
-  daemons time their service.  scalla-lint rule SCA003 keeps per-event
+  heap as one tuple — how the network delivers every message, how the
+  daemons time their service and run their timers (a timer re-arms itself;
+  a stale one checks an epoch and returns), and how staging and failure
+  schedules fire.  scalla-lint rule SCA003 keeps per-event
   allocations out of ``_dispatch()``, its wrappers and ``call_at()``.
 
 Example::
@@ -499,7 +501,7 @@ class Simulator:
         nothing can wait on it and it cannot be cancelled — a callback
         that may have gone stale checks for that itself.  The network
         delivers every message this way, and the daemons time their
-        service with it.
+        service and run their timers with it.
         """
         if when < self._now:
             raise SimError(f"call_at({when}) is in the past (now {self._now})")

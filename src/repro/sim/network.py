@@ -9,10 +9,11 @@ experiment (E11).
 Each copy of a message is one kernel callback
 (:meth:`~repro.sim.kernel.Simulator.call_at`): at the arrival time the
 network calls the target's ``receive(src, payload, sent_at)``.  The cluster
-daemons (cmsd, xrootd, cnsd, client) install their own message handler
-there; a plain host keeps the default, which queues an :class:`Envelope`
-in its ``inbox`` (:class:`~repro.sim.sync.Store`, built on first use) for
-a process to ``get``.
+daemons (cmsd, xrootd, cnsd, client) install their message handler there
+with :meth:`Host.listen`; a host with no handler drops the message, as a
+closed port would.  There is no second delivery path: code that wants a
+mailbox listens with a handler that puts into a
+:class:`~repro.sim.sync.Store`.
 
 Message payloads are opaque to the network; the cluster layer defines its
 own message dataclasses (:mod:`repro.cluster.protocol`).
@@ -26,9 +27,8 @@ from typing import Any, Callable
 
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, LatencyModel
-from repro.sim.sync import Store
 
-__all__ = ["Host", "Envelope", "NetworkStats", "ChaosConfig", "Network"]
+__all__ = ["Host", "NetworkStats", "ChaosConfig", "Network"]
 
 
 @dataclass
@@ -59,21 +59,6 @@ class ChaosConfig:
 
 
 @dataclass
-class Envelope:
-    """A message in flight / delivered."""
-
-    src: str
-    dst: str
-    payload: Any
-    sent_at: float
-    delivered_at: float = -1.0
-
-    @property
-    def latency(self) -> float:
-        return self.delivered_at - self.sent_at
-
-
-@dataclass
 class NetworkStats:
     sent: int = 0
     delivered: int = 0
@@ -91,45 +76,21 @@ class NetworkStats:
 
 
 class Host:
-    """A network endpoint.  ``alive`` gates delivery; daemons also watch it.
+    """A network endpoint.  ``alive`` gates delivery; daemons also watch it."""
 
-    The ``inbox`` exists only once something uses it: a host whose daemon
-    listens from boot never builds one, and a stopped daemon's host builds
-    it when the first message arrives.
-    """
-
-    def __init__(self, sim: Simulator, name: str) -> None:
-        self.sim = sim
+    def __init__(self, name: str) -> None:
         self.name = name
         self.alive = True
-        # Not functools.cached_property: it stores through ``__dict__``,
-        # which on CPython 3.11 turns the instance's inline attribute
-        # values into a real dict and slows every later attribute read on
-        # this host (``receive`` and ``alive`` are read per message).
-        self._inbox: Store | None = None
-
-    @property
-    def inbox(self) -> Store:
-        if self._inbox is None:
-            self._inbox = Store(self.sim)
-        return self._inbox
-
-    def drain(self) -> list[Envelope]:
-        """Remove and return what queued in the inbox, without building one."""
-        return self._inbox.drain() if self._inbox is not None else []
 
     def receive(self, src: str, payload: Any, sent_at: float) -> None:
-        """Take delivery of one message: by default, queue it in ``inbox``.
+        """Take delivery of one message: with no handler, drop it.
 
         :meth:`listen` replaces this with a daemon's message handler.
         """
-        env = Envelope(src=src, dst=self.name, payload=payload, sent_at=sent_at)
-        env.delivered_at = self.sim.now
-        self.inbox.put(env)
 
     def listen(self, handler: Callable[[str, Any, float], None] | None) -> None:
         """Deliver to ``handler(src, payload, sent_at)`` from now on; None
-        goes back to queueing in ``inbox`` (a stopped daemon's host)."""
+        goes back to dropping (a stopped daemon's host)."""
         if handler is None:
             self.__dict__.pop("receive", None)
         else:
@@ -187,7 +148,7 @@ class Network:
     def add_host(self, name: str) -> Host:
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
-        host = Host(self.sim, name)
+        host = Host(name)
         self.hosts[name] = host
         return host
 

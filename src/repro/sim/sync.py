@@ -2,11 +2,11 @@
 
 Two primitives cover everything the cluster layer needs:
 
-* :class:`Store` — an unbounded FIFO mailbox: every network host's
-  ``inbox``.  The cluster daemons take their messages through a handler
-  instead (:meth:`repro.sim.network.Host.listen`); a plain host — in
-  tests, baselines and benches — keeps the inbox and a process looping on
-  ``env = yield inbox.get()``.
+* :class:`Store` — an unbounded FIFO mailbox for processes that wait on
+  items with ``item = yield store.get()``.  Network hosts have no mailbox
+  of their own (daemons take messages through a handler,
+  :meth:`repro.sim.network.Host.listen`); a handler that puts into a Store
+  gives a process one.
 * :class:`Resource` — a counting semaphore used to model finite server
   capacity (disk streams, CPU slots) so load experiments produce queueing
   rather than infinite parallelism.
@@ -43,9 +43,9 @@ class Store:
     def put(self, item: Any) -> None:
         """Deposit *item*; wakes the oldest waiting getter, if any.
 
-        One put per message delivered to a plain host, so the wakeup
-        inlines ``Event.succeed`` on the getter we just proved pending
-        rather than re-checking through the public method.
+        A hot path (``benchmarks/perf``'s ``store`` scenario), so the
+        wakeup inlines ``Event.succeed`` on the getter we just proved
+        pending rather than re-checking through the public method.
         """
         getters = self._getters
         while getters:

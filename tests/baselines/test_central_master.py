@@ -10,6 +10,7 @@ from repro.baselines.central_master import (
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
 from repro.sim.network import Network
+from tests.probe import mailbox
 
 
 class TestCentralMaster:
@@ -51,11 +52,11 @@ class TestNetworkRegistration:
         net.add_host("master")
         net.add_host("srv1")
         master = CentralMaster()
+        inbox = mailbox(sim, net.host("master"))
 
         def master_loop():
-            host = net.host("master")
             while True:
-                env = yield host.inbox.get()
+                env = yield inbox.get()
                 master.ingest(env.payload)
 
         sim.process(master_loop())

@@ -10,6 +10,7 @@ from repro.core.selection import LeastLoad
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
+from tests.probe import mailbox
 
 
 class TestHeartbeatMetrics:
@@ -99,21 +100,21 @@ class TestRequestRarelyRespond:
         cluster = ScallaCluster(1, config=ScallaConfig(seed=306))
         cluster.settle()
         srv = cluster.servers[0]
-        probe = cluster.network.add_host("probe")
+        probe = mailbox(cluster.sim, cluster.network.add_host("probe"))
         q = pr.QueryFile(path="/store/absent.root", hash_val=1, mode="r", serial=1)
         cluster.network.send("probe", f"{srv}.cmsd", q)
         cluster.run(until=cluster.sim.now + 1.0)
-        assert len(probe.inbox) == 0
+        assert len(probe) == 0
 
     def test_server_answers_for_present_file(self):
         cluster = ScallaCluster(1, config=ScallaConfig(seed=307))
         cluster.place("/store/here.root", cluster.servers[0], size=32)
         cluster.settle()
-        probe = cluster.network.add_host("probe")
+        probe = mailbox(cluster.sim, cluster.network.add_host("probe"))
         q = pr.QueryFile(path="/store/here.root", hash_val=1, mode="r", serial=1)
         cluster.network.send("probe", f"{cluster.servers[0]}.cmsd", q)
         cluster.run(until=cluster.sim.now + 1.0)
-        msgs = probe.inbox.drain()
+        msgs = probe.drain()
         assert len(msgs) == 1
         assert isinstance(msgs[0].payload, pr.HaveFile)
         assert not msgs[0].payload.pending
@@ -122,11 +123,11 @@ class TestRequestRarelyRespond:
         cluster = ScallaCluster(4, config=ScallaConfig(seed=308, fanout=2, full_delay=0.4))
         cluster.settle()
         sup = cluster.topology.supervisors[0]
-        probe = cluster.network.add_host("probe")
+        probe = mailbox(cluster.sim, cluster.network.add_host("probe"))
         q = pr.QueryFile(path="/store/nothing.root", hash_val=1, mode="r", serial=1)
         cluster.network.send("probe", f"{sup}.cmsd", q)
         cluster.run(until=cluster.sim.now + 2.0)
-        assert len(probe.inbox) == 0
+        assert len(probe) == 0
 
 
 class TestEdgeBehaviour:
@@ -232,28 +233,126 @@ class TestFifoServer:
         assert served == [("m0", 1.5), ("m1", 3.5)]
         assert draws.drawn_at == [1.0, 3.0]
 
-    def test_stop_drops_message_in_service_and_backlog(self):
-        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.5, 0.5)
-        self._send_at(sim, net, 0.0, "m0")
-        self._send_at(sim, net, 0.1, "m1")
-        sim.run(until=1.2)  # m0 in service until 1.5, m1 waiting
-        cmsd.stop()
-        self._send_at(sim, net, 1.3, "while-stopped")
-        sim.run(until=5.0)
-        assert served == []
-        assert [e.payload for e in cmsd.host.inbox._items] == ["while-stopped"]
-
-    def test_restart_serves_the_inbox_and_ignores_stale_service(self):
-        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.25, 0.25)
+    def test_message_arriving_while_stopped_is_dropped(self):
+        """Stop drops the message in service and the backlog; a message
+        arriving while stopped is dropped too, not served after start(),
+        and the old message's stale service end is ignored."""
+        sim, net, cmsd, draws, served = self._cmsd(0.5, 0.25)
         self._send_at(sim, net, 0.0, "m0")  # in service 1.0 -> 1.5
-        self._send_at(sim, net, 0.2, "queued")  # arrives 1.2, while stopped
-        sim.run(until=1.1)
+        self._send_at(sim, net, 0.1, "m1")  # backlog
+        self._send_at(sim, net, 0.2, "while-stopped")  # arrives 1.2
+        sim.run(until=1.15)
         cmsd.stop()
         sim.run(until=1.3)
-        assert len(cmsd.host.inbox) == 1
         cmsd.start()  # before m0's stale service end at 1.5
         self._send_at(sim, net, 1.3, "fresh")  # arrives 2.3
         sim.run()
-        assert [m for m, _ in served] == ["queued", "fresh"]
-        assert [t for _, t in served] == pytest.approx([1.55, 2.55])
-        assert len(cmsd.host.inbox) == 0
+        assert [m for m, _ in served] == ["fresh"]
+        assert [t for _, t in served] == pytest.approx([2.55])
+        assert draws.drawn_at == [1.0, 2.3]
+
+
+class _SweepLog(dict):
+    """A cmsd ``children`` table that logs when the liveness sweep reads it
+    (the sweep is its only reader of ``items()``)."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self.swept_at = []
+
+    def items(self):
+        self.swept_at.append(self.sim.now)
+        return super().items()
+
+
+class TestTimers:
+    """Cmsd timers are self-re-arming kernel callbacks tagged with a boot
+    epoch; ``stop()`` makes every callback armed before it inert."""
+
+    def _supervisor(self, *parents, latency=1e-3):
+        sim = Simulator()
+        net = Network(sim, default_latency=Fixed(latency))
+        boxes = {p: mailbox(sim, net.add_host(f"{p}.cmsd")) for p in parents}
+        cmsd = Cmsd(sim, net, NodeId("sup0", Role.SUPERVISOR), parents=parents)
+        cmsd.children = _SweepLog(sim)
+        return sim, net, cmsd, boxes
+
+    @staticmethod
+    def _heartbeats(box):
+        return [d.sent_at for d in box.drain() if isinstance(d.payload, pr.Heartbeat)]
+
+    def test_restarts_leave_one_heartbeat_and_one_sweep_per_interval(self):
+        sim, net, cmsd, boxes = self._supervisor("mgr0", "mgr1")
+        cmsd.start()
+        for k in (1, 2, 3):
+            sim.run(until=0.2 * k)
+            cmsd.stop()
+            cmsd.start()
+        sim.run(until=10.5)
+        expected = pytest.approx([0.6 + i for i in range(1, 10)])
+        for box in boxes.values():
+            assert self._heartbeats(box) == expected
+        assert cmsd.children.swept_at == expected
+
+    def test_stop_at_a_timer_instant_silences_that_timer(self):
+        sim, net, cmsd, boxes = self._supervisor("mgr0")
+        sim.call_at(1.0, lambda _: cmsd.stop(), None)  # queued ahead of the timers
+        cmsd.start()
+        sim.run(until=5.0)
+        assert self._heartbeats(boxes["mgr0"]) == []
+        assert cmsd.children.swept_at == []
+
+    def test_first_arm_takes_the_bootstrap_slot(self):
+        """A daemon started at the instant another's timer fires arms its
+        own timers behind that timer, as a timer process's bootstrap did:
+        at every later tie the running daemon heartbeats first."""
+        sim = Simulator()
+        net = Network(sim, default_latency=Fixed(1e-3))
+        box = mailbox(sim, net.add_host("mgr0.cmsd"))
+        a, b = (
+            Cmsd(sim, net, NodeId(name, Role.SERVER), parents=("mgr0",))
+            for name in ("srv0", "srv1")
+        )
+        a.start()
+        sim.call_at(2.0, lambda _: b.start(), None)  # queued ahead of a's 2.0 tick
+        sim.run(until=3.5)
+        beats = [
+            (d.sent_at, d.payload.node)
+            for d in box.drain()
+            if isinstance(d.payload, pr.Heartbeat)
+        ]
+        assert beats == [(1.0, "srv0"), (2.0, "srv0"), (3.0, "srv0"), (3.0, "srv1")]
+
+    def test_waiters_joining_an_armed_clock_get_one_wait_each(self):
+        """Three client waiters on two cold files: the first wakes the
+        response clock, the others join it while it is armed.  Each gets
+        exactly one Wait at its anchor's window end, from one expiry chain."""
+        sim = Simulator()
+        net = Network(sim, default_latency=Fixed(1e-3))
+        mgr = Cmsd(sim, net, NodeId("mgr0", Role.MANAGER))
+        passes = []
+        expire = mgr.rq.expire
+        mgr.rq.expire = lambda now: passes.append(now) or expire(now)
+        mgr.start()
+        # One server that never answers, so every locate floods and waits.
+        mailbox(sim, net.add_host("srv0.cmsd"))
+        net.send("srv0.cmsd", "mgr0.cmsd", pr.Login(node="srv0", role="server", paths=("/",)))
+        boxes = {c: mailbox(sim, net.add_host(c)) for c in ("c1", "c2", "c3")}
+        for req_id, (when, client, path) in enumerate(
+            [(0.01, "c1", "/store/a"), (0.06, "c2", "/store/b"), (0.07, "c3", "/store/a")]
+        ):
+            locate = pr.Locate(req_id, client, path, "r")
+            sim.call_at(when, lambda m: net.send(m.reply_to, "mgr0.cmsd", m), locate)
+        sim.run(until=1.0)
+        # Window end: arrival (1 ms) + service (5 µs) + 133 ms, plus the
+        # clock's 1 µs slack.
+        end_a, end_b = 0.011005 + 0.133 + 1e-6, 0.061005 + 0.133 + 1e-6
+        waits = {}
+        for client, box in boxes.items():
+            (d,) = box.drain()
+            assert isinstance(d.payload, pr.Wait)
+            waits[client] = d.sent_at
+        assert waits == pytest.approx({"c1": end_a, "c2": end_b, "c3": end_a})
+        assert passes == pytest.approx([end_a, end_b])
+        assert not mgr._rq_armed  # parked again: no chain left running

@@ -9,6 +9,7 @@ from repro.cluster.cnsd import CnsDaemon
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
 from repro.sim.network import Network
+from tests.probe import mailbox
 
 
 def make():
@@ -67,14 +68,14 @@ class TestOverTheWire:
 
     def test_list_request_reply(self):
         sim, net, cnsd = make()
-        tester = net.add_host("tester")
+        tester = mailbox(sim, net.add_host("tester"))
         cnsd.apply("srv1", "/store/a", "create")
         cnsd.apply("srv1", "/other/b", "create")
         got = []
 
         def p():
             net.send("tester", "cnsd", pr.List(req_id=5, reply_to="tester", prefix="/store"))
-            env = yield tester.inbox.get()
+            env = yield tester.get()
             got.append(env.payload)
 
         sim.run_until_process(sim.process(p()))

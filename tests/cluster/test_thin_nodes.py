@@ -76,28 +76,16 @@ class TestBuiltOnFirstUse:
     def test_fresh_cluster_holds_no_idle_state(self):
         cluster = ScallaCluster(130, config=ScallaConfig(seed=2))  # sups + mgr
         for node in cluster.nodes.values():
-            assert cluster.network.host(node.spec.node_id.cmsd)._inbox is None
+            # A host is its name, its liveness and its daemon's handler.
+            assert set(vars(node.cmsd.host)) == {"name", "alive", "receive"}
             assert node.cmsd._backlog is None
             if node.role is Role.SERVER:
-                assert node.xrootd.host._inbox is None
+                assert set(vars(node.xrootd.host)) == {"name", "alive", "receive"}
                 assert node.xrootd._rng is None
                 assert node.mss._rng is None
                 assert node.xrootd._nic._waiters is None
             else:
                 assert set(node.cmsd.rq._anchors) == {None}
-
-    def test_stopped_daemon_queues_into_a_new_inbox(self):
-        cluster = ScallaCluster(2, config=ScallaConfig(seed=2))
-        cluster.settle()
-        node = cluster.node("mgr0")
-        host = cluster.network.host(node.spec.node_id.cmsd)
-        node.cmsd.stop()
-        assert host._inbox is None
-        cluster.network.send("srv00000", host.name, "while-stopped")
-        cluster.settle()
-        assert [e.payload for e in host.inbox._items] == ["while-stopped"]
-        assert [e.payload for e in host.drain()] == ["while-stopped"]
-        assert host.drain() == []
 
     def test_children_of_one_parent_share_one_standby_pool(self):
         cluster = ScallaCluster(130, config=ScallaConfig(seed=2))

@@ -10,6 +10,7 @@ from repro.cluster.xrootd import XrootdConfig, XrootdServer
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
 from repro.sim.network import Network
+from tests.probe import mailbox
 
 
 class Harness:
@@ -18,12 +19,12 @@ class Harness:
     def __init__(self, *, mss=False, stage_latency=10.0):
         self.sim = Simulator()
         self.net = Network(self.sim, default_latency=Fixed(1e-6), rng=random.Random(0))
-        self.me = self.net.add_host("tester")
+        self.inbox = mailbox(self.sim, self.net.add_host("tester"))
         self.fs = ServerFS()
         self.mss = None
         if mss:
             self.mss = MassStorage(self.sim, stage_latency=Fixed(stage_latency))
-        self.cnsd_inbox = self.net.add_host("cnsd")
+        self.cnsd_inbox = mailbox(self.sim, self.net.add_host("cnsd"))
         self.server = XrootdServer(
             self.sim,
             self.net,
@@ -46,7 +47,7 @@ class Harness:
         def p():
             self.net.send("tester", "srv0.xrootd", msg)
             while True:
-                env = yield self.me.inbox.get()
+                env = yield self.inbox.get()
                 if getattr(env.payload, "req_id", None) == msg.req_id:
                     return env.payload
 
@@ -180,7 +181,7 @@ class TestConcurrency:
             req = pr.Open(901, "tester", "/disk", "r", False)
             h.net.send("tester", "srv0.xrootd", req)
             while True:
-                env = yield h.me.inbox.get()
+                env = yield h.inbox.get()
                 if getattr(env.payload, "req_id", None) == 901:
                     done.append(h.sim.now)
                     return
@@ -206,7 +207,7 @@ class TestNamespaceNotifications:
         h.open("/store/new", mode="w", create=True)
         h.ask(pr.Remove(h.req_id(), "tester", "/store/new"))
         h.sim.run()
-        ops = [e.payload.op for e in h.cnsd_inbox.inbox.drain()]
+        ops = [e.payload.op for e in h.cnsd_inbox.drain()]
         assert ops == ["create", "remove"]
 
     def test_free_space_decreases(self):

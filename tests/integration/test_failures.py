@@ -88,8 +88,9 @@ class TestServerCrashRecovery:
 
 
 class TestRestartedDaemonsHearTheirFirstMessage:
-    """A restarted node's daemons must see every message sent to them; the
-    crashed predecessors' inbox getters must not swallow the first one."""
+    """A restarted node's daemons must see every message sent to them,
+    the first one included: nothing of the crashed predecessors may
+    intercept it."""
 
     def test_restarted_xrootd_answers_the_first_stat(self):
         cluster = ScallaCluster(8, config=ScallaConfig(fanout=8))

@@ -5,7 +5,7 @@ must run in exact ``(time, seq)`` order with events, timeouts and
 deferred-ring entries, and ``run(until)`` / ``run_until_process`` must
 stop around it exactly as they stop around events.  The network delivers
 every message as one such entry and hands it to the target host's
-``receive``.
+``receive`` — the handler installed with ``listen``, or a drop.
 """
 
 import pytest
@@ -13,7 +13,8 @@ import pytest
 from repro.sim.errors import SimError
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
-from repro.sim.network import Envelope, Network
+from repro.sim.network import Network
+from tests.probe import Delivery, mailbox
 
 
 class TestCallAtOrdering:
@@ -127,17 +128,21 @@ class TestProcessFreeDelivery:
         sim.run()
         assert sim.events_processed == 1
 
-    def test_default_receive_queues_an_envelope(self):
+    def test_host_without_handler_drops(self):
         sim, net = _net()
-        sim.run(until=0.25)
+        net.send("a", "b", "dropped")
+        sim.run()
+        assert net.stats.delivered == 1  # the wire delivered it; nobody listened
+        box = mailbox(sim, net.host("b"))
+        sim.run(until=1.25)
         net.send("a", "b", "hello")
         sim.run()
-        (env,) = net.host("b").inbox.drain()
-        assert isinstance(env, Envelope)
+        (env,) = box.drain()
+        assert isinstance(env, Delivery)
         assert (env.src, env.dst, env.payload) == ("a", "b", "hello")
-        assert (env.sent_at, env.delivered_at) == (0.25, 1.25)
+        assert (env.sent_at, env.delivered_at) == (1.25, 2.25)
 
-    def test_listen_routes_to_handler_and_none_restores_inbox(self):
+    def test_listen_routes_to_handler_and_none_drops(self):
         sim, net = _net()
         b = net.host("b")
         got = []
@@ -145,12 +150,11 @@ class TestProcessFreeDelivery:
         net.send("a", "b", "m1")
         sim.run()
         assert got == [("a", "m1", 0.0, 1.0)]
-        assert len(b.inbox) == 0
         b.listen(None)
         net.send("a", "b", "m2")
         sim.run()
-        assert [e.payload for e in b.inbox.drain()] == ["m2"]
         assert len(got) == 1
+        assert "receive" not in vars(b)
 
     def test_target_dying_in_flight_never_reaches_handler(self):
         sim, net = _net()

@@ -8,6 +8,7 @@ from repro.sim.failures import FailureEvent, FailureInjector, random_crash_sched
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, Uniform
 from repro.sim.network import Network
+from tests.probe import mailbox
 
 
 def make_net(latency=10e-6):
@@ -22,9 +23,10 @@ class TestDelivery:
     def test_message_arrives_after_latency(self):
         sim, net, a, b = make_net(latency=5e-6)
         got = []
+        box = mailbox(sim, b)
 
         def receiver():
-            env = yield b.inbox.get()
+            env = yield box.get()
             got.append((sim.now, env.payload, env.latency))
 
         sim.process(receiver())
@@ -44,9 +46,10 @@ class TestDelivery:
         sim, net, a, b = make_net(latency=1.0)
         net.set_link_latency("a", "b", Fixed(0.25))
         got = []
+        box = mailbox(sim, b)
 
         def receiver():
-            env = yield b.inbox.get()
+            env = yield box.get()
             got.append(sim.now)
 
         sim.process(receiver())
@@ -71,10 +74,11 @@ class TestDelivery:
             net.add_host("a")
             b = net.add_host("b")
             times = []
+            box = mailbox(sim, b)
 
             def receiver():
                 while True:
-                    yield b.inbox.get()
+                    yield box.get()
                     times.append(sim.now)
 
             sim.process(receiver())
@@ -165,6 +169,18 @@ class TestInjector:
         with pytest.raises(ValueError):
             inj.schedule([FailureEvent(at=0.0, kind="meteor", target="b")])
 
+    def test_event_in_the_past_rejected(self):
+        """A past event is a schedule bug: rejected while the caller is on
+        the stack, not armed and silently never run."""
+        sim, net, a, b = make_net()
+        inj = FailureInjector(sim, net)
+        sim.run(until=5.0)
+        with pytest.raises(ValueError, match="in the past"):
+            inj.schedule([FailureEvent(at=2.0, kind="crash", target="b")])
+        sim.run()
+        assert inj.executed == []
+        assert net.hosts["b"].alive
+
 
 class TestRandomSchedule:
     def test_pairs_and_horizon(self):
@@ -228,9 +244,11 @@ class TestRandomSchedule:
 
 
 def drain(sim, host, got):
+    box = mailbox(sim, host)
+
     def receiver():
         while True:
-            env = yield host.inbox.get()
+            env = yield box.get()
             got.append(env)
 
     sim.process(receiver())

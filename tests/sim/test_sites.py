@@ -7,6 +7,7 @@ import pytest
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
 from repro.sim.network import Network
+from tests.probe import mailbox
 
 
 def make():
@@ -23,9 +24,10 @@ def make():
 
 def deliver_time(sim, net, src, dst):
     got = []
+    box = mailbox(sim, net.host(dst))
 
     def rx():
-        env = yield net.host(dst).inbox.get()
+        env = yield box.get()
         got.append(env.delivered_at - env.sent_at)
 
     sim.process(rx())
