@@ -4,8 +4,9 @@ Three scenarios cover the kernel's distinct hot paths, sized so the
 per-event kernel overhead (allocation, heap traffic, callback dispatch)
 dominates over the trivial process bodies:
 
-* ``spawn`` — per-request process creation, the xrootd request-handler
-  pattern: thousands of short-lived processes, each one bootstrap +
+* ``spawn`` — per-operation process creation, the pattern of client
+  operations (``ScallaCluster.run_process``, perfbench's open-loop
+  arrivals): thousands of short-lived processes, each one bootstrap +
   one timeout + one completion event.  This is the path the
   deferred-resume ring and ``__slots__`` target.
 * ``timeout`` — long-running processes looping on ``sim.sleep`` (the
@@ -35,9 +36,9 @@ def run_spawn(n_procs: int = 30_000, batch: int = 200) -> tuple[int, float]:
     """Spawn *n_procs* one-shot processes in waves; return (events, elapsed).
 
     A driver process launches *batch* processes per simulated second, the
-    way an xrootd spawns one handler per request: a few hundred live
-    processes at any instant, not all of them at once (which would
-    measure the garbage collector, not the kernel).
+    way an open-loop workload starts one process per client operation: a
+    few hundred live processes at any instant, not all of them at once
+    (which would measure the garbage collector, not the kernel).
     """
     sim = Simulator()
     sleep = _sleeper(sim)

@@ -5,9 +5,10 @@ wall clock, no global RNG, no hash-order-dependent iteration (the lint
 rules SIM001-SIM003 police the code side of that promise).  This module
 checks the promise end to end: it builds a cluster, drives an E1-style
 locate workload (hits, misses, a membership disconnect, enough sim time
-for eviction ticks and queue expiries), freezes the full observability
-snapshot — every metric series and every resolution trace, all stamped
-with sim time — and compares two runs field by field.
+for eviction ticks and queue expiries) and a short data-plane phase
+(fetches, a create and write, stats and a staged open), freezes the full
+observability snapshot — every metric series and every resolution
+trace, all stamped with sim time — and compares two runs field by field.
 
 Any divergence means nondeterminism leaked in somewhere, and the diff
 pinpoints the first diverging metric or trace event.
@@ -31,6 +32,7 @@ from typing import Any
 from repro.cluster.client import NoSuchFile
 from repro.cluster.scalla import ScallaCluster, ScallaConfig
 from repro.obs import export
+from repro.sim.latency import Fixed
 
 __all__ = ["run_workload", "diff_snapshots", "main"]
 
@@ -50,8 +52,9 @@ def run_workload(
     The workload exercises every subsystem whose iteration order could
     leak nondeterminism: cache lookups and adds (hash table), fast
     response queue waits and releases, query flooding over membership
-    vectors, a server disconnect mid-run (correction machinery), and two
-    window ticks (eviction sweep + background removal).
+    vectors, a server disconnect mid-run (correction machinery), two
+    window ticks (eviction sweep + background removal), and the xrootd's
+    request handling: service timers, NIC transfers and MSS staging.
     """
     config = ScallaConfig(
         seed=seed,
@@ -59,6 +62,7 @@ def run_workload(
         observability=True,
         sanitize=sanitize,
         lifetime=1200.0,  # tick every 18.75 s: the run crosses several ticks
+        stage_latency=Fixed(0.5),
     )
     cluster = ScallaCluster(n_servers, config=config)
     paths = [f"/store/d{i % 5}/f{i:03d}.root" for i in range(files)]
@@ -88,6 +92,19 @@ def run_workload(
             cluster.run_process(client.locate(f"/store/nowhere/g{i}.root"))
         except NoSuchFile:
             notfound += 1
+    # Data plane: whole-file fetches, a create and write, two stats and one
+    # open that stages an archived file in from mass storage.
+    for path in rng.sample(paths, 3):
+        cluster.run_process(client.fetch(path))
+    new = "/store/new/out.root"
+    created = cluster.run_process(client.open(new, mode="w", create=True))
+    cluster.run_process(client.write(created, 0, bytes(range(256)) * 8))
+    cluster.run_process(client.close(created))
+    for path in (rng.choice(paths), new):
+        cluster.run_process(client.stat(path))
+    tape = "/store/tape/t000.root"
+    cluster.archive(tape, cluster.servers[rng.randrange(len(cluster.servers))], size=4096)
+    cluster.run_process(client.fetch(tape))
     # Cross a few eviction ticks and queue-expiry periods with the cluster
     # otherwise idle, then freeze.
     cluster.run(until=cluster.sim.now + 2.5 * cluster.config.lifetime / 64)

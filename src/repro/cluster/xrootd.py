@@ -3,9 +3,10 @@
 One per leaf node: serves opens/reads/writes/closes against the node's
 local :class:`~repro.cluster.fs.ServerFS`, staging offline files from the
 :class:`~repro.cluster.mss.MassStorage` on demand.  The host's message
-handler starts each request in its own simulation process, so a
-minutes-long stage never blocks other clients — exactly why the real
-daemon is heavily threaded.
+handler starts each request and arms the end of its service time as a
+kernel callback; a stage or a transfer in progress is one more pending
+callback, so a minutes-long stage never blocks other clients — exactly
+why the real daemon is heavily threaded.
 
 The daemon also feeds two side channels:
 
@@ -27,7 +28,6 @@ from repro.cluster.mss import MassStorage
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
-from repro.sim.sync import Resource
 
 __all__ = ["XrootdConfig", "XrootdServer"]
 
@@ -75,11 +75,8 @@ class XrootdServer:
         self._handles: dict[int, str] = {}
         self._next_handle = 1
         self._active = 0
-        #: The NIC: one transfer at a time at ``per_byte`` seconds/byte.
-        #: Without this, concurrent reads would each enjoy full line rate
-        #: and aggregate bandwidth would not scale with server count.
-        self._nic = Resource(sim, capacity=1)
-        self._req_name = f"xrootd-req:{node_id.name}"
+        #: When the NIC finishes its last queued transfer (see _transfer).
+        self._nic_free_at = 0.0
         #: Hooks called with the path of every newly created file.  The
         #: node's cmsd installs its "newfile" advisory here; applications
         #: (e.g. a Qserv worker watching for query files) append their own.
@@ -138,41 +135,50 @@ class XrootdServer:
         self.host.listen(None)
 
     def _on_message(self, src: str, msg: object, sent_at: float) -> None:
-        # Every request gets its own process: staging or long transfers
-        # must not serialize the daemon.
-        self.sim.process(self._handle(msg), name=self._req_name)
+        # Looked up per message, not installed as the handler: a wrapper
+        # swapped onto the class (perfbench's request counter) must see it.
+        self._handle(msg)
 
     # -- request handling -----------------------------------------------------
 
-    def _reply(self, to: str, msg: object) -> None:
-        self.network.send(self.host.name, to, msg, size=pr.estimate_size(msg))
-
-    def _handle(self, msg):
+    def _handle(self, msg) -> None:
+        """Start one request: it is active until :meth:`_finish`, and its
+        service time ends in :meth:`_serve`."""
         self._active += 1
-        try:
-            # ``_rng`` first: a plain attribute read per request, where the
-            # property is only needed to build the generator once.
-            rng = self._rng or self.rng
-            yield self.sim.sleep(self.config.service_time.sample(rng))
-            if isinstance(msg, pr.Open):
-                yield from self._handle_open(msg)
-            elif isinstance(msg, pr.Read):
-                yield from self._handle_read(msg)
-            elif isinstance(msg, pr.Write):
-                yield from self._handle_write(msg)
-            elif isinstance(msg, pr.Close):
-                self._handle_close(msg)
-            elif isinstance(msg, pr.Stat):
-                self._handle_stat(msg)
-            elif isinstance(msg, pr.Remove):
-                self._handle_remove(msg)
-            elif isinstance(msg, pr.List):
-                self._reply(msg.reply_to, pr.ListAck(msg.req_id, tuple(self.fs.list(msg.prefix))))
-            # Unknown messages are dropped, as a hardened daemon would.
-        finally:
-            self._active -= 1
+        # ``_rng`` first: a plain attribute read per request, where the
+        # property is only needed to build the generator once.
+        rng = self._rng or self.rng
+        sim = self.sim
+        sim.call_at(sim.now + self.config.service_time.sample(rng), self._serve, msg)
 
-    def _handle_open(self, msg: pr.Open):
+    def _finish(self, msg, reply) -> None:
+        """The one exit of every request: send *reply* (None for a dropped
+        request) and stop counting the request active."""
+        self._active -= 1
+        if reply is not None:
+            self.network.send(self.host.name, msg.reply_to, reply, size=pr.estimate_size(reply))
+
+    def _serve(self, msg) -> None:
+        """The service time is over: reply, or start the stage or transfer
+        whose end will."""
+        if isinstance(msg, pr.Open):
+            self._handle_open(msg)
+        elif isinstance(msg, pr.Read):
+            self._handle_read(msg)
+        elif isinstance(msg, pr.Write):
+            self._handle_write(msg)
+        elif isinstance(msg, pr.Close):
+            self._handle_close(msg)
+        elif isinstance(msg, pr.Stat):
+            self._handle_stat(msg)
+        elif isinstance(msg, pr.Remove):
+            self._handle_remove(msg)
+        elif isinstance(msg, pr.List):
+            self._finish(msg, pr.ListAck(msg.req_id, tuple(self.fs.list(msg.prefix))))
+        else:
+            self._finish(msg, None)  # unknown: dropped, as a hardened daemon would
+
+    def _handle_open(self, msg: pr.Open) -> None:
         self.opens += 1
         if self._obs is not None:
             self._obs.tracer.event(
@@ -181,85 +187,107 @@ class XrootdServer:
         if self.fs.exists(msg.path):
             if msg.create:
                 self.open_failures += 1
-                self._reply(msg.reply_to, pr.OpenFail(msg.req_id, msg.path, "exists"))
-                return
-            yield from self._ack_open(msg)
-            return
-        if msg.create:
+                self._finish(msg, pr.OpenFail(msg.req_id, msg.path, "exists"))
+            else:
+                self._ack_open(msg)
+        elif msg.create:
             self.fs.create(msg.path, now=self.sim.now)
             self._notify_cnsd(msg.path, "create")
             for hook in self.on_create_hooks:
                 hook(msg.path)
-            yield from self._ack_open(msg)
-            return
-        if self.mss is not None and self.mss.has(msg.path):
+            self._ack_open(msg)
+        elif self.mss is not None and self.mss.has(msg.path):
             # Offline file: stage it in, then complete the open.  The open
-            # blocks for the stage — "the full delay usually represents a
+            # waits for the stage — "the full delay usually represents a
             # small fraction of the time it takes to stage a file".
             self.stages += 1
-            size = yield self.mss.stage(msg.path)
-            if not self.fs.exists(msg.path):
-                self.fs.put(msg.path, b"\x00" * int(size), now=self.sim.now)
-            yield from self._ack_open(msg)
-            return
-        self.open_failures += 1
-        self._reply(msg.reply_to, pr.OpenFail(msg.req_id, msg.path, "ENOENT"))
+            self.mss.stage(msg.path).callbacks.append(lambda ev: self._staged(msg, ev.value))
+        else:
+            self.open_failures += 1
+            self._finish(msg, pr.OpenFail(msg.req_id, msg.path, "ENOENT"))
 
-    def _ack_open(self, msg: pr.Open):
+    def _staged(self, msg: pr.Open, size: int) -> None:
+        if not self.fs.exists(msg.path):
+            self.fs.put(msg.path, b"\x00" * int(size), now=self.sim.now)
+        self._ack_open(msg)
+
+    def _ack_open(self, msg: pr.Open) -> None:
         handle = self._next_handle
         self._next_handle += 1
         self._handles[handle] = msg.path
-        size = self.fs.stat(msg.path).size
-        self._reply(msg.reply_to, pr.OpenAck(msg.req_id, handle, size))
-        return
-        yield  # pragma: no cover - keeps this a generator for uniform call sites
+        self._finish(msg, pr.OpenAck(msg.req_id, handle, self.fs.stat(msg.path).size))
 
-    def _handle_read(self, msg: pr.Read):
+    def _fs_failure(self, msg, path: str, err: FSError) -> pr.OpenFail:
+        """The reply to a read or write the file system refused."""
+        return pr.OpenFail(msg.req_id, path, str(err) if self.fs.exists(path) else "ENOENT")
+
+    def _transfer(self, nbytes: int, done, arg) -> None:
+        """Put *nbytes* on the NIC and call ``done(arg)`` once they are sent.
+
+        The NIC sends one transfer at a time at ``per_byte`` seconds/byte,
+        in arrival order: a transfer starts when the previous one ends.
+        Without this, concurrent reads would each enjoy full line rate and
+        aggregate bandwidth would not scale with server count.
+        """
+        sim = self.sim
+        start = max(sim.now, self._nic_free_at)
+        self._nic_free_at = end = start + nbytes * self.config.per_byte
+        sim.call_at(end, done, arg)
+
+    def _handle_read(self, msg: pr.Read) -> None:
         path = self._handles.get(msg.handle)
         if path is None:
-            self._reply(msg.reply_to, pr.OpenFail(msg.req_id, "?", "bad handle"))
+            self._finish(msg, pr.OpenFail(msg.req_id, "?", "bad handle"))
             return
-        data = self.fs.read(path, msg.offset, msg.length)
-        yield self._nic.acquire()
         try:
-            yield self.sim.sleep(len(data) * self.config.per_byte)
-        finally:
-            self._nic.release()
+            data = self.fs.read(path, msg.offset, msg.length)
+        except FSError as err:
+            self._finish(msg, self._fs_failure(msg, path, err))
+            return
+        self._transfer(len(data), self._read_sent, (msg, data))
+
+    def _read_sent(self, req: tuple[pr.Read, bytes]) -> None:
+        msg, data = req
         self.bytes_read += len(data)
-        self._reply(msg.reply_to, pr.ReadAck(msg.req_id, data))
+        self._finish(msg, pr.ReadAck(msg.req_id, data))
 
-    def _handle_write(self, msg: pr.Write):
+    def _handle_write(self, msg: pr.Write) -> None:
+        # The path is bound now: a Close during the transfer must not lose
+        # the write.
         path = self._handles.get(msg.handle)
         if path is None:
-            self._reply(msg.reply_to, pr.OpenFail(msg.req_id, "?", "bad handle"))
+            self._finish(msg, pr.OpenFail(msg.req_id, "?", "bad handle"))
             return
-        yield self._nic.acquire()
+        self._transfer(len(msg.data), self._write_received, (msg, path))
+
+    def _write_received(self, req: tuple[pr.Write, str]) -> None:
+        msg, path = req
         try:
-            yield self.sim.sleep(len(msg.data) * self.config.per_byte)
-        finally:
-            self._nic.release()
-        written = self.fs.write(path, msg.offset, msg.data)
+            written = self.fs.write(path, msg.offset, msg.data)
+        except FSError as err:
+            self._finish(msg, self._fs_failure(msg, path, err))
+            return
         self.bytes_written += written
-        self._reply(msg.reply_to, pr.WriteAck(msg.req_id, written))
+        self._finish(msg, pr.WriteAck(msg.req_id, written))
 
     def _handle_close(self, msg: pr.Close) -> None:
         self._handles.pop(msg.handle, None)
-        self._reply(msg.reply_to, pr.CloseAck(msg.req_id))
+        self._finish(msg, pr.CloseAck(msg.req_id))
 
     def _handle_stat(self, msg: pr.Stat) -> None:
         if self.fs.exists(msg.path):
-            self._reply(msg.reply_to, pr.StatAck(msg.req_id, True, self.fs.stat(msg.path).size))
+            self._finish(msg, pr.StatAck(msg.req_id, True, self.fs.stat(msg.path).size))
         else:
-            self._reply(msg.reply_to, pr.StatAck(msg.req_id, False, 0))
+            self._finish(msg, pr.StatAck(msg.req_id, False, 0))
 
     def _handle_remove(self, msg: pr.Remove) -> None:
         try:
             self.fs.remove(msg.path)
         except FSError:
-            self._reply(msg.reply_to, pr.RemoveAck(msg.req_id, False))
+            self._finish(msg, pr.RemoveAck(msg.req_id, False))
             return
         self._notify_cnsd(msg.path, "remove")
-        self._reply(msg.reply_to, pr.RemoveAck(msg.req_id, True))
+        self._finish(msg, pr.RemoveAck(msg.req_id, True))
 
     def _notify_cnsd(self, path: str, op: str) -> None:
         if self.cnsd_host is not None:

@@ -1,9 +1,9 @@
 """Discrete-event simulation substrate (built from scratch for this repo).
 
 Provides the deterministic virtual-time world the cluster experiments run
-in: a generator-based process kernel, mailboxes and semaphores, a message
-network with latency models and partitions, failure injection, and
-measurement helpers.
+in: a generator-based process kernel with timed callbacks, a mailbox, a
+message network with latency models and partitions, failure injection,
+and measurement helpers.
 """
 
 from repro.sim.errors import Interrupt, SimError, StopSimulation
@@ -17,7 +17,7 @@ from repro.sim.kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from repro.sim.latency import Empirical, Fixed, LatencyModel, LogNormal, Uniform
 from repro.sim.monitor import Histogram, Summary, TimeSeries
 from repro.sim.network import ChaosConfig, Host, Network, NetworkStats
-from repro.sim.sync import Resource, Store
+from repro.sim.sync import Store
 
 __all__ = [
     "Simulator",
@@ -30,7 +30,6 @@ __all__ = [
     "SimError",
     "StopSimulation",
     "Store",
-    "Resource",
     "Network",
     "Host",
     "NetworkStats",

@@ -223,8 +223,8 @@ class Process(Event):
             raise TypeError(
                 f"process body must be a generator, got {type(gen).__name__}"
             ) from None
-        # Event.__init__ flattened: one process is born per simulated
-        # request in the cluster layer, so spawn cost is hot-path cost.
+        # Event.__init__ flattened: one process is born per client
+        # operation a workload starts, so spawn cost is hot-path cost.
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING

@@ -1,15 +1,11 @@
-"""Synchronization primitives for simulation processes.
+"""A mailbox for simulation processes.
 
-Two primitives cover everything the cluster layer needs:
-
-* :class:`Store` — an unbounded FIFO mailbox for processes that wait on
-  items with ``item = yield store.get()``.  Network hosts have no mailbox
-  of their own (daemons take messages through a handler,
-  :meth:`repro.sim.network.Host.listen`); a handler that puts into a Store
-  gives a process one.
-* :class:`Resource` — a counting semaphore used to model finite server
-  capacity (disk streams, CPU slots) so load experiments produce queueing
-  rather than infinite parallelism.
+:class:`Store` is an unbounded FIFO for processes that wait on items with
+``item = yield store.get()``.  Network hosts have no mailbox of their own
+(daemons take messages through a handler,
+:meth:`repro.sim.network.Host.listen`, and model finite capacity with
+their own service timers); a handler that puts into a Store gives a
+process one.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from typing import Any
 from repro.sim.kernel import Event, Simulator
 from repro.sim.kernel import _FIRE, _heappush, _PENDING  # hot-path handoff (see Store)
 
-__all__ = ["Store", "Resource"]
+__all__ = ["Store"]
 
 _new_event = Event.__new__
 
@@ -83,60 +79,3 @@ class Store:
         items = list(self._items)
         self._items.clear()
         return items
-
-
-class Resource:
-    """Counting semaphore with FIFO granting.
-
-    Usage::
-
-        grant = yield resource.acquire()
-        try:
-            ...
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, sim: Simulator, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        #: Requests waiting for a slot: a deque built the first time one
-        #: has to wait (most resources never contend).
-        self._waiters: deque[Event] | None = None
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        return sum(1 for w in self._waiters or () if not w.triggered)
-
-    @property
-    def utilization(self) -> float:
-        return self._in_use / self.capacity
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed()
-        elif self._waiters is not None:
-            self._waiters.append(ev)
-        else:
-            self._waiters = deque((ev,))
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise RuntimeError("release without acquire")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.triggered:
-                continue
-            waiter.succeed()  # hand the slot straight over
-            return
-        self._in_use -= 1

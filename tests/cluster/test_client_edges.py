@@ -143,6 +143,18 @@ class TestDataPlaneErrors:
         with pytest.raises(ScallaError):
             cluster.run_process(client.read(res, 0, 4), limit=60)
 
+    def test_read_of_removed_file_fails_at_once(self):
+        cluster = ScallaCluster(1, config=ScallaConfig(seed=327))
+        cluster.populate(["/store/a.root"], size=32)
+        cluster.settle()
+        reader, remover = cluster.client(), cluster.client()
+        res = cluster.run_process(reader.open("/store/a.root"), limit=60)
+        assert cluster.run_process(remover.remove("/store/a.root"), limit=60)
+        t0 = cluster.sim.now
+        with pytest.raises(ScallaError, match="ENOENT"):
+            cluster.run_process(reader.read(res, 0, 4), limit=60)
+        assert cluster.sim.now - t0 < reader.config.op_timeout / 100
+
     def test_fetch_empty_file(self):
         cluster = ScallaCluster(1, config=ScallaConfig(seed=328))
         cluster.place("/store/empty.root", cluster.servers[0], data=b"")

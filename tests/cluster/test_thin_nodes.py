@@ -83,7 +83,9 @@ class TestBuiltOnFirstUse:
                 assert set(vars(node.xrootd.host)) == {"name", "alive", "receive"}
                 assert node.xrootd._rng is None
                 assert node.mss._rng is None
-                assert node.xrootd._nic._waiters is None
+                # The NIC is one timestamp: when its last transfer ends.
+                assert node.xrootd._nic_free_at == 0.0
+                assert not hasattr(node.xrootd, "_nic")
             else:
                 assert set(node.cmsd.rq._anchors) == {None}
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.cluster import protocol as pr
 from repro.cluster.fs import ServerFS
 from repro.cluster.ids import NodeId, Role
@@ -55,6 +57,22 @@ class Harness:
 
     def open(self, path, mode="r", create=False):
         return self.ask(pr.Open(self.req_id(), "tester", path, mode, create))
+
+    def ask_quickly(self, msg):
+        """``ask``, failing unless the reply comes within one round trip (a
+        millisecond covers two hops, the service time and a small transfer)."""
+        return self.ask(msg, limit=self.sim.now + 1e-3)
+
+    def replies(self):
+        """Every reply delivered so far: ``(req_id, type name, arrival time)``."""
+        return [
+            (d.payload.req_id, type(d.payload).__name__, d.delivered_at)
+            for d in self.inbox.drain()
+        ]
+
+
+#: Transfer time of 1 MB at the default 8 ns/byte.
+MB_TIME = 1_000_000 * 8e-9
 
 
 class TestOpen:
@@ -162,6 +180,64 @@ class TestDataOps:
         small_time = h.sim.now - t0
         assert big_time > small_time * 10
 
+    def test_write_lands_when_handle_closed_mid_transfer(self):
+        h = Harness()
+        h.fs.put("/a", b"")
+        ack = h.open("/a", mode="w")
+        data = b"\x07" * 1_000_000
+        h.net.send("tester", "srv0.xrootd", pr.Write(h.req_id(), "tester", ack.handle, 0, data))
+        h.sim.run(until=h.sim.now + MB_TIME / 2)  # the write is on the wire
+        h.net.send("tester", "srv0.xrootd", pr.Close(h.req_id(), "tester", ack.handle))
+        h.sim.run()
+        assert sorted(kind for _, kind, _ in h.replies()) == ["CloseAck", "WriteAck"]
+        assert h.fs.read("/a", 0, len(data)) == data
+        assert h.server.bytes_written == len(data)
+
+
+class TestFailedRequests:
+    """A request the file system refuses gets an error reply at once."""
+
+    def test_read_after_remove(self):
+        h = Harness()
+        h.fs.put("/store/a.root", b"abc")
+        ack = h.open("/store/a.root")
+        assert h.ask(pr.Remove(h.req_id(), "tester", "/store/a.root")).removed
+        resp = h.ask_quickly(pr.Read(h.req_id(), "tester", ack.handle, 0, 3))
+        assert resp == pr.OpenFail(resp.req_id, "/store/a.root", "ENOENT")
+        assert h.server.load == 0.0
+
+    def test_write_after_remove(self):
+        h = Harness()
+        h.fs.put("/store/a.root", b"")
+        ack = h.open("/store/a.root", mode="w")
+        h.fs.remove("/store/a.root")
+        resp = h.ask_quickly(pr.Write(h.req_id(), "tester", ack.handle, 0, b"xyz"))
+        assert resp == pr.OpenFail(resp.req_id, "/store/a.root", "ENOENT")
+        assert not h.fs.exists("/store/a.root")
+        assert h.server.load == 0.0
+
+    def test_negative_offset(self):
+        h = Harness()
+        h.fs.put("/a", b"abc")
+        ack = h.open("/a")
+        resp = h.ask_quickly(pr.Read(h.req_id(), "tester", ack.handle, -1, 2))
+        assert isinstance(resp, pr.OpenFail)
+        assert resp.reason == "negative offset/length"
+        assert h.server.load == 0.0
+
+    def test_handler_exception_propagates(self):
+        """A bug in a request handler stops the run instead of vanishing."""
+        h = Harness()
+        h.fs.put("/a", b"abc")
+
+        def broken_stat(path):
+            raise RuntimeError("disk on fire")
+
+        h.fs.stat = broken_stat
+        h.net.send("tester", "srv0.xrootd", pr.Stat(h.req_id(), "tester", "/a"))
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            h.sim.run()
+
 
 class TestConcurrency:
     def test_stage_does_not_block_other_requests(self):
@@ -190,6 +266,66 @@ class TestConcurrency:
         h.sim.process(fast())
         h.sim.run(until=5.0)
         assert done and done[0] < 1.0
+
+    def test_one_nic_serves_reads_in_arrival_order(self):
+        h = Harness()
+        h.fs.put("/big", b"\x01" * 1_000_000)
+        ack = h.open("/big")
+        first, second = h.req_id(), h.req_id()
+        for req in (first, second):
+            h.net.send("tester", "srv0.xrootd", pr.Read(req, "tester", ack.handle, 0, 1_000_000))
+        h.sim.run()
+        (r1, _, t1), (r2, _, t2) = h.replies()
+        assert (r1, r2) == (first, second)
+        assert t2 - t1 == pytest.approx(MB_TIME)
+
+    def test_reads_on_two_servers_overlap(self):
+        h = Harness()
+        other = XrootdServer(h.sim, h.net, NodeId("srv1", Role.SERVER), ServerFS())
+        other.start()
+        hosts = ("srv0.xrootd", "srv1.xrootd")
+        for host, server in zip(hosts, (h.server, other)):
+            server.fs.put("/big", b"\x01" * 1_000_000)
+            h.net.send("tester", host, pr.Open(h.req_id(), "tester", "/big", "r", False))
+        h.sim.run()
+        handles = [d.payload.handle for d in h.inbox.drain()]
+        t0 = h.sim.now
+        for host, handle in zip(hosts, handles):
+            h.net.send("tester", host, pr.Read(h.req_id(), "tester", handle, 0, 1_000_000))
+        h.sim.run()
+        times = [t for _, _, t in h.replies()]
+        assert len(times) == 2
+        assert max(times) - t0 < 1.5 * MB_TIME
+
+    def test_request_in_service_completes_after_stop(self):
+        h = Harness()
+        h.fs.put("/a", b"abc")
+        h.net.send("tester", "srv0.xrootd", pr.Stat(7, "tester", "/a"))
+        h.sim.run(until=20e-6)  # delivered, service time not over yet
+        assert h.server.load > 0.0
+        h.server.stop()
+        h.sim.run()
+        assert [(r, kind) for r, kind, _ in h.replies()] == [(7, "StatAck")]
+        assert h.server.load == 0.0
+
+    @pytest.mark.parametrize("kind", ["bad handle", "unknown", "staged open", "read", "write"])
+    def test_load_returns_to_zero(self, kind):
+        h = Harness(mss=True, stage_latency=5.0)
+        h.mss.archive("/tape", 8)
+        h.fs.put("/a", b"abcd")
+        ack = h.open("/a", mode="w")
+        msg = {
+            "bad handle": pr.Read(h.req_id(), "tester", 999, 0, 1),
+            "unknown": pr.Wait(h.req_id(), "/a", 1.0),
+            "staged open": pr.Open(h.req_id(), "tester", "/tape", "r", False),
+            "read": pr.Read(h.req_id(), "tester", ack.handle, 0, 4),
+            "write": pr.Write(h.req_id(), "tester", ack.handle, 0, b"wxyz"),
+        }[kind]
+        h.net.send("tester", "srv0.xrootd", msg)
+        h.sim.run(until=h.sim.now + 20e-6)
+        assert h.server.load > 0.0
+        h.sim.run()
+        assert h.server.load == 0.0
 
     def test_load_metric_reflects_activity(self):
         h = Harness(mss=True, stage_latency=50.0)

@@ -186,7 +186,7 @@ class TestSeriesReadLiveState:
                 yield from client.open(f"/store/load/f{i}.root")
 
         cluster.run_process(workload(), limit=600)
-        cluster.settle(0.1)  # let every request process finish
+        cluster.settle(0.1)  # let every request finish
         assert sum(snapshot_values(cluster, "xrootd_opens_total").values()) == 8
         loads = snapshot_values(cluster, "xrootd_load")
         assert len(loads) == len(cluster.servers)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Simulator
-from repro.sim.sync import Resource, Store
+from repro.sim.sync import Store
 
 
 class TestCausalOrdering:
@@ -86,28 +86,6 @@ class TestStoreProperties:
         sim.process(consumer())
         sim.run()
         assert received == items
-
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=30))
-    @settings(max_examples=40, deadline=None)
-    def test_resource_never_exceeds_capacity(self, capacity, workers):
-        sim = Simulator()
-        res = Resource(sim, capacity=capacity)
-        concurrent = []
-        active = [0]
-
-        def worker():
-            yield res.acquire()
-            active[0] += 1
-            concurrent.append(active[0])
-            yield sim.timeout(1.0)
-            active[0] -= 1
-            res.release()
-
-        for _ in range(workers):
-            sim.process(worker())
-        sim.run()
-        assert len(concurrent) == workers  # everybody ran
-        assert max(concurrent) <= capacity
 
 
 class TestDeterminism:

@@ -1,9 +1,7 @@
-"""Unit tests for Store and Resource."""
-
-import pytest
+"""Unit tests for Store."""
 
 from repro.sim.kernel import Simulator
-from repro.sim.sync import Resource, Store
+from repro.sim.sync import Store
 
 
 class TestStore:
@@ -84,65 +82,3 @@ class TestStore:
         assert store.drain() == [1, 2]
         assert len(store) == 0
 
-
-class TestResource:
-    def test_capacity_enforced(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        timeline = []
-
-        def worker(i):
-            yield res.acquire()
-            timeline.append(("start", i, sim.now))
-            yield sim.timeout(1.0)
-            res.release()
-            timeline.append(("end", i, sim.now))
-
-        for i in range(4):
-            sim.process(worker(i))
-        sim.run()
-        starts = {i: t for op, i, t in timeline if op == "start"}
-        # Two run immediately; the other two wait for releases.
-        assert sorted(starts.values()) == [0.0, 0.0, 1.0, 1.0]
-
-    def test_utilization(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=4)
-
-        def worker():
-            yield res.acquire()
-            yield sim.timeout(10.0)
-            res.release()
-
-        sim.process(worker())
-        sim.run(until=5.0)
-        assert res.in_use == 1
-        assert res.utilization == 0.25
-
-    def test_release_without_acquire(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        with pytest.raises(RuntimeError):
-            res.release()
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
-
-    def test_queued_count(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            yield res.acquire()
-            yield sim.timeout(100.0)
-            res.release()
-
-        def waiter():
-            yield res.acquire()
-            res.release()
-
-        sim.process(holder())
-        sim.process(waiter())
-        sim.run(until=1.0)
-        assert res.queued == 1
