@@ -16,8 +16,10 @@ reproduction:
 * protocol and kernel code must never iterate a ``set``/``frozenset``
   directly (SIM003) — with string keys, iteration order depends on
   ``PYTHONHASHSEED`` and varies across interpreter runs;
-* simulation processes (generators driven by the event kernel) must never
-  block on real sleep or I/O (SIM004) — virtual time is the only time;
+* simulation processes (generators driven by the event kernel) and the
+  kernel callbacks daemons run on (``call_at`` timers, ``listen`` message
+  handlers, event callbacks) must never block on real sleep or I/O
+  (SIM004) — virtual time is the only time;
 * 64-bit server-vector bit construction goes through
   :mod:`repro.core.bitvec` (SCA001) so range checking and masking stay in
   one audited place;
@@ -294,23 +296,29 @@ class NoSetIteration(Rule):
         return False
 
 
-# -- SIM004: no blocking sleep/IO inside simulation processes --------------------
+# -- SIM004: no blocking sleep/IO inside simulation processes or callbacks ---------
+
+_SIM_CODE = "a simulation process or kernel callback"
 
 
 @register
 class NoBlockingInProcess(Rule):
     id = "SIM004"
-    title = "no blocking sleep or real I/O inside simulation generators"
+    title = "no blocking sleep or real I/O inside simulation processes or callbacks"
     rationale = (
-        "Simulation processes are generators driven by the event kernel; a "
-        "`time.sleep`, `open()`, socket or subprocess call inside one stalls "
-        "the single-threaded scheduler in *real* time and smuggles "
-        "external state into the deterministic run.  Wait on "
-        "`sim.timeout(...)` and keep I/O outside the kernel."
+        "Simulation processes are generators driven by the event kernel, and "
+        "daemons run as kernel callbacks (`call_at` timers, `listen` message "
+        "handlers, event `.callbacks`); a `time.sleep`, `open()`, socket or "
+        "subprocess call inside either stalls the single-threaded scheduler "
+        "in *real* time and smuggles external state into the deterministic "
+        "run.  Wait on `sim.timeout(...)` or arm a `call_at`, and keep I/O "
+        "outside the kernel."
     )
 
     _BLOCKING_MODULES = frozenset({"socket", "subprocess", "requests", "urllib", "http"})
     _BLOCKING_BUILTINS = frozenset({"open", "input"})
+    #: Kernel entry points whose function arguments become callbacks.
+    _REGISTRARS = frozenset({"call_at", "listen"})
 
     def applies_to(self, path: str) -> bool:
         return _is_sim_source(path)
@@ -323,32 +331,67 @@ class NoBlockingInProcess(Rule):
             for alias in node.names
             if alias.name == "sleep"
         }
+        callbacks = self._callback_names(tree)
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not self._is_generator(func):
+            if func.name not in callbacks and not self._is_generator(func):
                 continue
             for node in self._walk_own_body(func):
                 if isinstance(node, ast.Call):
                     self._check_call(node, ctx, sleep_aliases)
+
+    @classmethod
+    def _callback_names(cls, tree: ast.Module) -> set[str]:
+        """Functions this module hands to the kernel as callbacks.
+
+        A function counts when it is an argument of a ``call_at(...)`` or
+        ``listen(...)`` call, or of an ``<event>.callbacks.append(...)``,
+        named bare (``tick``) or as a ``self`` attribute (``self._tick``);
+        a lambda wrapper (``lambda ev: self._staged(ev)``) counts its
+        callee.  Name-based and module-wide, like SIM003's inference.
+        """
+        found: set[str] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            registers = _call_target(node) in cls._REGISTRARS or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "append"
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "callbacks"
+            )
+            if not registers:
+                continue
+            for arg in node.args:
+                if isinstance(arg, ast.Lambda) and isinstance(arg.body, ast.Call):
+                    arg = arg.body.func
+                if isinstance(arg, ast.Name):
+                    found.add(arg.id)
+                elif (
+                    isinstance(arg, ast.Attribute)
+                    and isinstance(arg.value, ast.Name)
+                    and arg.value.id == "self"
+                ):
+                    found.add(arg.attr)
+        return found
 
     def _check_call(self, node: ast.Call, ctx: "FileContext", sleep_aliases: set[str]) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
             root = _root_name(func)
             if root == "time" and func.attr == "sleep":
-                ctx.report(self, node, "time.sleep() inside a simulation process")
+                ctx.report(self, node, f"time.sleep() inside {_SIM_CODE}")
             elif root == "os" and func.attr in ("system", "popen"):
-                ctx.report(self, node, f"os.{func.attr}() inside a simulation process")
+                ctx.report(self, node, f"os.{func.attr}() inside {_SIM_CODE}")
             elif root in self._BLOCKING_MODULES:
-                ctx.report(
-                    self, node, f"blocking {root}.{func.attr}() inside a simulation process"
-                )
+                ctx.report(self, node, f"blocking {root}.{func.attr}() inside {_SIM_CODE}")
         elif isinstance(func, ast.Name):
             if func.id in sleep_aliases:
-                ctx.report(self, node, "time.sleep() inside a simulation process")
+                ctx.report(self, node, f"time.sleep() inside {_SIM_CODE}")
             elif func.id in self._BLOCKING_BUILTINS:
-                ctx.report(self, node, f"{func.id}() inside a simulation process")
+                ctx.report(self, node, f"{func.id}() inside {_SIM_CODE}")
 
     @staticmethod
     def _is_generator(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

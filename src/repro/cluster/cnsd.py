@@ -6,11 +6,14 @@ separate Cluster Name Space daemon (plus FUSE).  This module is that
 daemon: servers push ``NamespaceUpdate`` notifications on create/remove,
 and the cnsd maintains an eventually-consistent global view that can be
 listed by prefix — off the critical path, exactly as designed.
+
+Each path maps to a tuple of the node names holding it.  Most files have
+one or two holders, and a short tuple is a fraction of the size of a
+``set``; a cluster populated with millions of replicas keeps one entry per
+file here.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from repro.cluster import protocol as pr
 from repro.sim.kernel import Simulator
@@ -28,8 +31,8 @@ class CnsDaemon:
         self.sim = sim
         self.network = network
         self.host = network.add_host(host_name)
-        #: path -> node names currently holding a copy.
-        self._holders: dict[str, set[str]] = defaultdict(set)
+        #: path -> node names currently holding a copy, in arrival order.
+        self._holders: dict[str, tuple[str, ...]] = {}
         self.updates = 0
 
     def start(self) -> None:
@@ -51,13 +54,16 @@ class CnsDaemon:
     def apply(self, node: str, path: str, op: str) -> None:
         """Apply one update (also used out-of-band when populating clusters)."""
         self.updates += 1
+        holders = self._holders.get(path, ())
         if op == "create":
-            self._holders[path].add(node)
+            if node not in holders:
+                self._holders[path] = holders + (node,)
         elif op == "remove":
-            holders = self._holders.get(path)
-            if holders is not None:
-                holders.discard(node)
-                if not holders:
+            if node in holders:
+                rest = tuple(h for h in holders if h != node)
+                if rest:
+                    self._holders[path] = rest
+                else:
                     del self._holders[path]
         else:
             raise ValueError(f"unknown namespace op {op!r}")

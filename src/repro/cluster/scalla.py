@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from repro.cluster.client import ClientConfig, ScallaClient
 from repro.cluster.cmsd import Cmsd, CmsdConfig
 from repro.cluster.cnsd import CNSD_HOST, CnsDaemon
+from repro.cluster.fs import ServerFS
 from repro.cluster.ids import Role
 from repro.cluster.mss import MassStorage
 from repro.cluster.node import ScallaNode
@@ -285,10 +286,19 @@ class ScallaCluster:
         if node.role is not Role.SERVER:
             raise ValueError(f"{server} is not a data server")
         if data is None:
-            data = self._zeros.get(size)
-            if data is None:
-                data = self._zeros[size] = bytes(size)
-        node.fs.put(path, data, now=self.sim.now)
+            data = self._zero(size)
+        self._put(node.fs, server, path, data, self.sim.now)
+
+    def _zero(self, size: int) -> bytes:
+        """The shared zero-filled buffer of *size* bytes."""
+        data = self._zeros.get(size)
+        if data is None:
+            data = self._zeros[size] = bytes(size)
+        return data
+
+    def _put(self, fs: ServerFS, server: str, path: str, data: bytes, now: float) -> None:
+        """Store *path* in *server*'s file system *fs* and tell the cnsd."""
+        fs.put(path, data, now=now)
         self.cnsd.apply(server, path, "create")
 
     def archive(self, path: str, server: str, *, size: int = 1024) -> None:
@@ -314,6 +324,10 @@ class ScallaCluster:
         """
         servers = self.servers
         copies = min(copies, len(servers))
+        # What place() looks up per file, resolved once for the whole batch.
+        fs_of = {s: self.nodes[s].fs for s in servers}
+        data = self._zero(size)
+        now = self.sim.now
         placement: dict[str, list[str]] = {}
         for i, path in enumerate(paths):
             if rng is None:
@@ -321,6 +335,6 @@ class ScallaCluster:
             else:
                 chosen = rng.sample(servers, copies)
             for s in chosen:
-                self.place(path, s, size=size)
+                self._put(fs_of[s], s, path, data, now)
             placement[path] = chosen
         return placement

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.analysis.violations import LoadFactorViolation, WindowAccountingViolation
-from repro.core import fibonacci
+from repro.core import bitvec, fibonacci
 from repro.core.corrections import ClusterMembership, apply_corrections
 from repro.core.crc32 import hash_name
 from repro.core.eviction import DEFAULT_LIFETIME, WINDOW_COUNT, EvictionWindows, TickResult
@@ -157,9 +157,14 @@ class NameCache:
         with ``V_q = V_m`` (every eligible server still needs querying).
 
         ``(None, False)`` is returned on a miss with ``add=False``.
+
+        Warm-up and cold traffic run the miss-and-add path once per name,
+        so it is written out here: the object is built (or recycled),
+        stamped with the current window and chained there, then inserted,
+        with no helper call in between.
         """
-        self.stats.lookups += 1
-        v_m = self.membership.eligible(path)
+        stats = self.stats
+        stats.lookups += 1
         h = hash_name(path)
         obj = self.table.find(path, h)
         if self._obs is not None:
@@ -167,19 +172,30 @@ class NameCache:
                 path, "cache.lookup", node=self._node, hit=obj is not None, add=add
             )
         if obj is not None:
-            self.stats.hits += 1
-            self._correct(obj, v_m)
-            return CacheRef(obj=obj, generation=obj.generation, key=path, hash_val=h), False
+            stats.hits += 1
+            self._correct(obj, self.membership.eligible(path))
+            return CacheRef(obj, obj.generation, path, h), False
         if not add:
             return None, False
-        obj = self._allocate()
-        obj.assign(path, h, self.membership.n_c, self.windows.current_window)
-        obj.v_q = v_m
-        self.windows.add(obj)
+        membership = self.membership
+        windows = self.windows
+        w = windows.t_w % WINDOW_COUNT
+        if self._free:
+            stats.recycled += 1
+            obj = self._free.pop()
+            obj.assign(path, h, membership.n_c, w)
+        else:
+            self.allocated += 1
+            obj = LocationObject(path, h, membership.n_c, w)
+        obj.v_q = membership.eligible(path)
+        # EvictionWindows.add, inlined.
+        obj.chain_window = w
+        windows._chains[w].append(obj)
+        windows._population += 1
         self.table.insert(obj)
         self._live += 1
-        self.stats.adds += 1
-        return CacheRef(obj=obj, generation=obj.generation, key=path, hash_val=h), True
+        stats.adds += 1
+        return CacheRef(obj, obj.generation, path, h), True
 
     def revalidate(self, ref: CacheRef) -> CacheRef | None:
         """Re-resolve a stale reference by full lookup (the rare fall-back).
@@ -193,7 +209,7 @@ class NameCache:
         obj = self.table.find(ref.key, ref.hash_val)
         if obj is None:
             return None
-        return CacheRef(obj=obj, generation=obj.generation, key=ref.key, hash_val=ref.hash_val)
+        return CacheRef(obj, obj.generation, ref.key, ref.hash_val)
 
     def update_holder(
         self,
@@ -214,7 +230,15 @@ class NameCache:
         if obj is None:
             self.stats.stale_holder_updates += 1
             return None
-        obj.set_holder(server, pending=pending)
+        if pending:
+            obj.set_holder(server, pending=True)
+        else:
+            # LocationObject.set_holder's have-path, inlined.
+            b = bitvec.bit(server)
+            keep = ~b & bitvec.FULL_MASK
+            obj.v_h |= b
+            obj.v_p &= keep
+            obj.v_q &= keep
         self.stats.holder_updates += 1
         return obj
 
@@ -297,13 +321,6 @@ class NameCache:
         return len(self._pending_removal)
 
     # -- internals ---------------------------------------------------------
-
-    def _allocate(self) -> LocationObject:
-        if self._free:
-            self.stats.recycled += 1
-            return self._free.pop()
-        self.allocated += 1
-        return LocationObject()
 
     def _correct(self, obj: LocationObject, v_m: int) -> None:
         """Apply Figure-3 corrections, consulting the window V_wc memo."""

@@ -89,6 +89,10 @@ class ClusterMembership:
         #: Per-slot connection counters C[].
         self.c: list[int] = [0] * bitvec.MAX_SERVERS
         self._paths: dict[str, _PathEntry] = {}
+        #: ``_paths.items()`` as a tuple, in insertion order, for
+        #: :meth:`eligible`; rebuilt only when a prefix is added or removed
+        #: (entries are shared, so V_m updates need no rebuild).
+        self._prefixes: tuple[tuple[str, _PathEntry], ...] = ()
         #: Mask of slots that are members but currently offline.
         self.v_offline: int = 0
         #: Mask of slots currently occupied (online or offline).
@@ -144,7 +148,7 @@ class ClusterMembership:
         prefix match against the registered export prefixes.
         """
         v_m = 0
-        for prefix, entry in self._paths.items():
+        for prefix, entry in self._prefixes:
             if path.startswith(prefix):
                 v_m |= entry.v_m
         return v_m
@@ -205,10 +209,13 @@ class ClusterMembership:
         self.v_offline &= ~bitvec.bit(slot) & bitvec.FULL_MASK
         # sorted(): path_set is a frozenset and registration order decides
         # dict insertion order in self._paths, which eligible() iterates.
+        known = len(self._paths)
         for p in sorted(path_set):
             entry = self._paths.setdefault(p, _PathEntry())
             entry.v_m |= bitvec.bit(slot)
             entry.refcount[slot] = entry.refcount.get(slot, 0) + 1
+        if len(self._paths) != known:
+            self._prefixes = tuple(self._paths.items())
         self._stamp_connection(slot)
         return slot
 
@@ -241,12 +248,15 @@ class ClusterMembership:
         entry = self._slots[slot]
         if entry is None:
             raise KeyError(f"slot {slot} is not occupied")
+        known = len(self._paths)
         for p in sorted(entry.paths):
             pe = self._paths[p]
             pe.refcount.pop(slot, None)
             pe.v_m &= ~bitvec.bit(slot) & bitvec.FULL_MASK
             if not pe.refcount:
                 del self._paths[p]
+        if len(self._paths) != known:
+            self._prefixes = tuple(self._paths.items())
         del self._by_name[entry.name]
         self._slots[slot] = None
         mask = ~bitvec.bit(slot) & bitvec.FULL_MASK

@@ -66,6 +66,7 @@ def hash_name(name: str) -> int:
 
     Paths are encoded as UTF-8; cmsd treats the path purely as an opaque
     byte string (the manager-level namespace is flat, §II-B4), so no
-    normalization is applied.
+    normalization is applied.  One C call: :func:`zlib.crc32` is already
+    unsigned 32-bit in Python 3, so :func:`crc32`'s mask is not needed.
     """
-    return crc32(name.encode("utf-8"))
+    return zlib.crc32(name.encode("utf-8"))

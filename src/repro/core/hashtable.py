@@ -8,11 +8,15 @@ table size, a new table is created whose size is the subsequent Fibonacci
 number and all of the keys are redistributed."  (paper §III-A1, Figure 2)
 
 This module implements exactly that table, specialized to
-:class:`~repro.core.location.LocationObject` values.  Buckets are Python
-lists (the "chains"); hidden objects — key length zero — remain chained
-until the eviction machinery physically unchains them, so lookups must skip
-them, and the growth trigger counts *chained* objects (live or hidden)
-because those are what occupy chain positions.
+:class:`~repro.core.location.LocationObject` values.  The chains are
+intrusive, as Figure 2 draws them: the table is an array of chain heads
+(None for an empty bucket) and each object links to the next one through
+its own ``next`` attribute, so a bucket costs one array slot and no
+container.  Inserts link at the head; removal unlinks by identity.  Hidden
+objects — key length zero — remain chained until the eviction machinery
+physically unchains them, so lookups must skip them, and the growth
+trigger counts *chained* objects (live or hidden) because those are what
+occupy chain positions.
 
 Why Fibonacci and not 2^k?  With a power-of-two size the modulo keeps only
 the low bits of the CRC, which are correlated across the structured path
@@ -45,8 +49,11 @@ class LocationTable:
         size = fibonacci.DEFAULT_INITIAL_SIZE if initial_size is None else initial_size
         if not fibonacci.is_fibonacci(size):
             raise ValueError(f"table size {size} is not a Fibonacci number")
-        self._buckets: list[list[LocationObject]] = [[] for _ in range(size)]
+        #: Chain heads, one per bucket; None marks an empty chain.
+        self._heads: list[LocationObject | None] = [None] * size
         self._size = size
+        #: Chained-object count at which the next insert grows the table.
+        self._limit = size * fibonacci.GROWTH_THRESHOLD
         self._count = 0
         #: Number of resize events performed (bench F2 reads this).
         self.resizes = 0
@@ -85,13 +92,16 @@ class LocationTable:
         structurally match hidden objects, which must stay unfindable.
         """
         self.lookups += 1
-        bucket = self._buckets[hash_val % self._size]
+        obj = self._heads[hash_val % self._size]
         klen = len(key)
-        if klen == 0:
-            self.probes += len(bucket)
-            return None
         pos = 0
-        for obj in bucket:
+        if klen == 0:
+            while obj is not None:
+                pos += 1
+                obj = obj.next
+            self.probes += pos
+            return None
+        while obj is not None:
             pos += 1
             # key_len == klen != 0 subsumes the hidden check; hash first —
             # it is already in hand and rejects almost every non-match
@@ -99,18 +109,23 @@ class LocationTable:
             if obj.hash_val == hash_val and obj.key_len == klen and obj.key == key:
                 self.probes += pos
                 return obj
+            obj = obj.next
         self.probes += pos
         return None
 
     def insert(self, obj: LocationObject) -> None:
-        """Chain *obj* into the table, growing first if at the threshold.
+        """Link *obj* at the head of its chain, growing first if at the
+        threshold.
 
         The caller guarantees no visible duplicate of ``obj.key`` exists
         (the cache's add path always looks up first).
         """
-        if self._count + 1 > self._size * fibonacci.GROWTH_THRESHOLD:
+        if self._count + 1 > self._limit:
             self._grow()
-        self._buckets[obj.hash_val % self._size].append(obj)
+        heads = self._heads
+        idx = obj.hash_val % self._size
+        obj.next = heads[idx]
+        heads[idx] = obj
         self._count += 1
 
     def remove(self, obj: LocationObject) -> bool:
@@ -119,32 +134,46 @@ class LocationTable:
         Identity comparison, not key comparison: by removal time the object
         is normally hidden and its key may already describe nothing.
         """
-        bucket = self._buckets[obj.hash_val % self._size]
-        for pos, candidate in enumerate(bucket):
-            if candidate is obj:
-                # Swap-with-last keeps removal O(1) within the chain; chain
-                # order is not meaningful to any algorithm here.
-                bucket[pos] = bucket[-1]
-                bucket.pop()
+        heads = self._heads
+        idx = obj.hash_val % self._size
+        prev = None
+        cur = heads[idx]
+        while cur is not None:
+            if cur is obj:
+                if prev is None:
+                    heads[idx] = obj.next
+                else:
+                    prev.next = obj.next
+                obj.next = None
                 self._count -= 1
                 return True
+            prev = cur
+            cur = cur.next
         return False
 
     def __iter__(self) -> Iterator[LocationObject]:
         """Iterate every chained object (hidden ones included)."""
-        for bucket in self._buckets:
-            yield from bucket
+        for obj in self._heads:
+            while obj is not None:
+                yield obj
+                obj = obj.next
 
     def visible(self) -> Iterator[LocationObject]:
         """Iterate only objects findable by lookups."""
-        for bucket in self._buckets:
-            for obj in bucket:
-                if not obj.hidden:
-                    yield obj
+        for obj in self:
+            if not obj.hidden:
+                yield obj
 
     def chain_lengths(self) -> list[int]:
         """Length of every chain — the collision metric of bench E3."""
-        return [len(b) for b in self._buckets]
+        lengths = []
+        for obj in self._heads:
+            n = 0
+            while obj is not None:
+                n += 1
+                obj = obj.next
+            lengths.append(n)
+        return lengths
 
     def mean_probe_length(self) -> float:
         """Average chain positions examined per lookup so far."""
@@ -154,12 +183,17 @@ class LocationTable:
 
     def _grow(self) -> None:
         new_size = fibonacci.next_fibonacci(self._size)
-        new_buckets: list[list[LocationObject]] = [[] for _ in range(new_size)]
-        for bucket in self._buckets:
-            for obj in bucket:
-                new_buckets[obj.hash_val % new_size].append(obj)
-        self._buckets = new_buckets
+        new_heads: list[LocationObject | None] = [None] * new_size
+        for obj in self._heads:
+            while obj is not None:
+                nxt = obj.next
+                idx = obj.hash_val % new_size
+                obj.next = new_heads[idx]
+                new_heads[idx] = obj
+                obj = nxt
+        self._heads = new_heads
         self._size = new_size
+        self._limit = new_size * fibonacci.GROWTH_THRESHOLD
         self.resizes += 1
 
     def check_invariants(self, on_object: Callable[[LocationObject], None] | None = None) -> None:
@@ -173,8 +207,10 @@ class LocationTable:
                 "table size is not a Fibonacci number", invariant="fib-size", size=self._size
             )
         total = 0
-        for idx, bucket in enumerate(self._buckets):
-            for obj in bucket:
+        for idx, obj in enumerate(self._heads):
+            # Bounded by the count: a cyclic chain (an object inserted
+            # twice links to itself) would otherwise never end.
+            while obj is not None and total <= self._count:
                 if obj.hash_val % self._size != idx:
                     raise TableStructureViolation(
                         "object chained in the wrong bucket",
@@ -186,6 +222,7 @@ class LocationTable:
                 if on_object is not None:
                     on_object(obj)
                 total += 1
+                obj = obj.next
         if total != self._count:
             raise TableStructureViolation(
                 "chained-object count out of sync",

@@ -18,6 +18,10 @@ object" (§III-B1).  Hiding an object from the hash table is done by zeroing
 its *key length* — the key text itself survives, lookups just stop matching —
 and each reuse bumps a generation counter so stale references can detect
 that the storage now belongs to a different file.
+
+Each object also carries ``next``, the chain link Figure 2 draws between
+the location objects of one hash bucket: :mod:`repro.core.hashtable`
+chains objects through it instead of keeping a container per bucket.
 """
 
 from __future__ import annotations
@@ -84,6 +88,10 @@ class LocationObject:
         into, or -1 when unchained.  After a refresh, ``t_a`` may differ
         from ``chain_window`` until the deferred re-chaining pass runs
         (§III-C1).
+    next:
+        The next object in the same hash-table chain, or None at the end
+        of the chain (or when the object is not in a table).  Owned by
+        :class:`~repro.core.hashtable.LocationTable`.
     """
 
     __slots__ = (
@@ -103,30 +111,38 @@ class LocationObject:
         "rq_retries",
         "generation",
         "chain_window",
+        "next",
     )
 
-    def __init__(self) -> None:
-        self.key: str = ""
-        self.key_len: int = 0
-        self.hash_val: int = 0
-        self.v_h: int = 0
-        self.v_p: int = 0
-        self.v_q: int = 0
-        self.c_n: int = 0
-        self.t_a: int = 0
-        self.deadline: float = 0.0
-        self.rq_read: int = NO_QUEUE
-        self.rq_read_stamp: int = 0
-        self.rq_write: int = NO_QUEUE
-        self.rq_write_stamp: int = 0
-        self.rq_retries: int = 0
-        self.generation: int = 0
-        self.chain_window: int = -1
+    def __init__(self, key: str = "", hash_val: int = 0, c_n: int = 0, t_a: int = 0) -> None:
+        """Fresh storage; with a *key* it already describes that file.
+
+        Every field is set once.  An object made for a key starts at
+        generation 1, the value :meth:`assign` on empty storage gives, so
+        new and recycled objects number their identities alike.
+        """
+        self.key = key
+        self.key_len = len(key)
+        self.hash_val = hash_val
+        self.v_h = 0
+        self.v_p = 0
+        self.v_q = 0
+        self.c_n = c_n
+        self.t_a = t_a
+        self.deadline = 0.0
+        self.rq_read = NO_QUEUE
+        self.rq_read_stamp = 0
+        self.rq_write = NO_QUEUE
+        self.rq_write_stamp = 0
+        self.rq_retries = 0
+        self.generation = 1 if key else 0
+        self.chain_window = -1
+        self.next: LocationObject | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def assign(self, key: str, hash_val: int, c_n: int, t_a: int) -> None:
-        """(Re)initialize this storage for file *key*.
+        """Reinitialize recycled storage for file *key*.
 
         The generation counter is bumped here as well as in :meth:`hide`:
         hide invalidates references, and the extra bump at reuse makes any

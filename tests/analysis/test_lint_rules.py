@@ -5,12 +5,14 @@ snippet it must not, and (c) the flagged snippet with a suppression
 comment, which must come back clean.
 """
 
+import pathlib
 import textwrap
 
 from repro.analysis.lint import lint_source
 
 SRC = "src/repro/cluster/fake.py"  # in scope for every rule
 BENCH = "benchmarks/bench_fake.py"  # out of scope for the src-only rules
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "seeded_violations.py.txt"
 
 
 def run(source, path=SRC):
@@ -166,6 +168,89 @@ class TestSim004BlockingInProcess:
             yield sim.timeout(1)
         """
         assert rule_ids(src) == []
+
+    def test_sleep_in_call_at_timer(self):
+        src = """\
+        import time
+        class Daemon:
+            def start(self):
+                self.sim.call_at(self.sim.now + 1.0, self._tick, self._epoch)
+            def _tick(self, epoch):
+                time.sleep(1)
+        """
+        assert rule_ids(src) == ["SIM004"]
+
+    def test_bare_named_callback(self):
+        src = """\
+        from time import sleep
+        def fire(sim):
+            sleep(1)
+        def arm(sim):
+            sim.call_at(sim.now, fire, sim)
+        """
+        assert rule_ids(src) == ["SIM004"]
+
+    def test_open_in_listen_handler(self):
+        src = """\
+        class Daemon:
+            def start(self):
+                self.host.listen(self._on_message)
+            def _on_message(self, src, msg, sent_at):
+                open("/tmp/log", "a")
+        """
+        assert rule_ids(src) == ["SIM004"]
+
+    def test_event_callback(self):
+        src = """\
+        import socket
+        class Stager:
+            def stage(self, ev):
+                ev.callbacks.append(self._done)
+            def _done(self, ev):
+                socket.create_connection(("h", 1))
+        """
+        assert rule_ids(src) == ["SIM004"]
+
+    def test_lambda_wrapped_callback(self):
+        src = """\
+        import time
+        class Server:
+            def stage(self, ev, msg):
+                ev.callbacks.append(lambda e: self._staged(msg, e.value))
+            def _staged(self, msg, value):
+                time.sleep(1)
+        """
+        assert rule_ids(src) == ["SIM004"]
+
+    def test_unregistered_function_may_sleep(self):
+        src = """\
+        import time
+        class Tool:
+            def start(self):
+                self.sim.call_at(self.sim.now, self._tick)
+            def _tick(self):
+                pass
+            def wait(self):
+                time.sleep(1)
+        """
+        assert rule_ids(src) == []
+
+    def test_callback_out_of_scope_outside_src(self):
+        src = """\
+        import time
+        def fire(sim):
+            time.sleep(1)
+        def arm(sim):
+            sim.call_at(sim.now, fire)
+        """
+        assert rule_ids(src, BENCH) == []
+
+    def test_seeded_fixture_timer(self):
+        """The fixture's call_at timer is flagged once linted as a sim source."""
+        text = FIXTURE.read_text()
+        found = [v for v in run(text) if v.rule == "SIM004"]
+        assert len(found) == 1
+        assert "time.sleep" in text.splitlines()[found[0].line - 1]
 
 
 class TestSca001BitvecHelpers:

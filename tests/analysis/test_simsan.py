@@ -105,7 +105,9 @@ class TestCacheChecks:
         san = Sanitizer(node="n1")
         for i in range(80):  # 80 > 0.8 * 89
             obj = make(f"/f{i}")
-            cache.table._buckets[obj.hash_val % cache.table.size].append(obj)
+            idx = obj.hash_val % cache.table.size
+            obj.next = cache.table._heads[idx]
+            cache.table._heads[idx] = obj
             cache.table._count += 1
             cache.windows.add(obj)
         with pytest.raises(LoadFactorViolation) as exc_info:

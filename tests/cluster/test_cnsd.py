@@ -52,6 +52,51 @@ class TestApply:
         cnsd.apply("srv1", "/ghost", "remove")
         assert cnsd.list() == []
 
+    def test_repeated_create_is_idempotent(self):
+        _, _, cnsd = make()
+        cnsd.apply("srv1", "/a", "create")
+        cnsd.apply("srv1", "/a", "create")
+        assert cnsd.holders("/a") == {"srv1"}
+        assert cnsd.file_count() == 1
+        assert cnsd.updates == 2  # every update counts, even a no-op
+
+    def test_removing_last_holder_deletes_path(self):
+        _, _, cnsd = make()
+        cnsd.apply("srv1", "/a", "create")
+        cnsd.apply("srv2", "/a", "create")
+        cnsd.apply("srv2", "/a", "remove")
+        cnsd.apply("srv1", "/a", "remove")
+        assert cnsd.holders("/a") == set()
+        assert cnsd.file_count() == 0
+        assert cnsd.list() == []
+        cnsd.apply("srv3", "/a", "create")  # a later create starts afresh
+        assert cnsd.holders("/a") == {"srv3"}
+
+    def test_removing_a_non_holder_keeps_path(self):
+        _, _, cnsd = make()
+        cnsd.apply("srv1", "/a", "create")
+        cnsd.apply("srv2", "/a", "remove")
+        assert cnsd.holders("/a") == {"srv1"}
+        assert cnsd.updates == 2
+
+    def test_holders_returns_an_independent_set(self):
+        _, _, cnsd = make()
+        cnsd.apply("srv1", "/a", "create")
+        got = cnsd.holders("/a")
+        assert isinstance(got, set)
+        got.add("intruder")
+        assert cnsd.holders("/a") == {"srv1"}
+
+    def test_queries_over_many_holders(self):
+        _, _, cnsd = make()
+        for i in range(5):
+            cnsd.apply(f"srv{i}", "/store/x", "create")
+            cnsd.apply(f"srv{i}", f"/store/only{i}", "create")
+        cnsd.apply("srv2", "/store/x", "remove")
+        assert cnsd.holders("/store/x") == {"srv0", "srv1", "srv3", "srv4"}
+        assert cnsd.list("/store/only") == [f"/store/only{i}" for i in range(5)]
+        assert cnsd.file_count() == 6
+
     def test_bad_op_rejected(self):
         _, _, cnsd = make()
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Unit tests for the NameCache facade."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core import bitvec
@@ -241,3 +244,29 @@ class TestStats:
         for i in range(5):
             cache.lookup(f"/store/f{i}", now=0.0)
         assert cache.live_count() == 5
+
+
+class TestFootprint:
+    #: Traced bytes per cached name, key strings excluded.  Location
+    #: objects chained through their own ``next`` link measure about 256 B;
+    #: a Python list per hash bucket measured about 356 B.
+    BUDGET_PER_NAME = 300
+
+    def test_bytes_per_cached_name(self):
+        n = 50_000
+        # Built before tracing starts: the key strings are not counted.
+        names = [f"/store/mc/run{i % 97:03d}/f{i:06d}.root" for i in range(n)]
+        m = ClusterMembership()
+        for i in range(64):
+            m.login(f"srv{i:02d}", ["/store"])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cache = NameCache(m)
+            for name in names:
+                cache.lookup(name, now=0.0)
+            used, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.live_count() == n
+        assert used / n < self.BUDGET_PER_NAME, f"{used / n:.0f} B per name"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.violations import TableStructureViolation
 from repro.core.crc32 import hash_name
 from repro.core.fibonacci import is_fibonacci
 from repro.core.hashtable import LocationTable
@@ -140,3 +141,13 @@ class TestInvariants:
         obj.hash_val += 1  # corrupt
         with pytest.raises(AssertionError):
             t.check_invariants()
+
+    def test_cyclic_chain_reported_not_walked_forever(self):
+        # Inserting a chained object again links it to itself.
+        t = LocationTable()
+        obj = make("/a")
+        t.insert(obj)
+        t.insert(obj)
+        with pytest.raises(TableStructureViolation) as exc_info:
+            t.check_invariants()
+        assert exc_info.value.invariant == "count-sync"

@@ -36,6 +36,19 @@ class TestAssign:
         obj.assign("/new", hash_name("/new"), c_n=0, t_a=1)
         assert obj.rq_read == NO_QUEUE and obj.rq_write == NO_QUEUE
 
+    def test_constructor_matches_assign_on_empty_storage(self):
+        built = LocationObject("/store/f.root", hash_name("/store/f.root"), c_n=4, t_a=9)
+        assigned = LocationObject()
+        assigned.assign("/store/f.root", hash_name("/store/f.root"), c_n=4, t_a=9)
+        for field in LocationObject.__slots__:
+            assert getattr(built, field) == getattr(assigned, field), field
+        assert built.generation == 1
+        assert built.next is None and built.chain_window == -1
+
+    def test_empty_storage_is_hidden_generation_zero(self):
+        obj = LocationObject()
+        assert obj.hidden and obj.generation == 0
+
 
 class TestHide:
     def test_hide_sets_keylen_zero_keeps_key(self):

@@ -164,6 +164,50 @@ class TestHashTableProperties:
             else:
                 assert t.find(k, obj.hash_val) is obj
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_a_model_across_growth(self, data):
+        """Interleaved insert/hide/remove/find against a model set.
+
+        A small start size makes the inserts cross several grow thresholds;
+        a small key pool makes hidden and live objects share keys (and
+        chains).  After every step the intrusive chains must agree with
+        the model: every chained object counted once, every live one found
+        by identity, a removed one never found."""
+        t = LocationTable(initial_size=3)
+        keys = [f"/k{i}" for i in range(40)]
+        chained: list[LocationObject] = []
+        removed: list[LocationObject] = []
+        live: dict[str, LocationObject] = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=300))):
+            op = data.draw(st.sampled_from(["insert", "insert", "insert", "hide", "remove", "find"]))
+            key = data.draw(st.sampled_from(keys))
+            if op == "insert" and key not in live:
+                obj = LocationObject(key, hash_name(key))
+                t.insert(obj)
+                chained.append(obj)
+                live[key] = obj
+            elif op == "hide" and key in live:
+                live.pop(key).hide()
+            elif op == "remove" and chained:
+                obj = chained.pop(data.draw(st.integers(0, len(chained) - 1)))
+                if not obj.hidden:
+                    obj.hide()
+                    del live[obj.key]
+                assert t.remove(obj)
+                assert not t.remove(obj)
+                removed.append(obj)
+            elif op == "find":
+                assert t.find(key, hash_name(key)) is live.get(key)
+            t.check_invariants()
+            assert t.count == len(chained) == sum(t.chain_lengths())
+            assert {id(o) for o in t} == {id(o) for o in chained}
+            for k, obj in live.items():
+                assert t.find(k, obj.hash_val) is obj
+            for obj in removed:
+                assert t.find(obj.key, obj.hash_val) is not obj
+        assert is_fibonacci(t.size)
+
 
 class TestEvictionProperties:
     @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=30))
