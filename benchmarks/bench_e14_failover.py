@@ -70,8 +70,6 @@ def run_failover(rehome: bool):
         if all(p and sup0 not in p for p in parents):
             rehome_time = cluster.sim.now - t_crash
             break
-    if rehome_time is None:
-        cluster.run(until=t_crash + 2.0)  # seed mode: plain detection window
 
     latencies = []
     failures = 0

@@ -7,8 +7,7 @@ dominates over the trivial process bodies:
 * ``spawn`` — per-operation process creation, the pattern of client
   operations (``ScallaCluster.run_process``, perfbench's open-loop
   arrivals): thousands of short-lived processes, each one bootstrap +
-  one timeout + one completion event.  This is the path the
-  deferred-resume ring and ``__slots__`` target.
+  one timeout + one completion event, each one heap entry.
 * ``timeout`` — long-running processes looping on ``sim.sleep`` (the
   kernel-pooled timeout; plain ``sim.timeout`` on kernels that predate
   pooling).  Pure heap + timeout-object traffic.

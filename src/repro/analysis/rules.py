@@ -27,9 +27,10 @@ reproduction:
   (SCA002) — a hard-coded non-Fibonacci size silently reintroduces the
   power-of-two clustering the paper's footnote 4 measured;
 * the kernel's dispatch path never allocates event objects (SCA003) —
-  ``Simulator._dispatch()`` and its ``run()``/``run_until_process()``
-  wrappers must route immediate wakeups through the
-  deferred-resume ring and recycled timeout storage, and the per-message
+  ``Simulator._dispatch()``, its ``run()``/``run_until_process()``
+  wrappers and the ``_fire`` methods it calls (``Event``, ``Timeout``,
+  ``_PooledTimeout``) must schedule immediate wakeups as ``call_at``
+  callbacks and reuse recycled timeout storage, and the per-message
   path (``Simulator.call_at()``, ``Network._deliver()``) must stay one
   callback, or the allocation rate the ``benchmarks/perf`` suite gates on
   silently creeps back.
@@ -502,12 +503,14 @@ class NoDispatchAllocation(Rule):
         "The dispatch loop runs once per simulated event — the hottest path "
         "in the repo, tracked by `benchmarks/perf` and gated by "
         "`scripts/check_perf.py`.  Allocating an `Event` (or `Timeout`/"
-        "`Process`) there reintroduces the per-event bootstrap/poke garbage "
-        "the deferred-resume ring and the pooled-timeout free list were "
-        "built to remove.  Immediate wakeups go through `Simulator._defer`; "
-        "delays come from the recycled `sleep()` storage.  A message is one "
-        "`Simulator.call_at` callback into `Network._deliver`, so neither "
-        "may allocate an event or a process either."
+        "`Process`) there, or in the `_fire` methods the loop calls for "
+        "every triggered event and timeout, reintroduces the per-event "
+        "bootstrap/poke garbage that same-time `call_at` callbacks and the "
+        "pooled-timeout free list remove.  Immediate wakeups are "
+        "`Simulator.call_at(now, ...)`; delays come from the recycled "
+        "`sleep()` storage.  A message is one `Simulator.call_at` callback "
+        "into `Network._deliver`, so neither may allocate an event or a "
+        "process either."
     )
 
     #: The event classes, and the Simulator factories that construct them.
@@ -515,9 +518,13 @@ class NoDispatchAllocation(Rule):
         {"Event", "Timeout", "Process", "event", "timeout", "process", "any_of", "all_of"}
     )
     #: class -> guarded methods: the one event loop, the two wrappers that
-    #: enter it, and the per-message scheduling and delivery path.
+    #: enter it, the event fires it calls, and the per-message scheduling
+    #: and delivery path.
     _GUARDED = {
         "Simulator": frozenset({"_dispatch", "run", "run_until_process", "call_at"}),
+        "Event": frozenset({"_fire"}),
+        "Timeout": frozenset({"_fire"}),
+        "_PooledTimeout": frozenset({"_fire"}),
         "Network": frozenset({"_deliver"}),
     }
 
@@ -541,6 +548,5 @@ class NoDispatchAllocation(Rule):
                             node,
                             f"`{ast.unparse(node.func)}(...)` allocated inside "
                             f"{cls.name}.{fn.name}(); the dispatch path must use "
-                            "the deferred-resume ring / pooled timeouts / call_at "
-                            "instead",
+                            "call_at callbacks / pooled timeouts instead",
                         )

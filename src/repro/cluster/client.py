@@ -40,6 +40,20 @@ __all__ = [
 ]
 
 
+#: Redirect-hop budget per open (tree depth is <= 4 in practice).
+MAX_HOPS = 16
+#: Base delay for the exponential backoff between *consecutive* manager
+#: failovers.  The first rotation in a streak is immediate — the timeout
+#: that triggered it already cost seconds, and with a healthy replica
+#: next in line an extra sleep is pure added latency.
+FAILOVER_BACKOFF = 0.25
+#: Cap on the failover backoff delay.
+FAILOVER_BACKOFF_CAP = 2.0
+#: Jitter fraction on failover backoff (decorrelates a client herd
+#: cycling through the same dead manager list in lockstep).
+FAILOVER_JITTER = 0.25
+
+
 class ScallaError(Exception):
     """Base class for client-visible failures."""
 
@@ -67,22 +81,10 @@ class ClientConfig:
     #: server crashing mid-stage would otherwise strand the client on the
     #: old 1e6 s sentinel instead of entering the recovery loop.
     pending_open_timeout: float = 300.0
-    #: Redirect-hop budget per open (tree depth is <= 4 in practice).
-    max_hops: int = 16
     #: Wait/retry budget per open.
     max_retries: int = 10
     #: Full manager failover cycles before giving up.
     max_failover_cycles: int = 3
-    #: Base delay for the exponential backoff between *consecutive*
-    #: manager failovers.  The first rotation in a streak is immediate —
-    #: the timeout that triggered it already cost seconds, and with a
-    #: healthy replica next in line an extra sleep is pure added latency.
-    failover_backoff: float = 0.25
-    #: Cap on the failover backoff delay.
-    failover_backoff_cap: float = 2.0
-    #: Jitter fraction on failover backoff (decorrelates a client herd
-    #: cycling through the same dead manager list in lockstep).
-    failover_jitter: float = 0.25
 
 
 @dataclass
@@ -218,11 +220,8 @@ class ScallaClient:
                 streak=streak,
             )
         if streak > 0:
-            delay = min(
-                self.config.failover_backoff_cap,
-                self.config.failover_backoff * (2.0 ** (streak - 1)),
-            )
-            delay *= 1.0 + self.config.failover_jitter * self.rng.random()
+            delay = min(FAILOVER_BACKOFF_CAP, FAILOVER_BACKOFF * (2.0 ** (streak - 1)))
+            delay *= 1.0 + FAILOVER_JITTER * self.rng.random()
             yield self.sim.sleep(delay)
 
     # -- the protocol ---------------------------------------------------------
@@ -309,7 +308,7 @@ class ScallaClient:
                         target=resp.target,
                         pending=resp.pending,
                     )
-                if redirects > self.config.max_hops:
+                if redirects > MAX_HOPS:
                     raise ScallaError(f"redirect loop resolving {path!r}")
                 if resp.target_role == Role.SERVER.value:
                     return resp.target, resp.pending, redirects, waits

@@ -59,6 +59,26 @@ from repro.sim.network import Network
 
 __all__ = ["CmsdConfig", "CmsdStats", "ChildInfo", "Cmsd"]
 
+#: Cap on the exponential re-login backoff (engaged when a parent is
+#: silent and no standby exists — e.g. the parent is a manager the
+#: subordinate is already fully connected to).
+RELOGIN_BACKOFF_CAP = 30.0
+#: Jitter fraction on re-login backoff delays (decorrelates a 64-wide
+#: subtree re-discovering its parent at once).
+RELOGIN_JITTER = 0.25
+#: k in the adaptive window formula (see CmsdConfig.adaptive_window).
+WINDOW_RTT_MULT = 3.0
+#: EWMA smoothing factor for per-peer RTT estimates (fed from login /
+#: heartbeat arrival latencies and observed query-response latencies).
+RTT_ALPHA = 0.25
+#: Bounded re-query (adaptive mode only): on window expiry with the
+#: epoch deadline still active, re-flood the still-silent subset up to
+#: this many times — each round's window scaled by REQUERY_BACKOFF and
+#: capped at the epoch remainder — before the full-delay fallback.
+REQUERY_LIMIT = 1
+#: Window growth factor per re-query round.
+REQUERY_BACKOFF = 2.0
+
 
 @dataclass
 class CmsdConfig:
@@ -92,13 +112,6 @@ class CmsdConfig:
     #: the seed behaviour where a crashed interior node strands its
     #: subtree until the same host returns.
     rehome: bool = True
-    #: Cap on the exponential re-login backoff (engaged when a parent is
-    #: silent and no standby exists — e.g. the parent is a manager the
-    #: subordinate is already fully connected to).
-    relogin_backoff_cap: float = 30.0
-    #: Jitter fraction on re-login backoff delays (decorrelates a 64-wide
-    #: subtree re-discovering its parent at once).
-    relogin_jitter: float = 0.25
     #: Selection policy for read/write redirection.
     read_policy: SelectionPolicy = field(default_factory=RoundRobin)
     #: Selection policy for placing new files.
@@ -118,23 +131,11 @@ class CmsdConfig:
     locality_aware: bool = False
     #: EXTENSION (WAN federations): adaptive fast-response window sizing.
     #: When True, each new response-queue anchor's deadline is
-    #: ``max(fast_period, window_rtt_mult x slowest expected responder's
+    #: ``max(fast_period, WINDOW_RTT_MULT x slowest expected responder's
     #: EWMA RTT)`` instead of the flat ``fast_period``; on a LAN the RTT
     #: term stays far below 133 ms, so the paper's default is preserved
-    #: bit-for-bit.  Also arms the bounded re-query (see requery_limit).
+    #: bit-for-bit.  Also arms the bounded re-query (see REQUERY_LIMIT).
     adaptive_window: bool = False
-    #: k in the adaptive window formula.
-    window_rtt_mult: float = 3.0
-    #: EWMA smoothing factor for per-peer RTT estimates (fed from login /
-    #: heartbeat arrival latencies and observed query-response latencies).
-    rtt_alpha: float = 0.25
-    #: Bounded re-query (adaptive mode only): on window expiry with the
-    #: epoch deadline still active, re-flood the still-silent subset up to
-    #: this many times — each round's window scaled by requery_backoff and
-    #: capped at the epoch remainder — before the full-delay fallback.
-    requery_limit: int = 1
-    #: Window growth factor per re-query round.
-    requery_backoff: float = 2.0
     #: Late-response reconciliation: a HaveFile arriving after its anchor
     #: expired still updates V_h *and* releases clients parked on the full
     #: 5 s delay (they are told to keep listening via ``Wait.watch``).
@@ -451,11 +452,8 @@ class Cmsd:
         # manager is not buried under a 64-wide re-login storm when it
         # finally returns.
         self._login_to_parent(parent)
-        delay = min(
-            self.config.relogin_backoff_cap,
-            self.config.relogin_timeout * (2.0**attempts),
-        )
-        delay *= 1.0 + self.config.relogin_jitter * self.rng.random()
+        delay = min(RELOGIN_BACKOFF_CAP, self.config.relogin_timeout * (2.0**attempts))
+        delay *= 1.0 + RELOGIN_JITTER * self.rng.random()
         self._relogin_state[parent] = (attempts + 1, now + delay)
 
     def _rehome(self, dead_parent: str, now: float) -> bool:
@@ -561,7 +559,7 @@ class Cmsd:
         False condemns it to the full conservative delay.
         """
         cfg = self.config
-        if not cfg.adaptive_window or cfg.requery_limit <= 0:
+        if not cfg.adaptive_window:
             return False
         now = self.sim.now
         ref, _ = self.cache.lookup(payload.path, now, add=False)
@@ -572,7 +570,7 @@ class Cmsd:
             return False
         if not self.rq.has_anchor(obj, waiter.mode):
             # First expired waiter of this batch decides; co-waiters join.
-            if obj.rq_retries >= cfg.requery_limit:
+            if obj.rq_retries >= REQUERY_LIMIT:
                 return False
             obj.rq_retries += 1
             silent = (
@@ -595,7 +593,7 @@ class Cmsd:
                 )
         base = self._fast_window() or cfg.fast_period
         window = min(
-            base * (cfg.requery_backoff**obj.rq_retries),
+            base * (REQUERY_BACKOFF**obj.rq_retries),
             self.deadline.remaining(obj, now),
         )
         outcome = self.rq.add_waiter(obj, waiter.mode, payload, now, window=window)
@@ -718,7 +716,7 @@ class Cmsd:
         if prev is None:
             self._peer_rtt[node] = rtt
         else:
-            self._peer_rtt[node] = prev + self.config.rtt_alpha * (rtt - prev)
+            self._peer_rtt[node] = prev + RTT_ALPHA * (rtt - prev)
 
     def _fast_window(self) -> float | None:
         """Adaptive anchor window, or None for the flat configured period.
@@ -737,7 +735,7 @@ class Cmsd:
             rtt = self._peer_rtt.get(name)
             if rtt is not None and rtt > slowest:
                 slowest = rtt
-        return max(self.config.fast_period, self.config.window_rtt_mult * slowest)
+        return max(self.config.fast_period, WINDOW_RTT_MULT * slowest)
 
     # -- membership handling -----------------------------------------------------
 

@@ -89,8 +89,6 @@ class ScallaConfig:
     #: heartbeating into the void; see CmsdConfig.rehome.  False restores
     #: the seed behaviour (a crashed interior node strands its subtree).
     rehome: bool = True
-    relogin_backoff_cap: float = 30.0
-    relogin_jitter: float = 0.25
     #: Chaos injection (gray failures): probabilistic message loss,
     #: duplication, and delay spikes on every link; see
     #: :class:`repro.sim.network.ChaosConfig`.  None means no chaos and
@@ -104,10 +102,6 @@ class ScallaConfig:
     #: Extension (WAN federations): adaptive fast-response window sizing +
     #: bounded re-query; see CmsdConfig.adaptive_window.
     adaptive_window: bool = False
-    window_rtt_mult: float = 3.0
-    rtt_alpha: float = 0.25
-    requery_limit: int = 1
-    requery_backoff: float = 2.0
     #: Late-response reconciliation (see CmsdConfig.late_release).  False
     #: restores the seed behaviour where an answer arriving after the
     #: fast-response window helps nobody — kept as the E6-wan "before" row.
@@ -136,16 +130,10 @@ class ScallaConfig:
             drop_timeout=self.drop_timeout,
             relogin_timeout=self.relogin_timeout,
             rehome=self.rehome,
-            relogin_backoff_cap=self.relogin_backoff_cap,
-            relogin_jitter=self.relogin_jitter,
             fast_response=self.fast_response,
             deadline_sync=self.deadline_sync,
             locality_aware=self.locality_aware,
             adaptive_window=self.adaptive_window,
-            window_rtt_mult=self.window_rtt_mult,
-            rtt_alpha=self.rtt_alpha,
-            requery_limit=self.requery_limit,
-            requery_backoff=self.requery_backoff,
             late_release=self.late_release,
             sanitize=self.sanitize,
         )

@@ -6,7 +6,7 @@ message network with latency models and partitions, failure injection,
 and measurement helpers.
 """
 
-from repro.sim.errors import Interrupt, SimError, StopSimulation
+from repro.sim.errors import Interrupt, SimError
 from repro.sim.failures import (
     FailureEvent,
     FailureInjector,
@@ -28,7 +28,6 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "SimError",
-    "StopSimulation",
     "Store",
     "Network",
     "Host",

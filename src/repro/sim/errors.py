@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["SimError", "Interrupt", "StopSimulation"]
+__all__ = ["SimError", "Interrupt"]
 
 
 class SimError(Exception):
@@ -12,15 +12,14 @@ class SimError(Exception):
 class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 
-    ``cause`` carries whatever the interrupter passed — failure injection
-    uses it to say *why* (e.g. ``"crash"``), letting node processes
-    distinguish a simulated power loss from an orderly shutdown.
+    ``cause`` carries whatever the interrupter passed (see
+    :meth:`repro.sim.kernel.Process.interrupt`), so the process can tell
+    why it was woken early.  Nodes run no processes to interrupt:
+    failure injection stops their daemons directly
+    (:meth:`repro.cluster.node.Node.crash`).
     """
 
     def __init__(self, cause: object = None) -> None:
         super().__init__(cause)
         self.cause = cause
 
-
-class StopSimulation(Exception):
-    """Raised internally to end :meth:`Simulator.run` early."""

@@ -20,24 +20,26 @@ Design rules:
   :class:`Process` (join), a bare :class:`Event` (signal), or the composite
   :class:`AnyOf` / :class:`AllOf`.  That is enough to express every protocol
   in the paper.
-* **One dispatch loop, one resume path.**  :meth:`Simulator._dispatch`
-  services every event; :meth:`Simulator.run` and
+* **One queue, one kind of entry.**  Everything the kernel schedules is a
+  ``(time, seq, fn, arg)`` heap entry that runs as ``fn(arg)``: a triggered
+  event pushes its class's ``_fire`` with itself as ``arg``; process
+  bootstrap, interrupts and the wakeup after yielding an already-processed
+  event are :meth:`Simulator.call_at` callbacks at the current time.
+  :meth:`Simulator._dispatch` pops and calls; :meth:`Simulator.run` and
   :meth:`Simulator.run_until_process` only choose where it stops, and
   every generator step goes through :meth:`Process._resume`.
 * **Never allocate on the dispatch path.**  This is the hottest loop in the
   repo (``benchmarks/perf`` tracks it), so the kernel follows the paper's
-  allocation discipline: process bootstrap, interrupt delivery and
-  already-processed wakeups go through a *deferred-resume ring* — a FIFO of
-  ``(seq, fn, arg)`` tuples serviced in exact ``(time, seq)`` order with
-  the heap — instead of allocating throwaway ``Event`` objects, and
-  :meth:`Simulator.sleep` hands out pooled :class:`Timeout` storage that the
-  dispatch loop recycles after firing.  Work that needs no process at all
-  is a *timed callback*: :meth:`Simulator.call_at` puts ``fn(arg)`` on the
-  heap as one tuple — how the network delivers every message, how the
-  daemons time their service and run their timers (a timer re-arms itself;
-  a stale one checks an epoch and returns), and how staging and failure
-  schedules fire.  scalla-lint rule SCA003 keeps per-event
-  allocations out of ``_dispatch()``, its wrappers and ``call_at()``.
+  allocation discipline: an event's heap entry names the plain ``_fire``
+  function (no bound method), and :meth:`Simulator.sleep` hands out pooled
+  :class:`Timeout` storage that recycles itself after firing.  Work that
+  needs no process at all is a *timed callback*: :meth:`Simulator.call_at`
+  puts ``fn(arg)`` on the heap as one tuple — how the network delivers
+  every message, how the daemons time their service and run their timers
+  (a timer re-arms itself; a stale one checks an epoch and returns), and
+  how staging and failure schedules fire.  scalla-lint rule SCA003 keeps
+  per-event allocations out of ``_dispatch()``, its wrappers,
+  ``call_at()`` and the ``_fire`` methods.
 
 Example::
 
@@ -58,18 +60,14 @@ Example::
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
-from repro.sim.errors import Interrupt, SimError, StopSimulation
+from repro.sim.errors import Interrupt, SimError
 
 __all__ = ["Event", "Timeout", "Process", "AnyOf", "AllOf", "Simulator"]
 
 _PENDING = object()
 _INF = float("inf")
-#: The ``arg`` slot of a heap entry that is an :class:`Event` to fire; any
-#: other value makes the entry a :meth:`Simulator.call_at` callback.
-_FIRE = object()
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -118,7 +116,7 @@ class Event:
             raise SimError("event already triggered")
         self._value = value
         sim = self.sim
-        _heappush(sim._heap, (sim._now, sim._seq, self, _FIRE))
+        _heappush(sim._heap, (sim._now, sim._seq, _fire_event, self))
         sim._seq += 1
         return self
 
@@ -129,7 +127,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._exception = exception
         sim = self.sim
-        _heappush(sim._heap, (sim._now, sim._seq, self, _FIRE))
+        _heappush(sim._heap, (sim._now, sim._seq, _fire_event, self))
         sim._seq += 1
         return self
 
@@ -141,8 +139,12 @@ class Event:
             cb(self)
 
 
-# The pre-triggered "event" a bootstrap ring entry hands to
-# Process._resume: a generator's first step must be send(None).
+#: The heap entry ``fn`` of a triggered plain event (also used by Store):
+#: the function itself, so scheduling allocates no bound method.
+_fire_event = Event._fire
+
+# The pre-triggered "event" a bootstrap callback hands to Process._resume:
+# a generator's first step must be send(None).
 _BOOT = Event(None)  # type: ignore[arg-type]
 _BOOT._value = None
 _BOOT.callbacks = None
@@ -154,8 +156,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimError(f"negative timeout {delay}")
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
+            raise SimError(f"invalid timeout {delay}")
         # Event.__init__ and the heap push, flattened: a Timeout is born
         # once per simulated delay, squarely on the hot path.
         self.sim = sim
@@ -166,7 +168,7 @@ class Timeout(Event):
         # The value is deferred until the heap pops us: a Timeout must not
         # look triggered before its time arrives (AnyOf inspects children).
         self._pending_value = value
-        _heappush(sim._heap, (sim._now + delay, sim._seq, self, _FIRE))
+        _heappush(sim._heap, (sim._now + delay, sim._seq, _fire_timeout, self))
         sim._seq += 1
 
     def _fire(self) -> None:
@@ -177,9 +179,9 @@ class Timeout(Event):
 
 
 class _PooledTimeout(Timeout):
-    """Kernel-owned :class:`Timeout` storage, recycled after dispatch.
+    """Kernel-owned :class:`Timeout` storage, recycled after it fires.
 
-    Handed out by :meth:`Simulator.sleep`; the dispatch loop returns the
+    Handed out by :meth:`Simulator.sleep`; :meth:`_fire` returns the
     object to the simulator's free list right after its waiter runs, so
     the caller must *only* yield it and never keep a reference past the
     resume (exactly the ``yield sim.sleep(d)`` idiom).
@@ -191,15 +193,31 @@ class _PooledTimeout(Timeout):
     children append to ``callbacks`` like any event) so a stray composite
     over a pooled timeout degrades to correct, not silent.
 
-    Firing and recycling live inline in :meth:`Simulator._dispatch`, the
-    only code that fires heap events; this class adds no ``_fire``.
+    Only :meth:`Simulator.sleep` builds and leases this storage.
     """
 
     __slots__ = ("_cb_store", "_waiter")
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        Timeout.__init__(self, sim, delay, value)
-        self._waiter: Process | None = None
+    def _fire(self) -> None:
+        # Fire, resume the parked waiter, run any fallback callbacks, then
+        # recycle the storage.
+        self._value = self._pending_value
+        callbacks = self.callbacks
+        self.callbacks = None
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            waiter._resume(self)
+        if callbacks:
+            for cb in callbacks:
+                cb(self)
+            callbacks.clear()
+        self.sim._timeout_pool.append(self)
+
+
+_fire_timeout = Timeout._fire
+_fire_pooled = _PooledTimeout._fire
+_new_pooled = _PooledTimeout.__new__
 
 
 class Process(Event):
@@ -233,10 +251,9 @@ class Process(Event):
         self._name = name
         self._waiting_on: Event | None = None
         # Kick off at the current time, before any already-scheduled event
-        # at a *later* time but after events already queued for now.  Goes
-        # through the deferred-resume ring: same (time, seq) slot a
-        # bootstrap Event would occupy, without allocating one.
-        sim._ready.append((sim._seq, self._resume, _BOOT))
+        # at a *later* time but after events already queued for now:
+        # call_at(now, self._resume, _BOOT), inlined.
+        _heappush(sim._heap, (sim._now, sim._seq, self._resume, _BOOT))
         sim._seq += 1
 
     @property
@@ -256,7 +273,8 @@ class Process(Event):
         """
         if self._value is not _PENDING or self._exception is not None:
             return
-        self.sim._defer(self._interrupt_deferred, cause)
+        sim = self.sim
+        sim.call_at(sim._now, self._interrupt_deferred, cause)
 
     # -- internals ---------------------------------------------------------
 
@@ -264,9 +282,9 @@ class Process(Event):
         """Advance the generator by one step, fed *trigger*'s outcome.
 
         The one resume body: event callbacks, pooled-timeout fires and
-        deferred-resume ring entries (bootstrap passes the pre-triggered
-        ``_BOOT``; an already-processed wakeup passes the event itself)
-        all enter here.  The common wait-on cases are inlined below — a
+        same-time callbacks (bootstrap passes the pre-triggered ``_BOOT``;
+        an already-processed wakeup passes the event itself) all enter
+        here.  The common wait-on cases are inlined below — a
         pooled timeout parks in its ``_waiter`` slot, other same-sim
         events get the callback — and :meth:`_wait_on` remains the slow
         path for yield errors.
@@ -297,8 +315,9 @@ class Process(Event):
             if callbacks is not None:
                 callbacks.append(self._resume)
             else:
-                # Already processed: resume now, via the ring.
-                self.sim._defer(self._resume, target)
+                # Already processed: resume at the current time.
+                sim = self.sim
+                sim.call_at(sim._now, self._resume, target)
         else:
             self._wait_on(target)
 
@@ -339,8 +358,9 @@ class Process(Event):
             return
         self._waiting_on = target
         if target.callbacks is None:
-            # Already processed: resume now, via the ring.
-            self.sim._defer(self._resume, target)
+            # Already processed: resume at the current time.
+            sim = self.sim
+            sim.call_at(sim._now, self._resume, target)
         else:
             target.callbacks.append(self._resume)
 
@@ -401,30 +421,23 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a clock, a priority queue, and the deferred ring.
+    """The event loop: a clock and one priority queue.
 
-    Two dispatch sources, serviced in exact ``(time, seq)`` order:
+    ``_heap`` holds ``(time, seq, fn, arg)`` entries ordered by
+    ``(time, sequence)``, and dispatching an entry is ``fn(arg)``: a
+    triggered event or timeout (``fn`` is its class's ``_fire``, ``arg``
+    the event), or a :meth:`call_at` callback.  Work due "now" — process
+    bootstrap, interrupts, already-processed wakeups — is a callback at
+    the current time, so it runs after everything already queued for now
+    and before anything later.
 
-    * ``_heap`` — ``(time, seq, target, arg)`` entries ordered by
-      ``(time, sequence)``: triggered events and timeouts (``arg`` is the
-      ``_FIRE`` marker) and :meth:`call_at` callbacks (``target(arg)``);
-    * ``_ready`` — the deferred-resume ring: immediate callbacks (process
-      bootstrap, interrupts, already-processed wakeups) recorded as
-      ``(seq, fn, arg)`` tuples.  Ring entries are always stamped at the
-      current time, so the ring is FIFO and an entry runs before any heap
-      event at a later time and interleaves by sequence number with heap
-      events at the same time — bit-identical ordering to the throwaway
-      bootstrap/poke ``Event`` objects it replaced, without the
-      allocation.
-
-    Both sources are drained by one loop, :meth:`_dispatch`; :meth:`run`
-    and :meth:`run_until_process` only choose where it stops.
+    One loop, :meth:`_dispatch`, drains the heap; :meth:`run` and
+    :meth:`run_until_process` only choose where it stops.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Any, Any]] = []
-        self._ready: deque[tuple[int, Callable[[Any], None], Any]] = deque()
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
         self.events_processed = 0
@@ -437,15 +450,14 @@ class Simulator:
         """Bind *obs* (a :class:`repro.obs.Observability`) to this kernel.
 
         The hub's clock becomes sim time, and the hub exports
-        ``events_processed`` and the queued-event depth (heap plus ring,
-        so the depth matches what a heap-only kernel reported), both read
-        at snapshot time — the dispatch loop itself never sees the hub.
+        ``events_processed`` and the queued-entry depth, both read at
+        snapshot time — the dispatch loop itself never sees the hub.
         """
         obs.bind_clock(lambda: self._now)
         obs.metrics.pull(
             self,
             counters=[("sim_events_total", "events_processed")],
-            gauges=[("sim_heap_depth", lambda sim: len(sim._heap) + len(sim._ready))],
+            gauges=[("sim_heap_depth", lambda sim: len(sim._heap))],
         )
 
     # -- factories ---------------------------------------------------------
@@ -467,18 +479,24 @@ class Simulator:
         fire-and-forget delay on the hot path.  Owners that need the
         object afterwards keep using :meth:`timeout`.
         """
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
+            raise SimError(f"invalid timeout {delay}")
         pool = self._timeout_pool
-        if not pool:
-            return _PooledTimeout(self, delay, value)
-        if delay < 0:
-            raise SimError(f"negative timeout {delay}")
-        t = pool.pop()
+        if pool:
+            t = pool.pop()
+        else:
+            t = _new_pooled(_PooledTimeout)
+            t.sim = self
+            # One callback list per storage, emptied and reused by every
+            # lease: one fewer allocation per recycled sleep.
+            t._cb_store = []
+            t._waiter = None
         t.callbacks = t._cb_store
         t._value = _PENDING
         t._exception = None
         t.delay = delay
         t._pending_value = value
-        _heappush(self._heap, (self._now + delay, self._seq, t, _FIRE))
+        _heappush(self._heap, (self._now + delay, self._seq, _fire_pooled, t))
         self._seq += 1
         return t
 
@@ -497,118 +515,80 @@ class Simulator:
         """Run ``fn(arg)`` at simulated time *when* (not before now).
 
         One heap entry and no :class:`Event`: the callback runs in exact
-        ``(time, seq)`` order with events, timeouts and ring entries, but
-        nothing can wait on it and it cannot be cancelled — a callback
-        that may have gone stale checks for that itself.  The network
-        delivers every message this way, and the daemons time their
-        service and run their timers with it.
+        ``(time, seq)`` order with events and timeouts, but nothing can
+        wait on it and it cannot be cancelled — a callback that may have
+        gone stale checks for that itself.  The network delivers every
+        message this way, the daemons time their service and run their
+        timers with it, and ``call_at(now, ...)`` is how the kernel
+        schedules work due at the current time.
         """
-        if when < self._now:
+        if not when >= self._now:  # also rejects NaN
             raise SimError(f"call_at({when}) is in the past (now {self._now})")
         _heappush(self._heap, (when, self._seq, fn, arg))
-        self._seq += 1
-
-    def _defer(self, fn: Callable[[Any], None], arg: Any) -> None:
-        """Schedule ``fn(arg)`` at the current time, next sequence.
-
-        The ring equivalent of enqueueing an immediately-succeeded Event:
-        same position in the global (time, seq) order, no allocation
-        beyond the ring tuple itself.
-        """
-        self._ready.append((self._seq, fn, arg))
         self._seq += 1
 
     # -- running -----------------------------------------------------------
 
     def _dispatch(self, until: float, proc: Process | None) -> None:
-        """The event loop: service heap and ring in exact (time, seq) order.
+        """The event loop: run heap entries in (time, seq) order.
 
-        Stops when both queues are empty, when the next heap event lies
-        later than *until* (it stays queued; the clock stays at the last
-        event run), or — checked before every event — once *proc* has
-        triggered, so same-time events after its finish stay queued too.
+        Stops when the heap is empty, when the next entry lies later than
+        *until* (it stays queued; the clock stays at the last entry run),
+        or — checked before every entry — once *proc* has triggered, so
+        same-time entries after its finish stay queued too.
 
-        Heap ops, queues and the pool are bound to locals: every
+        The heap and ``heappop`` are bound to locals: every
         ``benchmarks/perf`` kernel scenario and every
         ``ScallaCluster.run_process`` round runs here.
         """
         heap = self._heap
-        ready = self._ready
-        pool = self._timeout_pool
         pop = _heappop
-        popleft = ready.popleft
-        pooled = _PooledTimeout
         pending = _PENDING
-        fire = _FIRE
         processed = 0
         try:
-            while heap or ready:
+            while heap:
                 if proc is not None and (
                     proc._value is not pending or proc._exception is not None
                 ):
                     return
-                if ready and (not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]):
-                    _seq, fn, arg = popleft()
-                    processed += 1
-                    fn(arg)
-                    continue
                 if heap[0][0] > until:
                     return
-                when, _seq, target, arg = pop(heap)
+                when, _seq, fn, arg = pop(heap)
                 self._now = when
                 processed += 1
-                if arg is not fire:
-                    target(arg)  # a call_at callback
-                    continue
-                event = target
-                if event.__class__ is not pooled:
-                    event._fire()
-                    continue
-                # Pooled timeout: fire, resume the parked waiter, run any
-                # fallback callbacks, then recycle the storage.
-                event._value = event._pending_value
-                callbacks = event.callbacks
-                event.callbacks = None
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    waiter._resume(event)
-                if callbacks:
-                    for cb in callbacks:
-                        cb(event)
-                    callbacks.clear()
-                # Keep the (empty) callback list for the next lease of
-                # this storage — one fewer allocation per recycled sleep.
-                event._cb_store = callbacks
-                pool.append(event)
+                fn(arg)
         finally:
             self.events_processed += processed
 
-    def run(self, until: float | None = None) -> None:
-        """Run until the queues drain or the clock passes *until*.
+    def _check_bound(self, bound: float | None, what: str) -> float:
+        if bound is None:
+            return _INF
+        if not bound >= self._now:  # also rejects NaN
+            raise SimError(f"{what}={bound} is in the past (now {self._now})")
+        return bound
 
-        With *until* given, the clock is left exactly at *until* (events
+    def run(self, until: float | None = None) -> None:
+        """Run until the heap drains or the clock passes *until*.
+
+        With *until* given, the clock is left exactly at *until* (entries
         scheduled later stay queued), which makes staged test scenarios
         ("run 5 simulated seconds, assert, run more") straightforward.
-        A :class:`StopSimulation` raised by a callback ends the run early.
+        *until* must not lie before now.
         """
-        try:
-            self._dispatch(_INF if until is None else until, None)
-        except StopSimulation:
-            return
+        self._dispatch(self._check_bound(until, "until"), None)
         if until is not None and until > self._now:
             self._now = until
 
     def run_until_process(self, proc: Process, limit: float | None = None) -> Any:
         """Run until *proc* finishes; return its value (raising its error).
 
-        The clock is left at *proc*'s finish time, with every later event
+        The clock is left at *proc*'s finish time, with every later entry
         still queued.  ``limit`` bounds simulated time as a safety net
-        against deadlocked protocols in tests.
+        against deadlocked protocols in tests; it must not lie before now.
         """
-        self._dispatch(_INF if limit is None else limit, proc)
+        self._dispatch(self._check_bound(limit, "limit"), proc)
         if not proc.triggered:
-            if not self._heap and not self._ready:
+            if not self._heap:
                 raise SimError(f"deadlock: {proc.name!r} waits but no events remain")
             raise SimError(f"time limit {limit} exceeded waiting for {proc.name!r}")
         return proc.value

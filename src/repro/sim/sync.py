@@ -14,7 +14,7 @@ from collections import deque
 from typing import Any
 
 from repro.sim.kernel import Event, Simulator
-from repro.sim.kernel import _FIRE, _heappush, _PENDING  # hot-path handoff (see Store)
+from repro.sim.kernel import _fire_event, _heappush, _PENDING  # hot-path handoff (see Store)
 
 __all__ = ["Store"]
 
@@ -50,7 +50,7 @@ class Store:
                 continue  # getter was interrupted/abandoned
             getter._value = item
             sim = getter.sim
-            _heappush(sim._heap, (sim._now, sim._seq, getter, _FIRE))
+            _heappush(sim._heap, (sim._now, sim._seq, _fire_event, getter))
             sim._seq += 1
             return
         self._items.append(item)
@@ -67,7 +67,7 @@ class Store:
         if items:
             # Inlined ev.succeed(...): the event is fresh, provably pending.
             ev._value = items.popleft()
-            _heappush(sim._heap, (sim._now, sim._seq, ev, _FIRE))
+            _heappush(sim._heap, (sim._now, sim._seq, _fire_event, ev))
             sim._seq += 1
         else:
             ev._value = _PENDING

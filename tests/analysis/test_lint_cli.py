@@ -22,7 +22,7 @@ class TestMain:
         assert "SIM002" in out.out
         assert "SCA002" in out.out
         assert "SCA003" in out.out
-        assert "3 violation(s)" in out.err
+        assert "4 violation(s)" in out.err
 
     def test_fixture_json_output(self, capsys):
         assert main(["--format", "json", str(FIXTURE)]) == 1

@@ -347,6 +347,23 @@ class TestSca003NoDispatchAllocation:
         """
         assert rule_ids(src) == ["SCA003", "SCA003"]
 
+    def test_timeout_in_fire(self):
+        """The loop calls every event's ``_fire``: those are dispatch path too."""
+        src = """
+        class Event:
+            def _fire(self):
+                Event(self.sim)
+
+        class Timeout(Event):
+            def _fire(self):
+                self.sim.timeout(0.0)
+
+        class _PooledTimeout(Timeout):
+            def _fire(self):
+                Timeout(self.sim, 0.0)
+        """
+        assert rule_ids(src) == ["SCA003", "SCA003", "SCA003"]
+
     def test_network_send_is_not_guarded(self):
         src = """
         class Network:
@@ -380,8 +397,8 @@ class TestSca003NoDispatchAllocation:
         src = """
         class Simulator:
             def _dispatch(self, until, proc):
-                self._ready.append((self._seq, fn, None))
-                heappush(self._heap, item)
+                when, _seq, fn, arg = heappop(self._heap)
+                fn(arg)
         """
         assert rule_ids(src) == []
 

@@ -15,6 +15,7 @@ all three sides:
 """
 
 from repro.cluster import ScallaCluster, ScallaConfig
+from repro.cluster.cmsd import REQUERY_LIMIT
 from repro.cluster.ids import cmsd_host, xrootd_host
 from repro.sim.latency import Uniform
 
@@ -93,7 +94,7 @@ class TestAdaptiveWindow:
         assert client.stats.waits == 0  # never condemned to the full delay
 
     def test_requery_is_bounded(self):
-        """A file that exists nowhere gets at most requery_limit re-floods
+        """A file that exists nowhere gets at most REQUERY_LIMIT re-floods
         before the full-delay fallback — no infinite re-query loop."""
         from repro.cluster.client import NoSuchFile
 
@@ -110,7 +111,7 @@ class TestAdaptiveWindow:
 
         assert cluster.run_process(probe(), limit=120)
         mgr = cluster.manager_cmsd()
-        assert mgr.stats.requeries <= mgr.config.requery_limit
+        assert mgr.stats.requeries <= REQUERY_LIMIT
 
 
 class TestLanUnchanged:

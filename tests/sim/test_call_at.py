@@ -123,8 +123,9 @@ class TestProcessFreeDelivery:
     def test_send_is_one_heap_entry_and_no_process(self):
         sim, net = _net()
         net.send("a", "b", "hello")
-        assert not sim._ready  # no process bootstrap
-        assert len(sim._heap) == 1
+        assert len(sim._heap) == 1  # no process bootstrap beside it
+        (_when, _seq, fn, _item) = sim._heap[0]
+        assert fn.__func__ is Network._deliver
         sim.run()
         assert sim.events_processed == 1
 

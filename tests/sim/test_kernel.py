@@ -420,3 +420,64 @@ class TestRun:
         sim.process(p())
         sim.run()
         assert sim.events_processed >= 2
+
+
+NAN = float("nan")
+
+
+class TestTimeInputs:
+    """NaN never reaches the heap (it would break its order), and a run
+    bound behind the clock is an error rather than a silent no-op."""
+
+    def test_nan_delays_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimError):
+            sim.timeout(NAN)
+        with pytest.raises(SimError):
+            sim.call_at(NAN, print, None)
+
+        def p():
+            yield sim.sleep(1.0)
+
+        sim.process(p())
+        sim.run()
+        assert sim._timeout_pool  # the next sleep() reuses storage
+        with pytest.raises(SimError):
+            sim.sleep(NAN)
+        assert sim._heap == [] and sim._timeout_pool
+        sim._timeout_pool.clear()  # and a cold pool checks too
+        with pytest.raises(SimError):
+            sim.sleep(NAN)
+        assert sim._heap == []
+
+    def test_past_or_nan_until_rejected(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+        started = []
+
+        def p():
+            started.append(sim.now)
+            yield sim.timeout(1.0)
+
+        sim.process(p())
+        for bad in (4.0, NAN):
+            with pytest.raises(SimError, match="in the past"):
+                sim.run(until=bad)
+        assert started == [] and sim.now == 5.0
+        sim.run(until=5.0)  # a bound equal to now runs the same-time work
+        assert started == [5.0]
+
+    def test_past_or_nan_limit_rejected(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+
+        def quick():
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        for bad in (4.0, NAN):
+            proc = sim.process(quick())
+            with pytest.raises(SimError, match="in the past"):
+                sim.run_until_process(proc, limit=bad)
+            assert proc.is_alive
+        assert sim.run_until_process(sim.process(quick()), limit=5.0) == "done"

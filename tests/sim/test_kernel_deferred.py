@@ -1,12 +1,14 @@
-"""Edge cases for the deferred-resume ring and the pooled-timeout path.
+"""Edge cases for same-time callbacks and the pooled-timeout path.
 
-The hot-path rework replaced bootstrap/poke ``Event`` allocations with the
-``Simulator._ready`` ring and parked sleeping processes in a pooled
-timeout's ``_waiter`` slot.  These tests pin the behaviors most at risk
-from that change: interrupts racing in-flight ring entries, yielding an
-event that already fired, conditions over mixed fired/pending children,
-and — most importantly — that dispatch ordering is *identical* to what
-the allocated-event design produced.
+The kernel has one queue: process bootstrap, interrupt delivery and the
+wakeup after yielding an already-processed event are
+``Simulator.call_at(now, ...)`` callbacks, which take the same
+``(time, seq)`` slot a throwaway bootstrap/poke ``Event`` would; sleeping
+processes park in a pooled timeout's ``_waiter`` slot.  These tests pin
+the behaviors most at risk there: interrupts racing in-flight same-time
+callbacks, yielding an event that already fired, conditions over mixed
+fired/pending children, and — most importantly — that dispatch ordering
+is *identical* to what the allocated-event design produced.
 """
 
 import pytest
@@ -17,9 +19,9 @@ from repro.sim.kernel import Event, Simulator
 
 class TestInterruptWhileDeferredInFlight:
     def test_interrupt_beats_pending_bootstrap(self):
-        """A process interrupted before its bootstrap ring entry runs.
+        """A process interrupted before its bootstrap callback runs.
 
-        ``sim.process()`` queues the first resume through the ring; an
+        ``sim.process()`` queues the first resume as a callback; an
         interrupt queued right after must still arrive as an Interrupt at
         the generator's first yield point, not crash or double-resume.
         """
@@ -45,8 +47,8 @@ class TestInterruptWhileDeferredInFlight:
     def test_interrupt_while_ring_wakeup_in_flight(self):
         """Trigger + interrupt queued for the same instant: trigger wins.
 
-        The waiter's wakeup enters the ring (its event succeeded) before
-        the interrupter's ring entry; the sequence discipline means the
+        The waiter's wakeup is queued (its event succeeded) before the
+        interrupter's callback; the sequence discipline means the
         wakeup resumes the process first, and the later Interrupt lands at
         the *next* yield point.
         """
@@ -66,7 +68,7 @@ class TestInterruptWhileDeferredInFlight:
         def aggressor(proc):
             yield sim.sleep(1.0)
             gate.succeed("payload")   # waiter's resume enters the queue...
-            proc.interrupt()          # ...then the interrupt enters the ring
+            proc.interrupt()          # ...then the interrupt is queued
 
         p = sim.process(waiter())
         sim.process(aggressor(p))
@@ -74,10 +76,10 @@ class TestInterruptWhileDeferredInFlight:
         assert log == [("woke", "payload", 1.0), ("interrupted", 1.0)]
 
     def test_interrupt_to_death_cancels_in_flight_wakeup(self):
-        """A wakeup already in the ring must not resurrect a dead process.
+        """A wakeup already queued must not resurrect a dead process.
 
         The interrupt kills the process (it does not catch Interrupt)
-        while its event wakeup is still queued; the stale ring entry must
+        while its event wakeup is still queued; the stale wakeup must
         notice the process is dead and do nothing.
         """
         sim = Simulator()
@@ -135,7 +137,7 @@ class TestInterruptWhileDeferredInFlight:
 
 class TestYieldAlreadyProcessed:
     def test_yield_processed_event_resumes_with_value(self):
-        """Yielding an event that already fired resumes via the ring,
+        """Yielding an event that already fired resumes via a callback,
         carrying the event's stored value, at the current time."""
         sim = Simulator()
         log = []
@@ -169,8 +171,8 @@ class TestYieldAlreadyProcessed:
         assert log == [("boom", 1.0)]
 
     def test_processed_wakeup_ordering_vs_fresh_spawn(self):
-        """A ring wakeup from a processed event keeps FIFO order against
-        other ring entries queued at the same instant."""
+        """A wakeup from a processed event keeps FIFO order against other
+        callbacks queued at the same instant."""
         sim = Simulator()
         log = []
         ev = sim.event()
@@ -186,8 +188,8 @@ class TestYieldAlreadyProcessed:
 
         def driver():
             yield sim.sleep(1.0)
-            sim.process(a())  # bootstrap enters ring, then waits on ev → ring again
-            sim.process(b())  # bootstrap enters ring after a's
+            sim.process(a())  # bootstrap queued, then waits on ev → queued again
+            sim.process(b())  # bootstrap queued after a's
             yield sim.sleep(0.0)
 
         sim.process(driver())
@@ -262,8 +264,8 @@ class TestAnyOfMixedChildren:
 
 
 class TestIdenticalOrdering:
-    """The ring must reproduce the allocated-event design's order exactly:
-    global (time, seq) order, with ring entries stamped at queue time."""
+    """Same-time callbacks must reproduce the allocated-event design's
+    order exactly: global (time, seq) order, stamped at queue time."""
 
     def test_same_time_mixed_sources_run_in_seq_order(self):
         sim = Simulator()
@@ -279,22 +281,21 @@ class TestIdenticalOrdering:
 
         def driver():
             yield sim.sleep(1.0)
-            # All at t=1.0 — interleave heap events (zero timeouts) with
-            # ring entries (bootstraps) in strict creation order.
-            sim.process(ticker("t-a", 0.0))   # heap, seq n
-            sim.process(worker("w-a"))        # ring, seq n+1
-            sim.process(ticker("t-b", 0.0))   # heap, seq n+2
-            sim.process(worker("w-b"))        # ring, seq n+3
+            # All at t=1.0 — four bootstraps in strict creation order.
+            sim.process(ticker("t-a", 0.0))   # seq n
+            sim.process(worker("w-a"))        # seq n+1
+            sim.process(ticker("t-b", 0.0))   # seq n+2
+            sim.process(worker("w-b"))        # seq n+3
             yield sim.sleep(0.0)
             log.append("driver-done")
 
         sim.process(driver())
         sim.run()
-        # Strict (time, seq) order at t=1.0: the four bootstrap ring
-        # entries drain first (the workers finish outright; the tickers
-        # only advance to their yield, queueing zero-timeouts with *later*
-        # sequence numbers), then the heap serves driver's sleep(0.0)
-        # (queued before the tickers' timeouts) and finally the tickers.
+        # Strict (time, seq) order at t=1.0: the four bootstraps run
+        # first (the workers finish outright; the tickers only advance to
+        # their yield, queueing zero-timeouts with *later* sequence
+        # numbers), then driver's sleep(0.0) (queued before the tickers'
+        # timeouts) and finally the tickers.
         assert log == ["w-a", "w-b", "driver-done", "t-a", "t-b"]
 
     def test_interrupt_and_succeed_ordering_is_fifo(self):
@@ -361,7 +362,7 @@ class TestIdenticalOrdering:
                 log.append((i, sim.now))
                 ev = sim.event()
                 ev.succeed(i)
-                yield sim.sleep(0.0)  # ev fires first: the next wait is a ring wakeup
+                yield sim.sleep(0.0)  # ev fires first: the next wait is a processed wakeup
                 got = yield ev
                 log.append(("done", got, sim.now))
                 return got

@@ -5,8 +5,22 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.errors import Interrupt
 from repro.sim.kernel import Simulator
 from repro.sim.sync import Store
+
+#: Ways to schedule work for the current instant, and how many heap
+#: entries each costs: its own slot, plus the completion event of any
+#: process that finishes because of it.
+SAME_TIME_ENTRIES = {
+    "call_at": 1,
+    "succeed": 1,
+    "timeout0": 1,
+    "sleep0": 1,
+    "spawn": 2,  # bootstrap + completion
+    "interrupt": 2,  # interrupt delivery + the victim's completion
+    "yield_processed": 1,  # the driver's own resume
+}
 
 
 class TestCausalOrdering:
@@ -110,3 +124,57 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
+
+
+class TestSameTimeOrdering:
+    @given(st.lists(st.sampled_from(sorted(SAME_TIME_ENTRIES)), max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_same_instant_mix_runs_in_scheduling_order(self, ops):
+        """Every way of scheduling work "now" takes the next (time, seq)
+        slot of the one queue, so a same-instant mix runs in the order it
+        was scheduled, one heap entry each."""
+        sim = Simulator()
+        log = []
+        done = sim.event()
+        done.succeed()
+
+        def victim():
+            try:
+                yield sim.timeout(100.0)
+            except Interrupt as i:
+                log.append(i.cause)
+
+        def spawned(label):
+            log.append(label)
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        victims = [sim.process(victim()) for op in ops if op == "interrupt"]
+        sim.run(until=0.5)  # victims parked, `done` processed
+
+        def driver():
+            for label, op in enumerate(ops):
+                if op == "call_at":
+                    sim.call_at(sim.now, log.append, label)
+                elif op == "succeed":
+                    ev = sim.event()
+                    ev.callbacks.append(lambda _e, label=label: log.append(label))
+                    ev.succeed()
+                elif op in ("timeout0", "sleep0"):
+                    ev = sim.timeout(0.0) if op == "timeout0" else sim.sleep(0.0)
+                    ev.callbacks.append(lambda _e, label=label: log.append(label))
+                elif op == "spawn":
+                    sim.process(spawned(label))
+                elif op == "interrupt":
+                    victims.pop().interrupt(label)
+                else:
+                    yield done
+                    log.append(label)
+
+        before = sim.events_processed
+        sim.process(driver())
+        sim.run(until=0.5)
+        assert log == list(range(len(ops)))
+        expected = 2 + sum(SAME_TIME_ENTRIES[op] for op in ops)  # + driver boot/finish
+        assert sim.events_processed - before == expected
+        assert sim.now == 0.5
