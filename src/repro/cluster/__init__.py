@@ -16,17 +16,19 @@ from repro.cluster.client import (
     OpenResult,
     ScallaClient,
     ScallaError,
+    ServerTimeout,
 )
-from repro.cluster.cmsd import ChildInfo, Cmsd, CmsdConfig, CmsdStats
+from repro.cluster.cmsd import ChildInfo, Cmsd, CmsdStats
 from repro.cluster.cnsd import CNSD_HOST, CnsDaemon
+from repro.cluster.config import ScallaConfig
 from repro.cluster.fs import FileData, FSError, ServerFS
 from repro.cluster.ids import NodeId, Role, cmsd_host, xrootd_host
 from repro.cluster.mss import MassStorage
 from repro.cluster.node import ScallaNode
 from repro.cluster.posix import DirEntry, PosixView
-from repro.cluster.scalla import ScallaCluster, ScallaConfig
+from repro.cluster.scalla import ScallaCluster
 from repro.cluster.topology import FANOUT, NodeSpec, Topology, build_topology
-from repro.cluster.xrootd import XrootdConfig, XrootdServer
+from repro.cluster.xrootd import XrootdServer
 
 __all__ = [
     "ScallaCluster",
@@ -39,8 +41,8 @@ __all__ = [
     "NoSuchFile",
     "FileExists",
     "ClusterUnreachable",
+    "ServerTimeout",
     "Cmsd",
-    "CmsdConfig",
     "CmsdStats",
     "ChildInfo",
     "CnsDaemon",
@@ -61,5 +63,4 @@ __all__ = [
     "build_topology",
     "FANOUT",
     "XrootdServer",
-    "XrootdConfig",
 ]

@@ -36,6 +36,7 @@ __all__ = [
     "NoSuchFile",
     "FileExists",
     "ClusterUnreachable",
+    "ServerTimeout",
     "ScallaClient",
 ]
 
@@ -68,6 +69,10 @@ class FileExists(ScallaError):
 
 class ClusterUnreachable(ScallaError):
     """No manager replica answered within the failover budget."""
+
+
+class ServerTimeout(ScallaError):
+    """A data server did not answer an open in time (it may be down)."""
 
 
 @dataclass
@@ -226,13 +231,23 @@ class ScallaClient:
 
     # -- the protocol ---------------------------------------------------------
 
-    def locate(self, path: str, *, mode: str = AccessMode.READ, create: bool = False):
+    def locate(
+        self,
+        path: str,
+        *,
+        mode: str = AccessMode.READ,
+        create: bool = False,
+        refresh: bool = False,
+        avoid: tuple[str, ...] = (),
+    ):
         """Resolve *path* to a data-server node name (follows supervisors).
 
-        Generator; returns ``(node_name, pending)``.  Raises
-        :class:`NoSuchFile` / :class:`ClusterUnreachable`.
+        ``refresh`` asks the manager to re-query before answering and
+        ``avoid`` names servers not to be sent to: the §III-C1 recovery
+        after a server failed us.  Generator; returns ``(node_name,
+        pending)``.  Raises :class:`NoSuchFile` / :class:`ClusterUnreachable`.
         """
-        node, pending, _, _ = yield from self._locate_full(path, mode, create, False, ())
+        node, pending, _, _ = yield from self._locate_full(path, mode, create, refresh, avoid)
         return node, pending
 
     def _locate_full(self, path, mode, create, refresh, avoid):
@@ -395,35 +410,26 @@ class ScallaClient:
                 continue
             total_redirects += redirects
             total_waits += waits
-            omsg = pr.Open(
-                req_id=self._req_id(),
-                reply_to=self.host.name,
-                path=path,
-                mode=mode,
-                create=create,
-            )
-            resp = yield from self._request(xrootd_host(node), omsg, self._open_timeout(pending))
-            if isinstance(resp, pr.OpenAck):
-                self.stats.opens += 1
-                return OpenResult(
-                    path=path,
-                    node=node,
-                    handle=resp.handle,
-                    size=resp.size,
-                    latency=self.sim.now - start,
-                    redirects=total_redirects,
-                    waits=total_waits,
+            try:
+                result = yield from self.open_on(
+                    node, path, mode=mode, create=create, pending=pending
                 )
-            if isinstance(resp, pr.OpenFail) and resp.reason == "exists":
-                raise FileExists(path)
-            if resp is None:
+            except FileExists:
+                raise
+            except ServerTimeout:
                 # Open timed out — the server (possibly mid-stage) is gone.
                 # Rotate managers before re-locating: the redirect that sent
                 # us here may reflect a manager's stale view of that host.
                 yield from self._failover(fo_streak)
                 fo_streak += 1
-            else:
+            except ScallaError:
                 fo_streak = 0
+            else:
+                self.stats.opens += 1
+                result.latency = self.sim.now - start
+                result.redirects = total_redirects
+                result.waits = total_waits
+                return result
             # ENOENT, bad handle, or server death: general recovery — ask
             # for a cache refresh and avoid the failing host.
             self.stats.refreshes += 1
@@ -432,12 +438,49 @@ class ScallaClient:
                 avoid.append(node)
         raise ScallaError(f"open retry budget exhausted for {path!r}")
 
-    def _open_timeout(self, pending: bool) -> float:
+    def open_on(
+        self,
+        node: str,
+        path: str,
+        *,
+        mode: str = AccessMode.READ,
+        create: bool = False,
+        pending: bool = False,
+    ):
+        """Open *path* on data server *node*, with no resolution or
+        recovery (:meth:`open` adds both).  Generator; returns
+        :class:`OpenResult`.  Raises :class:`FileExists`,
+        :class:`ServerTimeout`, or :class:`ScallaError` on any other refusal.
+        """
+        start = self.sim.now
+        msg = pr.Open(
+            req_id=self._req_id(),
+            reply_to=self.host.name,
+            path=path,
+            mode=mode,
+            create=create,
+        )
         # A pending (staging) open legitimately takes minutes: wait longer
         # than the data-plane timeout, but never forever — the bounded wait
         # is what lets the §III-C1 recovery loop engage when the staging
         # server dies underneath us.
-        return self.config.pending_open_timeout if pending else self.config.op_timeout
+        timeout = self.config.pending_open_timeout if pending else self.config.op_timeout
+        resp = yield from self._request(xrootd_host(node), msg, timeout)
+        if isinstance(resp, pr.OpenAck):
+            return OpenResult(
+                path=path,
+                node=node,
+                handle=resp.handle,
+                size=resp.size,
+                latency=self.sim.now - start,
+                redirects=0,
+                waits=0,
+            )
+        if resp is None:
+            raise ServerTimeout(f"open of {path!r} timed out on {node}")
+        if isinstance(resp, pr.OpenFail) and resp.reason == "exists":
+            raise FileExists(path)
+        raise ScallaError(f"open of {path!r} failed on {node}: {resp!r}")
 
     # -- data-plane convenience -----------------------------------------------------
 
@@ -470,6 +513,10 @@ class ScallaClient:
             node, _pending = yield from self.locate(path)
         except NoSuchFile:
             return False, 0
+        return (yield from self.stat_on(node, path))
+
+    def stat_on(self, node: str, path: str):
+        """Generator; returns (exists, size) of *path* on data server *node*."""
         msg = pr.Stat(self._req_id(), self.host.name, path)
         resp = yield from self._request(xrootd_host(node), msg, self.config.op_timeout)
         if not isinstance(resp, pr.StatAck):

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.simsan import Sanitizer
 from repro.cluster import protocol as pr
+from repro.cluster.config import ScallaConfig
 from repro.cluster.ids import NodeId, Role, cmsd_host
 from repro.cluster.xrootd import XrootdServer
 from repro.core import bitvec
@@ -51,13 +52,12 @@ from repro.core.cache import NameCache
 from repro.core.corrections import ClusterMembership
 from repro.core.crc32 import hash_name
 from repro.core.deadline import DeadlinePolicy
-from repro.core.response_queue import AccessMode, ResponseQueue
-from repro.core.selection import MostSpace, RoundRobin, SelectionPolicy, ServerMetrics
+from repro.core.response_queue import DEFAULT_ANCHORS, AccessMode, ResponseQueue
+from repro.core.selection import MostSpace, RoundRobin, ServerMetrics
 from repro.sim.kernel import Simulator
-from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
 
-__all__ = ["CmsdConfig", "CmsdStats", "ChildInfo", "Cmsd"]
+__all__ = ["CmsdStats", "ChildInfo", "Cmsd"]
 
 #: Cap on the exponential re-login backoff (engaged when a parent is
 #: silent and no standby exists — e.g. the parent is a manager the
@@ -66,7 +66,7 @@ RELOGIN_BACKOFF_CAP = 30.0
 #: Jitter fraction on re-login backoff delays (decorrelates a 64-wide
 #: subtree re-discovering its parent at once).
 RELOGIN_JITTER = 0.25
-#: k in the adaptive window formula (see CmsdConfig.adaptive_window).
+#: k in the adaptive window formula (see ScallaConfig.adaptive_window).
 WINDOW_RTT_MULT = 3.0
 #: EWMA smoothing factor for per-peer RTT estimates (fed from login /
 #: heartbeat arrival latencies and observed query-response latencies).
@@ -78,75 +78,11 @@ RTT_ALPHA = 0.25
 REQUERY_LIMIT = 1
 #: Window growth factor per re-query round.
 REQUERY_BACKOFF = 2.0
-
-
-@dataclass
-class CmsdConfig:
-    """Tunables; defaults follow the paper's stated values."""
-
-    #: Full wait before silence means non-existence (paper: 5 s).
-    full_delay: float = 5.0
-    #: Location-object lifetime L_t (paper: 8 h).
-    lifetime: float = 8 * 3600.0
-    #: Fast-response clocking period (paper: 133 ms).
-    fast_period: float = 0.133
-    #: Response-queue anchors (paper: 1024).
-    anchors: int = 1024
-    #: Per-message processing cost of this cmsd.
-    service_time: LatencyModel = field(default_factory=lambda: Fixed(5e-6))
-    #: Subordinate -> parent heartbeat interval.
-    heartbeat_interval: float = 1.0
-    #: Missed-heartbeat horizon after which a child is marked offline.
-    disconnect_timeout: float = 3.5
-    #: Offline horizon after which a child is dropped from the cluster
-    #: ("Should the server not reconnect in a configurable amount of time").
-    drop_timeout: float = 600.0
-    #: Missed-ack horizon after which a subordinate re-logins.
-    relogin_timeout: float = 3.5
-    #: Supervisor failover: when a parent stays silent past
-    #: ``relogin_timeout``, re-home to the next standby (the dead parent's
-    #: sibling supervisor, else the grandparent/manager) instead of
-    #: heartbeating into the void.  The adopting parent treats the login
-    #: as an ordinary §III-A4 "server added" membership event, so cached
-    #: locations stay correctable with zero cache walks.  False restores
-    #: the seed behaviour where a crashed interior node strands its
-    #: subtree until the same host returns.
-    rehome: bool = True
-    #: Selection policy for read/write redirection.
-    read_policy: SelectionPolicy = field(default_factory=RoundRobin)
-    #: Selection policy for placing new files.
-    create_policy: SelectionPolicy = field(default_factory=MostSpace)
-    #: ABLATION (bench E6): when False the fast response queue is bypassed —
-    #: clients with queries in flight are simply told to wait the full
-    #: delay and retry, as a design without §III-B's queue would.
-    fast_response: bool = True
-    #: ABLATION (bench E10): when False, deadline-based query
-    #: synchronization is off — every thread finding no holders re-queries
-    #: all eligible servers itself, duplicating floods (§III-C2's "only one
-    #: thread should issue the queries" un-enforced).
-    deadline_sync: bool = True
-    #: EXTENSION: when True, redirection prefers holders at the client's
-    #: site (WAN federations, §IV-A); falls back to the full candidate set
-    #: when no local replica exists.
-    locality_aware: bool = False
-    #: EXTENSION (WAN federations): adaptive fast-response window sizing.
-    #: When True, each new response-queue anchor's deadline is
-    #: ``max(fast_period, WINDOW_RTT_MULT x slowest expected responder's
-    #: EWMA RTT)`` instead of the flat ``fast_period``; on a LAN the RTT
-    #: term stays far below 133 ms, so the paper's default is preserved
-    #: bit-for-bit.  Also arms the bounded re-query (see REQUERY_LIMIT).
-    adaptive_window: bool = False
-    #: Late-response reconciliation: a HaveFile arriving after its anchor
-    #: expired still updates V_h *and* releases clients parked on the full
-    #: 5 s delay (they are told to keep listening via ``Wait.watch``).
-    #: False restores the seed behaviour where late answers help nobody —
-    #: the ablation bench E6-wan's "before" row.
-    late_release: bool = True
-    #: SimSan (repro.analysis.simsan): when True, manager/supervisor cmsds
-    #: sweep their cache/queue/membership invariants after every eviction
-    #: tick, response-processing batch, and expiry pass.  Sweeps are pure
-    #: reads — event streams are identical with it on or off.
-    sanitize: bool = False
+#: Selection policy for read/write redirection, and for placing new
+#: files.  Both are stateless (``choose`` keeps its state in the calling
+#: cmsd's ServerMetrics), so every cmsd shares one of each.
+READ_POLICY = RoundRobin()
+CREATE_POLICY = MostSpace()
 
 
 @dataclass
@@ -243,7 +179,7 @@ class Cmsd:
         standby_pool: tuple[str | tuple[str, ...], ...] = (),  # re-home rotation
         exports: tuple[str, ...] = ("/store",),
         xrootd: XrootdServer | None = None,
-        config: CmsdConfig | None = None,
+        config: ScallaConfig | None = None,
         rng: random.Random | None = None,
         instance: int = 0,
         obs=None,
@@ -260,7 +196,11 @@ class Cmsd:
         self._standby_idx = 0
         self.exports = exports
         self.xrootd = xrootd
-        self.config = config if config is not None else CmsdConfig()
+        self.config = config = config if config is not None else ScallaConfig()
+        #: This role's per-message service model, bound once.
+        self._service = (
+            config.server_service if node_id.role is Role.SERVER else config.manager_service
+        )
         self.rng = rng if rng is not None else random.Random(0)
         self.instance = instance
         self.host = network.hosts.get(node_id.cmsd) or network.add_host(node_id.cmsd)
@@ -291,16 +231,16 @@ class Cmsd:
         if node_id.role is not Role.SERVER:
             self.membership = ClusterMembership(obs=obs, node=node_id.name)
             self.cache = NameCache(
-                self.membership, lifetime=self.config.lifetime, obs=obs, node=node_id.name
+                self.membership, lifetime=config.lifetime, obs=obs, node=node_id.name
             )
             self.rq = ResponseQueue(
-                anchors=self.config.anchors,
-                period=self.config.fast_period,
-                park_ttl=self.config.full_delay if self.config.late_release else 0.0,
+                anchors=DEFAULT_ANCHORS,
+                period=config.fast_period,
+                park_ttl=config.full_delay if config.late_release else 0.0,
                 obs=obs,
                 node=node_id.name,
             )
-            self.deadline = DeadlinePolicy(full_delay=self.config.full_delay)
+            self.deadline = DeadlinePolicy(full_delay=config.full_delay)
             self.metrics = ServerMetrics()
             self.children: dict[str, ChildInfo] = {}
         else:
@@ -312,7 +252,7 @@ class Cmsd:
             self.children = {}
         # Every role gets a sanitizer: servers have no cache/queue, but
         # their subordinate half (parents, re-home state) is checkable.
-        self.sanitizer = Sanitizer(node=node_id.name) if self.config.sanitize else None
+        self.sanitizer = Sanitizer(node=node_id.name) if config.sanitize else None
 
         #: Boot epoch: bumped by :meth:`stop`; a timer callback armed under
         #: an older epoch does nothing.
@@ -666,7 +606,7 @@ class Cmsd:
         # of the protocol's behaviour.
         self._in_service = item
         sim = self.sim
-        sim.call_at(sim.now + self.config.service_time.sample(self.rng), self._serve, item)
+        sim.call_at(sim.now + self._service.sample(self.rng), self._serve, item)
 
     def _serve(self, item: tuple[object, str, float]) -> None:
         """Service of *item* ended: act on it, then start on the next."""
@@ -893,7 +833,8 @@ class Cmsd:
 
         Returns (vector, pending) after excluding avoided node names.  With
         locality awareness enabled and a known client site, holders at that
-        site are preferred when any exist (extension; see CmsdConfig).
+        site are preferred when any exist (extension; see
+        ScallaConfig.locality_aware).
         """
         avoid_mask = 0
         for name in avoid:
@@ -939,7 +880,7 @@ class Cmsd:
         When observability is on, the whole dispatch becomes one
         ``cmsd.locate`` span on the client's resolution trace, tagged with
         the verdict this cmsd reached (redirect / enqueued / wait-full /
-        notfound / create-redirect).
+        wait-empty / notfound / create-redirect).
         """
         obs = self._obs
         if obs is None:
@@ -972,8 +913,7 @@ class Cmsd:
         # POSIX outcome).
         candidates, pending = self._candidates(obj, msg.avoid, msg.client_site)
         if candidates:
-            policy = self.config.read_policy
-            slot = policy.choose(candidates, self.metrics)
+            slot = READ_POLICY.choose(candidates, self.metrics)
             self._redirect(msg, slot, pending)
             return "redirect"
 
@@ -1009,7 +949,12 @@ class Cmsd:
             return "enqueued"
 
         # Deadline passed and nothing turned up: the file does not exist
-        # anywhere below us.
+        # anywhere below us -- unless nobody is below us.  A manager with
+        # no member online (its servers' logins not landed yet) asked
+        # nobody, so the client waits the full delay and asks again.
+        if not self.parents and not self.membership.v_online:
+            self._send_wait(msg)
+            return "wait-empty"
         if msg.create:
             return self._place_create(msg, obj)
         self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
@@ -1043,7 +988,7 @@ class Cmsd:
             self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
             self.stats.notfounds += 1
             return "notfound"
-        slot = self.config.create_policy.choose(eligible, self.metrics)
+        slot = CREATE_POLICY.choose(eligible, self.metrics)
         self._redirect(msg, slot, pending=False)
         return "create-redirect"
 

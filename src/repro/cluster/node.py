@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 
-from repro.cluster.cmsd import Cmsd, CmsdConfig
+from repro.cluster.cmsd import Cmsd
+from repro.cluster.config import ScallaConfig
 from repro.cluster.fs import ServerFS
 from repro.cluster.ids import Role
 from repro.cluster.mss import MassStorage
 from repro.cluster.topology import NodeSpec
-from repro.cluster.xrootd import XrootdConfig, XrootdServer
+from repro.cluster.xrootd import XrootdServer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -34,8 +35,7 @@ class ScallaNode:
         network: Network,
         spec: NodeSpec,
         *,
-        cmsd_config: CmsdConfig,
-        xrootd_config: XrootdConfig | None = None,
+        config: ScallaConfig,
         mss: MassStorage | None = None,
         cnsd_host: str | None = None,
         seed: float = 0,
@@ -44,8 +44,8 @@ class ScallaNode:
         self.sim = sim
         self.network = network
         self.spec = spec
-        self.cmsd_config = cmsd_config
-        self.xrootd_config = xrootd_config if xrootd_config is not None else XrootdConfig()
+        #: The cluster's configuration, handed to every daemon it boots.
+        self.config = config
         self.mss = mss
         self.cnsd_host = cnsd_host
         #: Each boot seeds its daemons from one stream, ``Random(seed)``.
@@ -107,7 +107,7 @@ class ScallaNode:
                 self.fs,
                 mss=self.mss,
                 cnsd_host=self.cnsd_host,
-                config=self.xrootd_config,
+                config=self.config,
                 seed=rng.random(),
                 obs=self.obs,
             )
@@ -122,7 +122,7 @@ class ScallaNode:
             standby_pool=self.spec.standby_pool,
             exports=self.spec.exports,
             xrootd=self.xrootd,
-            config=self.cmsd_config,
+            config=self.config,
             rng=random.Random(rng.random()),
             instance=self.instance,
             obs=self.obs,

@@ -16,130 +16,22 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass, field, replace
 
 from repro.cluster.client import ClientConfig, ScallaClient
-from repro.cluster.cmsd import Cmsd, CmsdConfig
+from repro.cluster.cmsd import Cmsd
 from repro.cluster.cnsd import CNSD_HOST, CnsDaemon
+from repro.cluster.config import ScallaConfig
 from repro.cluster.fs import ServerFS
 from repro.cluster.ids import Role
 from repro.cluster.mss import MassStorage
 from repro.cluster.node import ScallaNode
 from repro.cluster.topology import Topology, build_topology
-from repro.cluster.xrootd import XrootdConfig
 from repro.obs import Observability
 from repro.sim.kernel import Simulator
-from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
 
 __all__ = ["ScallaConfig", "ScallaCluster"]
-
-
-def _sanitize_default() -> bool:
-    """SimSan default: off, unless SCALLA_SANITIZE is set in the environment.
-
-    The env hook lets the whole test suite run sanitized without touching a
-    line of test code: ``SCALLA_SANITIZE=1 pytest`` (CI's determinism job
-    does exactly that).
-    """
-    return os.environ.get("SCALLA_SANITIZE", "").lower() in ("1", "true", "yes", "on")
-
-
-@dataclass
-class ScallaConfig:
-    """Cluster-wide tunables.
-
-    Latency defaults model the paper's hardware: ~10 µs per LAN hop, ~80 µs
-    of server-side query handling (so a query round trip lands at the
-    paper's "servers respond within 100us"), 5 µs of manager CPU per
-    message, 1 Gb/s data links.
-    """
-
-    exports: tuple[str, ...] = ("/store",)
-    fanout: int = 64
-    #: N shared-nothing peer managers, each receiving every top-level
-    #: login and HaveFile advisory.
-    managers: int = 1
-    seed: int = 0
-
-    #: One-way wire latency between any two hosts.
-    network_latency: LatencyModel = field(default_factory=lambda: Fixed(10e-6))
-    #: Manager/supervisor per-message processing cost.
-    manager_service: LatencyModel = field(default_factory=lambda: Fixed(5e-6))
-    #: Server cmsd per-message processing cost (query handling).
-    server_service: LatencyModel = field(default_factory=lambda: Fixed(80e-6))
-    #: xrootd per-request service time (open/read bookkeeping + seek).
-    xrootd_service: LatencyModel = field(default_factory=lambda: Fixed(50e-6))
-    #: Data transfer cost per byte (1 Gb/s ≈ 8 ns/byte).
-    per_byte: float = 8e-9
-    #: MSS staging time ("order of minutes"; tests shrink this).
-    stage_latency: LatencyModel = field(default_factory=lambda: Fixed(120.0))
-
-    full_delay: float = 5.0
-    lifetime: float = 8 * 3600.0
-    fast_period: float = 0.133
-    heartbeat_interval: float = 1.0
-    disconnect_timeout: float = 3.5
-    drop_timeout: float = 600.0
-    relogin_timeout: float = 3.5
-    #: Supervisor failover: subordinates of a dead parent re-home to a
-    #: standby (sibling supervisor, else grandparent/manager) instead of
-    #: heartbeating into the void; see CmsdConfig.rehome.  False restores
-    #: the seed behaviour (a crashed interior node strands its subtree).
-    rehome: bool = True
-    #: Chaos injection (gray failures): probabilistic message loss,
-    #: duplication, and delay spikes on every link; see
-    #: :class:`repro.sim.network.ChaosConfig`.  None means no chaos and
-    #: zero extra RNG draws — event streams stay bit-identical.
-    chaos: "object | None" = None
-    #: Ablation switches (benches E6/E10); see CmsdConfig.
-    fast_response: bool = True
-    deadline_sync: bool = True
-    #: Extension: prefer same-site replicas when redirecting (see CmsdConfig).
-    locality_aware: bool = False
-    #: Extension (WAN federations): adaptive fast-response window sizing +
-    #: bounded re-query; see CmsdConfig.adaptive_window.
-    adaptive_window: bool = False
-    #: Late-response reconciliation (see CmsdConfig.late_release).  False
-    #: restores the seed behaviour where an answer arriving after the
-    #: fast-response window helps nobody — kept as the E6-wan "before" row.
-    late_release: bool = True
-    #: Observability (repro.obs): when True the cluster carries one shared
-    #: :class:`~repro.obs.Observability` hub — metrics on every daemon's
-    #: hot path plus per-request resolution traces, all stamped with sim
-    #: time.  Off by default: the uninstrumented path stays fast.
-    observability: bool = False
-    #: SimSan (repro.analysis.simsan): runtime invariant sweeps on every
-    #: manager/supervisor cmsd.  Pure reads — turning it on costs time but
-    #: changes no event stream.  Defaults from the SCALLA_SANITIZE env var.
-    sanitize: bool = field(default_factory=_sanitize_default)
-
-    client: ClientConfig = field(default_factory=ClientConfig)
-
-    def cmsd_config(self, role: Role) -> CmsdConfig:
-        service = self.server_service if role is Role.SERVER else self.manager_service
-        return CmsdConfig(
-            full_delay=self.full_delay,
-            lifetime=self.lifetime,
-            fast_period=self.fast_period,
-            service_time=service,
-            heartbeat_interval=self.heartbeat_interval,
-            disconnect_timeout=self.disconnect_timeout,
-            drop_timeout=self.drop_timeout,
-            relogin_timeout=self.relogin_timeout,
-            rehome=self.rehome,
-            fast_response=self.fast_response,
-            deadline_sync=self.deadline_sync,
-            locality_aware=self.locality_aware,
-            adaptive_window=self.adaptive_window,
-            late_release=self.late_release,
-            sanitize=self.sanitize,
-        )
-
-    def xrootd_config(self) -> XrootdConfig:
-        return XrootdConfig(service_time=self.xrootd_service, per_byte=self.per_byte)
 
 
 class ScallaCluster:
@@ -190,8 +82,7 @@ class ScallaCluster:
                 self.sim,
                 self.network,
                 spec,
-                cmsd_config=self.config.cmsd_config(spec.role),
-                xrootd_config=self.config.xrootd_config(),
+                config=self.config,
                 mss=mss,
                 cnsd_host=CNSD_HOST,
                 seed=self.rng.random(),
@@ -261,7 +152,7 @@ class ScallaCluster:
             self.network,
             name,
             self.managers,
-            config=config if config is not None else replace(self.config.client),
+            config=config if config is not None else self.config.client,
             rng=random.Random(self.rng.random()),
             obs=self.obs,
         )

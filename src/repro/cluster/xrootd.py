@@ -19,31 +19,24 @@ The daemon also feeds two side channels:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.cluster import protocol as pr
+from repro.cluster.config import ScallaConfig
 from repro.cluster.fs import FSError, ServerFS
 from repro.cluster.ids import NodeId
 from repro.cluster.mss import MassStorage
 from repro.sim.kernel import Simulator
-from repro.sim.latency import Fixed, LatencyModel
 from repro.sim.network import Network
 
-__all__ = ["XrootdConfig", "XrootdServer"]
+__all__ = ["XrootdServer"]
 
 
-@dataclass
-class XrootdConfig:
-    """Tunables of one data server."""
-
-    #: Fixed per-request service latency (metadata / disk seek).
-    service_time: LatencyModel = field(default_factory=lambda: Fixed(50e-6))
-    #: Transfer time per byte (1 Gb/s ≈ 8e-9 s/byte).
-    per_byte: float = 8e-9
-    #: Concurrent requests before reported load saturates.
-    capacity: int = 64
-    #: Nominal disk size, for free-space metrics (bytes).
-    disk_size: float = 1e12
+#: Concurrent requests before reported load saturates.
+CAPACITY = 64
+#: Nominal disk size, for free-space metrics (bytes).
+DISK_SIZE = 1e12
+#: Transfer time per byte (1 Gb/s ≈ 8e-9 s/byte).
+PER_BYTE = 8e-9
 
 
 class XrootdServer:
@@ -58,7 +51,7 @@ class XrootdServer:
         *,
         mss: MassStorage | None = None,
         cnsd_host: str | None = None,
-        config: XrootdConfig | None = None,
+        config: ScallaConfig | None = None,
         seed: float = 0,
         obs=None,
     ) -> None:
@@ -68,7 +61,9 @@ class XrootdServer:
         self.fs = fs
         self.mss = mss
         self.cnsd_host = cnsd_host
-        self.config = config if config is not None else XrootdConfig()
+        self.config = config if config is not None else ScallaConfig()
+        #: The per-request service model, bound once.
+        self._service = self.config.xrootd_service
         self._seed = seed
         self._rng: random.Random | None = None
         self.host = network.hosts.get(node_id.xrootd) or network.add_host(node_id.xrootd)
@@ -119,11 +114,11 @@ class XrootdServer:
     @property
     def load(self) -> float:
         """Utilization in [0, 1] — active requests over capacity."""
-        return min(1.0, self._active / self.config.capacity)
+        return min(1.0, self._active / CAPACITY)
 
     @property
     def free_space(self) -> float:
-        return max(0.0, self.config.disk_size - self.fs.total_bytes())
+        return max(0.0, DISK_SIZE - self.fs.total_bytes())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -149,7 +144,7 @@ class XrootdServer:
         # property is only needed to build the generator once.
         rng = self._rng or self.rng
         sim = self.sim
-        sim.call_at(sim.now + self.config.service_time.sample(rng), self._serve, msg)
+        sim.call_at(sim.now + self._service.sample(rng), self._serve, msg)
 
     def _finish(self, msg, reply) -> None:
         """The one exit of every request: send *reply* (None for a dropped
@@ -224,14 +219,14 @@ class XrootdServer:
     def _transfer(self, nbytes: int, done, arg) -> None:
         """Put *nbytes* on the NIC and call ``done(arg)`` once they are sent.
 
-        The NIC sends one transfer at a time at ``per_byte`` seconds/byte,
+        The NIC sends one transfer at a time at ``PER_BYTE`` seconds/byte,
         in arrival order: a transfer starts when the previous one ends.
         Without this, concurrent reads would each enjoy full line rate and
         aggregate bandwidth would not scale with server count.
         """
         sim = self.sim
         start = max(sim.now, self._nic_free_at)
-        self._nic_free_at = end = start + nbytes * self.config.per_byte
+        self._nic_free_at = end = start + nbytes * PER_BYTE
         sim.call_at(end, done, arg)
 
     def _handle_read(self, msg: pr.Read) -> None:

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import protocol as pr
 from repro.cluster.client import ScallaClient, ScallaError
-from repro.cluster.ids import xrootd_host
 from repro.qserv.engine import Query, QueryResult
 from repro.qserv.partition import chunk_path, query_path, result_path
 
@@ -74,12 +72,9 @@ class QservMaster:
         """Coroutine: worker node hosting *partition* (cached)."""
         if not refresh and partition in self.channels:
             return self.channels[partition]
-        if refresh:
-            node, _, _, _ = yield from self.client._locate_full(
-                chunk_path(partition), "r", False, True, avoid
-            )
-        else:
-            node, _pending = yield from self.client.locate(chunk_path(partition))
+        node, _pending = yield from self.client.locate(
+            chunk_path(partition), refresh=refresh, avoid=avoid
+        )
         self.channels[partition] = node
         return node
 
@@ -128,47 +123,41 @@ class QservMaster:
         raise ScallaError(f"chunk {partition} undispatchable after {self.config.max_attempts} attempts")
 
     def _dispatch_once(self, query: Query, qid: int, partition: int, worker: str):
-        """Coroutine: one write-query/poll-result cycle against *worker*."""
+        """Coroutine: one write-query/poll-result cycle against *worker*.
+
+        Returns the chunk's result, or None when the worker fails; a
+        :class:`ScallaError` raised here is a failure too.
+        """
         self.dispatches += 1
+        client = self.client
         qpath = query_path(partition, qid)
         rpath = result_path(partition, qid)
-        xhost = xrootd_host(worker)
         deadline = self.sim.now + self.config.chunk_timeout
 
         # Write the work order through the file abstraction.
-        omsg = pr.Open(self.client._req_id(), self.client.host.name, qpath, "w", True)
-        resp = yield from self.client._request(xhost, omsg, self.client.config.op_timeout)
-        if not isinstance(resp, pr.OpenAck):
-            return None
-        payload = query.to_bytes()
-        wmsg = pr.Write(self.client._req_id(), self.client.host.name, resp.handle, 0, payload)
-        wresp = yield from self.client._request(xhost, wmsg, self.client.config.op_timeout)
-        if not isinstance(wresp, pr.WriteAck):
-            return None
-        cmsg = pr.Close(self.client._req_id(), self.client.host.name, resp.handle)
-        yield from self.client._request(xhost, cmsg, self.client.config.op_timeout)
+        handle = yield from client.open_on(worker, qpath, mode="w", create=True)
+        yield from client.write(handle, 0, query.to_bytes())
+        yield from self._close(handle)
 
         # Poll for the result file.
         while self.sim.now < deadline:
-            smsg = pr.Stat(self.client._req_id(), self.client.host.name, rpath)
-            sresp = yield from self.client._request(xhost, smsg, self.client.config.op_timeout)
-            if sresp is None:
-                return None  # worker died mid-query
-            if isinstance(sresp, pr.StatAck) and sresp.exists and sresp.size > 0:
+            exists, size = yield from client.stat_on(worker, rpath)
+            if exists and size > 0:
                 break
             yield self.sim.sleep(self.config.poll_interval)
         else:
             return None
 
         # Read it back (open -> read -> close), still pure file ops.
-        omsg = pr.Open(self.client._req_id(), self.client.host.name, rpath, "r", False)
-        oresp = yield from self.client._request(xhost, omsg, self.client.config.op_timeout)
-        if not isinstance(oresp, pr.OpenAck):
-            return None
-        rmsg = pr.Read(self.client._req_id(), self.client.host.name, oresp.handle, 0, oresp.size)
-        rresp = yield from self.client._request(xhost, rmsg, self.client.config.op_timeout)
-        if not isinstance(rresp, pr.ReadAck):
-            return None
-        cmsg = pr.Close(self.client._req_id(), self.client.host.name, oresp.handle)
-        yield from self.client._request(xhost, cmsg, self.client.config.op_timeout)
-        return QueryResult.from_bytes(rresp.data)
+        handle = yield from client.open_on(worker, rpath)
+        data = yield from client.read(handle, 0, handle.size)
+        yield from self._close(handle)
+        return QueryResult.from_bytes(data)
+
+    def _close(self, handle):
+        """Coroutine: close *handle*; a failed close loses nothing, so it
+        is ignored."""
+        try:
+            yield from self.client.close(handle)
+        except ScallaError:
+            pass

@@ -75,7 +75,7 @@ class QservWorker:
         # The master finishes writing the payload right after the create;
         # one service-time beat lets the Write land before we read.  A real
         # worker uses close-on-write notification; the effect is identical.
-        yield self.sim.sleep(self.node.xrootd.config.service_time.mean * 2)
+        yield self.sim.sleep(self.node.xrootd.config.xrootd_service.mean * 2)
         partition = int(qpath.split("/")[3])
         raw = bytes(self.node.fs.stat(qpath).data)
         if not raw:

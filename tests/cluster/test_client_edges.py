@@ -85,7 +85,7 @@ class TestBudgets:
 
 class TestPendingOpens:
     def test_mid_stage_crash_does_not_hang_client(self):
-        """Regression: ``_open_timeout`` returned a ``1e6`` s sentinel for
+        """Regression: the open timeout was a ``1e6`` s sentinel for
         pending opens, so a server crashing mid-stage stranded the client
         for ~11 simulated days instead of entering the recovery loop."""
         from repro.sim.latency import Fixed

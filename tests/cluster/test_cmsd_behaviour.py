@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster import ScallaCluster, ScallaConfig
+from repro.cluster import cmsd as cmsd_mod
 from repro.cluster import protocol as pr
-from repro.cluster.cmsd import Cmsd, CmsdConfig
+from repro.cluster.cmsd import Cmsd
 from repro.cluster.ids import NodeId, Role
 from repro.core.selection import LeastLoad
 from repro.sim.kernel import Simulator
@@ -22,12 +23,12 @@ class TestHeartbeatMetrics:
             slot = mgr.membership.slot_of(server)
             assert mgr.metrics.free_space[slot] > 0  # disk_size reported
 
-    def test_least_load_selection_prefers_idle_server(self):
+    def test_least_load_selection_prefers_idle_server(self, monkeypatch):
         cluster = ScallaCluster(2, config=ScallaConfig(seed=302, heartbeat_interval=0.1))
         cluster.populate(["/store/hot.root"], copies=2, size=64)
         cluster.settle(0.5)
         mgr = cluster.manager_cmsd()
-        mgr.config.read_policy = LeastLoad()
+        monkeypatch.setattr(cmsd_mod, "READ_POLICY", LeastLoad())
         # Warm the location cache first: the very first (cold) open is
         # answered by whichever server responds first, not by policy.
         cluster.run_process(cluster.client().open("/store/hot.root"), limit=60)
@@ -142,15 +143,14 @@ class TestEdgeBehaviour:
                 client.open("/elsewhere/f.root", mode="w", create=True), limit=60
             )
 
-    def test_response_queue_exhaustion_falls_back_to_full_wait(self):
+    def test_response_queue_exhaustion_falls_back_to_full_wait(self, monkeypatch):
         """With a single anchor, a second concurrent cold file cannot get a
         fast-response slot and is told to wait the full delay."""
         cfg = ScallaConfig(seed=310, full_delay=0.4)
         cluster = ScallaCluster(2, config=cfg)
-        mgr_cfg = cluster.manager_cmsd().config
         cluster.populate(["/store/a.root", "/store/b.root"], size=32)
-        # Rebuild the manager with 1 anchor by mutating config pre-restart.
-        mgr_cfg.anchors = 1
+        # Rebuild the manager with 1 anchor.
+        monkeypatch.setattr(cmsd_mod, "DEFAULT_ANCHORS", 1)
         cluster.node(cluster.managers[0]).restart()
         cluster.run(until=cluster.sim.now + 2.0)
 
@@ -207,7 +207,7 @@ class TestFifoServer:
         net = Network(sim, default_latency=Fixed(1.0))
         net.add_host("probe")
         draws = _Draws(sim, service)
-        cmsd = Cmsd(sim, net, NodeId("srv0", Role.SERVER), config=CmsdConfig(service_time=draws))
+        cmsd = Cmsd(sim, net, NodeId("srv0", Role.SERVER), config=ScallaConfig(server_service=draws))
         served = []
         cmsd._dispatch = lambda msg, src, sent_at=0.0: served.append((msg, sim.now))
         cmsd.start()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ScallaCluster, ScallaConfig
 from repro.cluster.ids import Role
+from repro.sim.latency import Fixed
 
 
 class TestConstruction:
@@ -33,6 +34,53 @@ class TestConstruction:
         cluster = ScallaCluster(1, config=ScallaConfig(managers=2))
         assert cluster.manager_cmsd(0).node_id.role is Role.MANAGER
         assert cluster.manager_cmsd(1).node_id.name == "mgr1"
+
+
+class _CountedFixed(Fixed):
+    """A fixed service time that counts its draws."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return self.value
+
+
+class TestOneConfig:
+    """Every daemon and client of a cluster reads the cluster's one
+    configuration object, not a copy of it."""
+
+    def test_daemons_and_clients_hold_the_cluster_config(self):
+        cluster = ScallaCluster(4, config=ScallaConfig(fanout=2, managers=2))
+        cfg = cluster.config
+        nodes = list(cluster.nodes.values())
+        cluster.node(cluster.servers[0]).restart()
+        cluster.node(cluster.topology.supervisors[0]).restart()
+        cmsds = [n.cmsd for n in nodes]
+        xrootds = [n.xrootd for n in nodes if n.xrootd is not None]
+        assert (len(cmsds), len(xrootds)) == (8, 4)
+        assert all(d.config is cfg for d in cmsds + xrootds)
+        assert all(c.config is cfg.client for c in (cluster.client(), cluster.client()))
+
+    def test_fields_set_before_the_build_reach_the_daemons(self):
+        cfg = ScallaConfig(seed=3)
+        cfg.full_delay = 0.4
+        cfg.manager_service = _CountedFixed(5e-6)
+        cfg.server_service = _CountedFixed(80e-6)
+        cfg.xrootd_service = _CountedFixed(50e-6)
+        cluster = ScallaCluster(2, config=cfg)
+        cluster.populate(["/store/a.root"], size=8)
+        cluster.settle()
+        client = cluster.client()
+        assert cluster.run_process(client.open("/store/a.root"), limit=60).size == 8
+        t0 = cluster.sim.now
+        assert cluster.run_process(client.stat("/store/none.root"), limit=60) == (False, 0)
+        # A missing file costs the configured full delay, not the default 5 s.
+        assert 0.4 <= cluster.sim.now - t0 < 2.0
+        services = (cfg.manager_service, cfg.server_service, cfg.xrootd_service)
+        assert all(s.draws > 0 for s in services)
 
 
 class TestPlacement:

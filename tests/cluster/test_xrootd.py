@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from repro.cluster import ScallaConfig
 from repro.cluster import protocol as pr
 from repro.cluster.fs import ServerFS
 from repro.cluster.ids import NodeId, Role
 from repro.cluster.mss import MassStorage
-from repro.cluster.xrootd import XrootdConfig, XrootdServer
+from repro.cluster.xrootd import XrootdServer
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
 from repro.sim.network import Network
@@ -34,7 +35,7 @@ class Harness:
             self.fs,
             mss=self.mss,
             cnsd_host="cnsd",
-            config=XrootdConfig(service_time=Fixed(50e-6)),
+            config=ScallaConfig(xrootd_service=Fixed(50e-6)),
         )
         self.server.start()
         self._req = 0

@@ -136,6 +136,26 @@ class TestManagerRestart:
         assert res.size == 32
         assert cluster.sim.now - t0 < 10.0  # "within seconds"
 
+    def test_open_right_after_servers_restart_before_their_manager(self):
+        """Servers booted before their manager log into a dead host, so the
+        fresh manager has no member yet.  Having asked nobody, it tells the
+        client to wait instead of answering NotFound, and the open succeeds
+        once the re-logins land."""
+        cluster = ScallaCluster(4, config=fast_config(relogin_timeout=0.5))
+        cluster.populate(["/store/g.root"], size=32)
+        cluster.settle()
+        for name in cluster.nodes:
+            cluster.node(name).crash()
+        for name in (*cluster.servers, *cluster.managers):
+            cluster.node(name).restart()
+        assert cluster.manager_cmsd().membership.member_count() == 0
+        client = cluster.client()
+        t0 = cluster.sim.now
+        res = cluster.run_process(client.open("/store/g.root"), limit=t0 + 60)
+        assert res.size == 32
+        assert client.stats.waits >= 1
+        assert cluster.sim.now - t0 < 10.0
+
     def test_manager_replica_failover(self):
         cluster = ScallaCluster(
             4, config=fast_config(managers=2)
