@@ -4,11 +4,11 @@
 #   scripts/check.sh           # ruff (if installed) + scalla-lint +
 #                              # tier-1 tests + determinism double-run +
 #                              # sanitized chaos soak
-#   scripts/check.sh --bench   # also run the E1/E6/E11/E13/E14 smoke
+#   scripts/check.sh --bench   # also run the E1/E6/E7/E11/E13/E14 smoke
 #                              # benches, validate their metric
-#                              # snapshots, fail if they or the E11
-#                              # restart and E13 records differ from the
-#                              # committed ones, and gate the perf suite
+#                              # snapshots, fail if they or the E6, E7,
+#                              # E11 restart and E13 records differ from
+#                              # the committed ones, and gate the perf suite
 #                              # against the committed BENCH_*.json
 #                              # baseline
 #
@@ -56,9 +56,10 @@ echo "== chaos soak (sanitized)"
 SCALLA_SANITIZE=1 python -m pytest tests/integration/test_chaos.py -q
 
 if [ "$run_bench" -eq 1 ]; then
-  echo "== smoke benches (E1, E6, E11, E13, E14)"
+  echo "== smoke benches (E1, E6, E7, E11, E13, E14)"
   python -m pytest benchmarks/bench_e1_redirection.py \
                    benchmarks/bench_e6_fastresponse.py \
+                   benchmarks/bench_e7_protocol.py \
                    benchmarks/bench_e11_registration.py \
                    benchmarks/bench_e13_qserv.py \
                    benchmarks/bench_e14_failover.py \
@@ -70,6 +71,8 @@ if [ "$run_bench" -eq 1 ]; then
     benchmarks/results/e14.metrics.json
   echo "== snapshot drift gate (regenerated records match the committed ones)"
   git diff --exit-code -- benchmarks/results/*.metrics.json \
+                          benchmarks/results/e6*.md \
+                          benchmarks/results/e7*.md \
                           benchmarks/results/e11-restart.md \
                           benchmarks/results/e13*.md
   echo "== perf gate (quick suite vs committed BENCH baseline)"

@@ -15,8 +15,12 @@ Two metric families, two comparison rules (see docs/performance.md):
   kernel, identical on any machine; compared raw, and held to a much
   tighter tolerance because only a behavior change can move it.
 
-Exit 0 when every metric is within tolerance, 1 on any regression, 2 on
-usage errors (no baseline to compare against, unreadable results file).
+A baseline metric the current results lack is a failure too: a renamed
+or dropped scenario must not pass unnoticed.
+
+Exit 0 when every metric is within tolerance, 1 on any regression or
+missing metric, 2 on usage errors (no baseline to compare against,
+unreadable results file).
 """
 
 from __future__ import annotations
@@ -71,7 +75,14 @@ def compare_suite(
     label = baseline.get("label", "?")
     for metric, base_val in sorted(baseline.get("metrics", {}).items()):
         cur = current_metrics.get(metric)
-        if cur is None or base_val <= 0:
+        if cur is None:
+            print(f"  {suite:>6}  {metric:<28} {'missing':>14}  MISSING")
+            failures.append(
+                f"{suite}.{metric}: missing from the current results "
+                f"(baseline «{label}» has it)"
+            )
+            continue
+        if base_val <= 0:
             continue
         if metric.endswith("_per_sec"):
             floor = base_val * scale * (1.0 - threshold)

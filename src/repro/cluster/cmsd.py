@@ -23,8 +23,9 @@ message in service at a time, each for a service time drawn from the
 daemon's RNG as it enters service, the rest waiting in a backlog — and
 :meth:`Cmsd._dispatch` acts on a message when its service ends.  Every
 step is a kernel callback, so a protocol message costs one heap entry to
-deliver and one to serve.  The timers are kernel callbacks too
-(:meth:`~repro.sim.kernel.Simulator.call_at`), each re-arming itself:
+deliver and one to serve (except at a silent leaf, below).  The timers
+are kernel callbacks too (:meth:`~repro.sim.kernel.Simulator.call_at`),
+each re-arming itself:
 
     response clock   — the 133 ms fast-response expiry thread (§III-B)
     window tick      — L_t/64 cache eviction clock (§III-A3)
@@ -34,10 +35,29 @@ deliver and one to serve.  The timers are kernel callbacks too
 A callback cannot be cancelled, so each carries the boot epoch it was
 armed under; :meth:`Cmsd.stop` bumps the epoch and a stale callback does
 nothing.
+
+Silent leaves cost no events.  A server cmsd without an observability hub
+registers an offer hook with the network (:meth:`Cmsd._offer`): a
+``QueryFile`` copy it will not answer — neither its disk nor its MSS has
+the path when the copy is sent — becomes a record ``(arrival, seq, src,
+query, sent_at)`` in its inbox instead of two heap entries.  Nothing
+observable happens when such a query is served, so the records wait until
+something observable touches the leaf — a new record, any other message,
+its heartbeat, a create/put/remove/archive/stage of its storage, a stop, a
+network-state change or a stats read — and the leaf then catches up
+(:meth:`Cmsd._catch_up`): it replays every record ordered before the
+running heap entry through its FIFO server, with the same drop rules,
+counts, RNG draws and service ends the eager path has.  A real message that
+would queue behind record-served work, or a change that could turn a
+pending query into an answer, hands the records back to the eager
+machinery (:meth:`Cmsd._hand_off`).  A leaf with a hub stays eager, so the
+tracer sees every ``server.silent`` in its span; obs-on runs are the
+oracle the obs-off runs are checked against.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -83,6 +103,10 @@ REQUERY_BACKOFF = 2.0
 #: cmsd's ServerMetrics), so every cmsd shares one of each.
 READ_POLICY = RoundRobin()
 CREATE_POLICY = MostSpace()
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_QueryFile = pr.QueryFile
 
 
 @dataclass
@@ -163,6 +187,34 @@ class _ParentWaiter:
     parent_host: str
     path: str
     hash_val: int
+
+
+class _Inbox:
+    """A silent leaf's records and its record-served FIFO (see
+    :meth:`Cmsd._offer`).  The eager FIFO is idle while any is pending."""
+
+    __slots__ = ("records", "item", "end", "seq", "backlog", "held", "watching")
+
+    def __init__(self) -> None:
+        #: Heap of (arrival, seq, src, msg, sent_at) still on the wire.
+        self.records: list[tuple[float, int, str, object, float]] = []
+        #: The query in service (msg, src, sent_at), its service end, and a
+        #: lower bound on the seq that end would have had.
+        self.item: tuple[object, str, float] | None = None
+        self.end = 0.0
+        self.seq = 0
+        #: Arrived records waiting behind it, as ((msg, src, sent_at), seq);
+        #: built the first time a record has to wait.
+        self.backlog: deque[tuple[tuple[object, str, float], int]] | None = None
+        #: True while the network holds our settle callback, and while our
+        #: disk and MSS call our watcher.
+        self.held = False
+        self.watching = False
+
+    @property
+    def pending(self) -> bool:
+        """True while a record is on the wire or a query is in service."""
+        return bool(self.records) or self.item is not None
 
 
 class Cmsd:
@@ -265,6 +317,9 @@ class Cmsd:
         #: first time a message has to wait).
         self._in_service: tuple[object, str, float] | None = None
         self._backlog: deque[tuple[object, str, float]] | None = None
+        #: Silent leaves (module docstring): the records and the
+        #: record-served FIFO, built by the first record a leaf takes.
+        self._box: _Inbox | None = None
         self._last_parent_ack: dict[str, float] = {}
         #: Per-parent re-login backoff: parent -> (attempts, earliest next
         #: send).  Populated only while a parent is silent; cleared by the
@@ -284,8 +339,18 @@ class Cmsd:
 
     # -- lifecycle ---------------------------------------------------------
 
+    @property
+    def _silent_leaf(self) -> bool:
+        """True for a server cmsd without a hub: it takes QueryFile copies
+        it will not answer as records (see :meth:`_offer`)."""
+        return self.node_id.role is Role.SERVER and self.xrootd is not None and self._obs is None
+
     def start(self) -> None:
-        self.host.listen(self._on_message)
+        if self._silent_leaf:
+            self.host.listen(self._on_leaf_message)
+            self.network.set_offer(self.host.name, self._offer)
+        else:
+            self.host.listen(self._on_message)
         if self.rq is not None or self.parents:
             # Arm through one same-time callback, not here: a daemon
             # started while same-time work is still queued then arms
@@ -304,6 +369,18 @@ class Cmsd:
         self._in_service = None
         self._backlog = None
         self._epoch += 1
+        if self._silent_leaf:
+            self.network.set_offer(self.host.name, None)
+            box = self._box
+            if box is not None:
+                self._watch(box, False)
+                if box.pending:
+                    # Like the eager FIFO: what arrived is lost, what is still
+                    # on the wire arrives at a stopped (or dead) host.
+                    self._catch_up()
+                    box.item = None
+                    box.backlog = None
+                    self._redeliver(box)
 
     def _arm_timers(self, epoch: int) -> None:
         if epoch != self._epoch:
@@ -349,6 +426,9 @@ class Cmsd:
     def _heartbeat(self, epoch: int) -> None:
         if epoch != self._epoch:
             return
+        box = self._box
+        if box is not None and box.pending:
+            self._catch_up()  # a silent parent draws from our RNG below
         load = self.xrootd.load if self.xrootd is not None else 0.0
         space = self.xrootd.free_space if self.xrootd is not None else 0.0
         site = self.network.site_of(self.host.name) or ""
@@ -588,6 +668,171 @@ class Cmsd:
                 self.membership.drop(name)
                 del self.children[name]
         self.sim.call_at(now + self.config.heartbeat_interval, self._liveness_sweep, epoch)
+
+    # -- silent leaves: the record-served FIFO -----------------------------------
+
+    def _offer(self, src: str, msg: object, arrival: float, seq: int, sent_at: float) -> bool:
+        """The network's offer hook: take a ``QueryFile`` copy this leaf
+        will not answer as a record (True), or let it be delivered."""
+        if msg.__class__ is not _QueryFile or self._in_service is not None:
+            return False
+        path = msg.path
+        xrootd = self.xrootd
+        if xrootd.fs.exists(path):
+            return False
+        mss = xrootd.mss
+        if mss is not None and mss.has(path):
+            return False
+        box = self._box
+        if box is None:
+            box = self._box = _Inbox()
+        elif box.records:
+            # Replay what has arrived: the inbox holds only copies in flight.
+            self._catch_up()
+        if not box.held:
+            box.held = True
+            self.network.hold(self.host.name, self._settle)
+        if not box.watching:
+            self._watch(box, True)
+        _heappush(box.records, (arrival, seq, src, msg, sent_at))
+        return True
+
+    def _settle(self) -> bool:
+        """The network's settle callback: catch up; False (and forgotten by
+        the network) once no record is left on the wire."""
+        self._catch_up()
+        box = self._box
+        box.held = bool(box.records)
+        return box.held
+
+    def _watch(self, box: "_Inbox", on: bool) -> None:
+        """Watch our disk and MSS for changes while we hold records (so a
+        cluster being populated pays nothing)."""
+        if on == box.watching:
+            return
+        box.watching = on
+        mss = self.xrootd.mss
+        watch = self._on_store_change
+        for store in (self.xrootd.fs,) if mss is None else (self.xrootd.fs, mss):
+            if on:
+                store.watchers += (watch,)
+            else:
+                store.watchers = tuple(w for w in store.watchers if w != watch)
+
+    def _catch_up(self) -> None:
+        """Replay every record ordered before the running heap entry.
+
+        Arrivals and service ends are taken in ``(time, seq)`` order.  An
+        arrival applies :meth:`Network._deliver`'s drop rules and counts,
+        then enters service or waits; entering service draws the service
+        time from our RNG, as :meth:`_begin_service` does.  A service end
+        dispatches nothing (the query is silent) and starts the next
+        waiting record.  The seq of a service end is not known — the eager
+        path takes it when service starts — so ``box.seq`` stands in for
+        it with the largest arrival seq of the records served so far in
+        this busy period, which is a lower bound.
+        """
+        sim = self.sim
+        now = sim._now
+        cur = sim._seq_now
+        box = self._box
+        records = box.records
+        backlog = box.backlog
+        item = box.item
+        end = box.end
+        est = box.seq
+        while True:
+            # The next arrival that has passed bounds the service ends to
+            # run first; with none, the running entry bounds them.
+            rec = records[0] if records else None
+            if rec is not None and (rec[0] < now or (rec[0] == now and rec[1] < cur)):
+                t, s = rec[0], rec[1]
+            else:
+                rec = None
+                t, s = now, cur
+            while item is not None and (end < t or (end == t and est < s)):
+                # Service end: silent, so only the next record starts.
+                if backlog:
+                    item, seq = backlog.popleft()
+                    if seq > est:
+                        est = seq
+                    end += self._service.sample(self.rng)
+                else:
+                    item = None
+            if rec is None:
+                break
+            _heappop(records)
+            a, seq, src, msg, sent_at = rec
+            network = self.network
+            alive = self.host.alive
+            if not alive or (
+                (network._partitioned or network._partitioned_oneway or network._isolated)
+                and network._blocked(src, self.host.name)
+            ):
+                # Network._deliver's drop rules and counts.
+                network._stats.dropped_dead += not alive
+                network._stats.dropped_partition += alive
+                continue
+            network._stats.delivered += 1
+            if item is None:
+                item = (msg, src, sent_at)
+                est = seq
+                end = a + self._service.sample(self.rng)
+            elif backlog is None:
+                backlog = box.backlog = deque((((msg, src, sent_at), seq),))
+            else:
+                backlog.append(((msg, src, sent_at), seq))
+        box.item = item
+        box.end = end
+        box.seq = est
+
+    def _hand_off(self) -> None:
+        """Give every record back to the eager machinery (after a catch-up):
+        the query in service gets its service-end entry, the arrived ones
+        the backlog, and the ones on the wire their reserved slots."""
+        box = self._box
+        item = box.item
+        if item is not None:
+            self._in_service = item
+            # Half a seq past the lower bound: after every entry scheduled
+            # before this busy period began, ahead of the later ones.
+            self.sim.call_at_seq(box.end, box.seq + 0.5, self._serve, item)
+            if box.backlog:
+                self._backlog = deque(it for it, _seq in box.backlog)
+                box.backlog.clear()
+            box.item = None
+        self._redeliver(box)
+
+    def _redeliver(self, box: "_Inbox") -> None:
+        """Give the records still on the wire back to the network."""
+        records = box.records
+        if records:
+            network = self.network
+            name = self.host.name
+            for arrival, seq, src, msg, sent_at in records:
+                network.redeliver(arrival, seq, src, name, msg, sent_at)
+            records.clear()
+
+    def _on_store_change(self, path: str) -> None:
+        """A watcher of our disk and MSS, called before each change: a
+        pending query may now have to be answered, so the eager path takes
+        over whatever is still pending."""
+        box = self._box
+        if box.pending:
+            self._catch_up()
+            if box.pending:
+                self._hand_off()
+        self._watch(box, False)
+
+    def _on_leaf_message(self, src: str, msg: object, sent_at: float) -> None:
+        """A silent leaf's receiver: catch up, hand the records off when
+        any remain, then take the message as the eager path does."""
+        box = self._box
+        if box is not None and box.pending:
+            self._catch_up()
+            if box.pending:
+                self._hand_off()
+        self._on_message(src, msg, sent_at)
 
     # -- main dispatch ---------------------------------------------------------
 

@@ -49,6 +49,11 @@ class ServerFS:
         self._total = 0
         self.bytes_written = 0
         self.bytes_read = 0
+        #: Called with the path before every create, put and remove: a
+        #: server cmsd holding queries as records watches while it holds
+        #: any (a file that appears must answer the ones still pending).
+        #: A tuple, replaced (never mutated) to add or drop a watcher.
+        self.watchers: tuple = ()
 
     def __len__(self) -> int:
         return len(self._files)
@@ -61,6 +66,8 @@ class ServerFS:
             raise FSError(f"path must be absolute: {path!r}")
         if path in self._files:
             raise FSError(f"file exists: {path!r}")
+        for watch in self.watchers:
+            watch(path)
         f = FileData(path=path, created_at=now)
         self._files[path] = f
         return f
@@ -74,6 +81,8 @@ class ServerFS:
         """
         if type(data) is not bytes:
             data = bytes(data)
+        for watch in self.watchers:
+            watch(path)
         f = FileData(path=path, data=data, created_at=now)
         old = self._files.get(path)
         if old is not None:
@@ -114,6 +123,8 @@ class ServerFS:
         return len(data)
 
     def remove(self, path: str) -> None:
+        for watch in self.watchers:
+            watch(path)
         f = self._files.pop(path, None)
         if f is None:
             raise FSError(f"no such file: {path!r}")

@@ -28,6 +28,12 @@ Design rules:
   :meth:`Simulator._dispatch` pops and calls; :meth:`Simulator.run` and
   :meth:`Simulator.run_until_process` only choose where it stops, and
   every generator step goes through :meth:`Process._resume`.
+* **A slot without an entry.**  A seq can be taken without queueing
+  anything (``Network.send`` does so for a copy a silent leaf keeps as a
+  record, see :mod:`repro.cluster.cmsd`): the owner runs the work later
+  in that ``(time, seq)`` order, asking :meth:`Simulator.passed` whether
+  the running entry is past it, or queues it in its slot with
+  :meth:`Simulator.call_at_seq`.
 * **Never allocate on the dispatch path.**  This is the hottest loop in the
   repo (``benchmarks/perf`` tracks it), so the kernel follows the paper's
   allocation discipline: an event's heap entry names the plain ``_fire``
@@ -440,11 +446,23 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
+        #: The seq of the heap entry running now (the last one run, outside
+        #: :meth:`_dispatch`): with ``_now`` it is the kernel's position, so
+        #: a reserved ``(time, seq)`` slot can tell whether it has passed.
+        self._seq_now = 0
         self.events_processed = 0
 
     @property
     def now(self) -> float:
         return self._now
+
+    def passed(self, when: float, seq: float) -> bool:
+        """True when a heap entry at ``(when, seq)`` would already have run.
+
+        Inside a callback that means "ordered before the running entry";
+        between runs, "ordered before the point where the last run stopped".
+        """
+        return when < self._now or (when == self._now and seq < self._seq_now)
 
     def attach_observability(self, obs) -> None:
         """Bind *obs* (a :class:`repro.obs.Observability`) to this kernel.
@@ -527,6 +545,14 @@ class Simulator:
         _heappush(self._heap, (when, self._seq, fn, arg))
         self._seq += 1
 
+    def call_at_seq(self, when: float, seq: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Queue ``fn(arg)`` in a ``(when, seq)`` slot taken earlier by
+        bumping ``_seq`` without queueing anything (or, for a fractional
+        *seq*, between two such slots); the slot must not have passed."""
+        if self.passed(when, seq):
+            raise SimError(f"slot ({when}, {seq}) has passed (now {self._now})")
+        _heappush(self._heap, (when, seq, fn, arg))
+
     # -- running -----------------------------------------------------------
 
     def _dispatch(self, until: float, proc: Process | None) -> None:
@@ -553,8 +579,9 @@ class Simulator:
                     return
                 if heap[0][0] > until:
                     return
-                when, _seq, fn, arg = pop(heap)
+                when, seq, fn, arg = pop(heap)
                 self._now = when
+                self._seq_now = seq
                 processed += 1
                 fn(arg)
         finally:
@@ -578,6 +605,9 @@ class Simulator:
         self._dispatch(self._check_bound(until, "until"), None)
         if until is not None and until > self._now:
             self._now = until
+        # Every entry up to *until* has run: so has every slot reserved so far
+        # at or before it.
+        self._seq_now = self._seq
 
     def run_until_process(self, proc: Process, limit: float | None = None) -> Any:
         """Run until *proc* finishes; return its value (raising its error).

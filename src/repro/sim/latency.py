@@ -59,7 +59,10 @@ class Uniform(LatencyModel):
         self.hi = hi
 
     def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.lo, self.hi)
+        # random.Random.uniform's formula, inlined: one Python frame less
+        # per draw, and the same float.
+        lo = self.lo
+        return lo + (self.hi - lo) * rng.random()
 
     @property
     def mean(self) -> float:

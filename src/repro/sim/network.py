@@ -6,7 +6,7 @@ or partitioned hosts, and counts everything — message counts are primary
 data for the protocol-efficiency experiment (E7) and the registration
 experiment (E11).
 
-Each copy of a message is one kernel callback
+A copy of a message is normally one kernel callback
 (:meth:`~repro.sim.kernel.Simulator.call_at`): at the arrival time the
 network calls the target's ``receive(src, payload, sent_at)``.  The cluster
 daemons (cmsd, xrootd, cnsd, client) install their message handler there
@@ -15,12 +15,24 @@ closed port would.  There is no second delivery path: code that wants a
 mailbox listens with a handler that puts into a
 :class:`~repro.sim.sync.Store`.
 
+The one exception is an *offered* copy.  A host's daemon may register an
+offer hook (:meth:`Network.set_offer`); :meth:`Network.send` shows it every
+copy after counting it and drawing its latency and chaos, together with
+the kernel seq reserved for its arrival.  A hook that accepts the copy
+keeps it as a record and replays its arrival itself later, in that
+``(arrival, seq)`` slot, with no heap entry: the server cmsd does this for
+the ``QueryFile``s it will not answer.  Such a host holds undelivered
+records between events, so the network settles it (:meth:`Network.hold`)
+before anything that changes what an arrival sees — a kill, revive,
+partition, heal or isolation — and before :attr:`Network.stats` is read.
+
 Message payloads are opaque to the network; the cluster layer defines its
 own message dataclasses (:mod:`repro.cluster.protocol`).
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -29,6 +41,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, LatencyModel
 
 __all__ = ["Host", "NetworkStats", "ChaosConfig", "Network"]
+
+_heappush = heapq.heappush
 
 
 @dataclass
@@ -76,7 +90,13 @@ class NetworkStats:
 
 
 class Host:
-    """A network endpoint.  ``alive`` gates delivery; daemons also watch it."""
+    """A network endpoint.  ``alive`` gates delivery; daemons also watch it.
+
+    A host is its name, its liveness and its handler.  A daemon that wants
+    to keep some copies as records instead of deliveries registers an offer
+    hook for its host with :meth:`Network.set_offer`; the network keeps the
+    hook, so an idle host carries nothing extra.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -137,11 +157,70 @@ class Network:
         self._isolated: set[str] = set()
         self.chaos = chaos if chaos is not None and chaos.enabled else None
         self._chaos_rng = random.Random(chaos.seed) if self.chaos is not None else None
-        self.stats = NetworkStats()
+        #: Counted into on the send path; read through :attr:`stats`, which
+        #: first settles the hosts holding offered copies.
+        self._stats = NetworkStats()
+        #: Host name -> offer hook (see :meth:`set_offer`).
+        self._offers: dict[str, Callable[[str, Any, float, int, float], bool]] = {}
+        #: Host name -> settle callback, for hosts that may hold offered
+        #: copies that have not arrived yet (see :meth:`hold`).
+        self._holding: dict[str, Callable[[], bool]] = {}
         if obs is not None:
+            # chaos_dropped is counted at send time: no settling needed.
             obs.metrics.pull(
-                self.stats, counters=[("chaos_msgs_dropped_total", "chaos_dropped")]
+                self._stats, counters=[("chaos_msgs_dropped_total", "chaos_dropped")]
             )
+
+    @property
+    def stats(self) -> NetworkStats:
+        """The counters, exact as of now: hosts holding offered copies
+        first count the ones that have arrived."""
+        self._settle()
+        return self._stats
+
+    # -- offered copies --------------------------------------------------------
+
+    def set_offer(
+        self, name: str, offer: Callable[[str, Any, float, int, float], bool] | None
+    ) -> None:
+        """Show every copy sent to *name* to ``offer(src, payload, arrival,
+        seq, sent_at)`` first; None removes the hook.
+
+        The hook runs after the copy is counted and its latency and chaos
+        drawn; *seq* is the kernel seq reserved for the arrival.  Returning
+        True takes the copy: the network schedules nothing, and the hook's
+        owner must account for it at ``(arrival, seq)`` exactly as
+        :meth:`_deliver` would — count it in :attr:`stats`, apply the drop
+        rules — or give it back with :meth:`redeliver`.
+        """
+        if name not in self.hosts:
+            raise KeyError(f"unknown host {name!r}")
+        if offer is None:
+            self._offers.pop(name, None)
+        else:
+            self._offers[name] = offer
+
+    def hold(self, name: str, settle: Callable[[], bool]) -> None:
+        """Register *settle* for host *name*, which holds offered copies
+        still on the wire.  The network calls it before any change that a
+        later arrival would see and before :attr:`stats` is read, and
+        forgets it once it returns False (nothing left on the wire)."""
+        self._holding[name] = settle
+
+    def redeliver(
+        self, when: float, seq: int, src: str, dst: str, payload: Any, sent_at: float
+    ) -> None:
+        """Give an offered copy back: deliver it in its reserved slot."""
+        item = (self.hosts[dst], src, dst, payload, sent_at)
+        self.sim.call_at_seq(when, seq, self._deliver, item)
+
+    def _settle(self) -> None:
+        """Settle every host holding offered copies (before a change an
+        arrival would see, or a read of :attr:`stats`)."""
+        holding = self._holding
+        for name, settle in tuple(holding.items()):
+            if not settle():
+                del holding[name]
 
     # -- topology management -------------------------------------------------
 
@@ -215,24 +294,42 @@ class Network:
 
     # -- failures ------------------------------------------------------------
 
+    # Every change below settles the hosts holding offered copies first:
+    # the copies that arrived before it must see the old state.
+
+    def _known(self, *names: str) -> None:
+        for name in names:
+            if name not in self.hosts:
+                raise KeyError(f"unknown host {name!r}")
+
     def kill(self, name: str) -> None:
         """Mark a host dead: in-flight and future messages to it vanish."""
-        self.hosts[name].alive = False
+        host = self.hosts[name]
+        self._settle()
+        host.alive = False
 
     def revive(self, name: str) -> None:
-        self.hosts[name].alive = True
+        host = self.hosts[name]
+        self._settle()
+        host.alive = True
 
     def partition(self, a: str, b: str) -> None:
+        self._known(a, b)
+        self._settle()
         self._partitioned.add(frozenset((a, b)))
 
     def heal(self, a: str, b: str) -> None:
+        self._settle()
         self._partitioned.discard(frozenset((a, b)))
 
     def partition_oneway(self, src: str, dst: str) -> None:
         """Black-hole the *src* -> *dst* direction only."""
+        self._known(src, dst)
+        self._settle()
         self._partitioned_oneway.add((src, dst))
 
     def heal_oneway(self, src: str, dst: str) -> None:
+        self._settle()
         self._partitioned_oneway.discard((src, dst))
 
     def isolate(self, name: str) -> None:
@@ -242,11 +339,12 @@ class Network:
         :meth:`kill`, the host's daemons keep running — they just talk to
         a dead wire.
         """
-        if name not in self.hosts:
-            raise KeyError(f"unknown host {name!r}")
+        self._known(name)
+        self._settle()
         self._isolated.add(name)
 
     def unisolate(self, name: str) -> None:
+        self._settle()
         self._isolated.discard(name)
 
     def partitioned(self, a: str, b: str) -> bool:
@@ -268,36 +366,50 @@ class Network:
         Drops are silent to the sender (as on a real network); the return
         value exists only for tests.  A message to a host that dies while
         the message is in flight is also lost — checked again at delivery.
+        A host with an offer hook (:meth:`set_offer`) may take the copy
+        instead of a heap entry.  An unknown *dst* raises ``KeyError``
+        before anything is counted.
         """
-        self.stats.sent += 1
-        self.stats.bytes_sent += size
-        if self._blocked(src, dst):
-            self.stats.dropped_partition += 1
-            return False
         target = self.hosts[dst]
-        if not target.alive:
-            self.stats.dropped_dead += 1
+        stats = self._stats
+        stats.sent += 1
+        stats.bytes_sent += size
+        cut = self._partitioned or self._partitioned_oneway or self._isolated
+        if cut and self._blocked(src, dst):
+            stats.dropped_partition += 1
             return False
-        delay = self.latency_model(src, dst).sample(self.rng)
+        if not target.alive:
+            stats.dropped_dead += 1
+            return False
+        if self._link_latency or self._site_latency:
+            delay = self.latency_model(src, dst).sample(self.rng)
+        else:
+            delay = self.default_latency.sample(self.rng)
         delays = [delay]
         if self.chaos is not None:
             cz, crng = self.chaos, self._chaos_rng
             if cz.drop_prob and crng.random() < cz.drop_prob:
-                self.stats.chaos_dropped += 1
+                stats.chaos_dropped += 1
                 return False
             if cz.dup_prob and crng.random() < cz.dup_prob:
                 # Duplicate re-samples its own latency (chaos RNG), so the
                 # two copies can arrive out of order.
                 delays.append(self.latency_model(src, dst).sample(crng))
-                self.stats.chaos_duplicated += 1
+                stats.chaos_duplicated += 1
             if cz.delay_spike_prob and crng.random() < cz.delay_spike_prob:
                 delays[0] += cz.delay_spike * crng.random()
-                self.stats.chaos_delayed += 1
+                stats.chaos_delayed += 1
         sim = self.sim
-        now = sim.now
+        now = sim._now
+        offer = self._offers.get(dst) if self._offers else None
         item = (target, src, dst, payload, now)
         for d in delays:
-            sim.call_at(now + d, self._deliver, item)
+            # Simulator.call_at inlined (d >= 0), with the seq taken first:
+            # an offered copy keeps the slot its delivery would have had.
+            seq = sim._seq
+            sim._seq = seq + 1
+            if offer is None or not offer(src, payload, now + d, seq, now):
+                _heappush(sim._heap, (now + d, seq, self._deliver, item))
         return True
 
     def _deliver(self, item: tuple[Host, str, str, Any, float]) -> None:
@@ -305,8 +417,8 @@ class Network:
         the link was cut while the message was in flight."""
         target, src, dst, payload, sent_at = item
         if not target.alive or self._blocked(src, dst):
-            self.stats.dropped_dead += not target.alive
-            self.stats.dropped_partition += target.alive
+            self._stats.dropped_dead += not target.alive
+            self._stats.dropped_partition += target.alive
             return
-        self.stats.delivered += 1
+        self._stats.delivered += 1
         target.receive(src, payload, sent_at)

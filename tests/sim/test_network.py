@@ -62,6 +62,21 @@ class TestDelivery:
         with pytest.raises(KeyError):
             net.send("a", "ghost", "x")
 
+    def test_failed_send_counts_nothing(self):
+        sim, net, a, b = make_net()
+        with pytest.raises(KeyError):
+            net.send("a", "ghost", "x", size=5)
+        assert net.stats.sent == 0
+        assert net.stats.bytes_sent == 0
+
+    def test_stats_exact_right_after_run_until(self):
+        sim, net, a, b = make_net(latency=1.0)
+        net.send("a", "b", "x")
+        sim.run(until=0.5)
+        assert net.stats.delivered == 0
+        sim.run(until=1.0)
+        assert net.stats.delivered == 1
+
     def test_duplicate_host_rejected(self):
         sim, net, a, b = make_net()
         with pytest.raises(ValueError):
@@ -266,6 +281,16 @@ class TestGrayFailures:
         sim, net, a, b = make_net()
         net.isolate("b")
         net.unisolate("b")
+        assert net.send("a", "b", "x")
+
+    def test_partition_unknown_host_raises(self):
+        sim, net, a, b = make_net()
+        for cut in (net.partition, net.partition_oneway):
+            with pytest.raises(KeyError):
+                cut("a", "ghost")
+            with pytest.raises(KeyError):
+                cut("ghost", "b")
+        assert not net.partitioned("a", "ghost")
         assert net.send("a", "b", "x")
 
     def test_isolate_unknown_host_raises(self):
