@@ -53,6 +53,15 @@ FAILOVER_BACKOFF_CAP = 2.0
 #: Jitter fraction on failover backoff (decorrelates a client herd
 #: cycling through the same dead manager list in lockstep).
 FAILOVER_JITTER = 0.25
+#: Full manager failover cycles before giving up.
+MAX_FAILOVER_CYCLES = 3
+#: Wait/retry budget per open.
+MAX_RETRIES = 10
+#: Open timeout when the target is still staging the file from an MSS.
+#: Staging legitimately takes minutes — but it must stay *finite*: a
+#: server crashing mid-stage would otherwise strand the client on the
+#: old 1e6 s sentinel instead of entering the recovery loop.
+PENDING_OPEN_TIMEOUT = 300.0
 
 
 class ScallaError(Exception):
@@ -81,15 +90,6 @@ class ClientConfig:
     locate_timeout: float = 2.0
     #: Data-plane response timeout (server death detection).
     op_timeout: float = 2.0
-    #: Open timeout when the target is still staging the file from an MSS.
-    #: Staging legitimately takes minutes — but it must stay *finite*: a
-    #: server crashing mid-stage would otherwise strand the client on the
-    #: old 1e6 s sentinel instead of entering the recovery loop.
-    pending_open_timeout: float = 300.0
-    #: Wait/retry budget per open.
-    max_retries: int = 10
-    #: Full manager failover cycles before giving up.
-    max_failover_cycles: int = 3
 
 
 @dataclass
@@ -303,7 +303,7 @@ class ScallaClient:
                 resp = yield from self._request(contact, msg, self.config.locate_timeout)
             if resp is None:
                 timeouts += 1
-                if timeouts > self.config.max_failover_cycles * len(self.managers):
+                if timeouts > MAX_FAILOVER_CYCLES * len(self.managers):
                     raise ClusterUnreachable(f"no manager answered for {path!r}")
                 yield from self._failover(timeouts - 1)
                 contact = self._current_manager_cmsd()
@@ -338,7 +338,7 @@ class ScallaClient:
                 if trace is not None:
                     trace.event("client.wait", self._obs.now(), node=self.name, delay=resp.delay)
                 retries += 1
-                if retries > self.config.max_retries:
+                if retries > MAX_RETRIES:
                     raise ScallaError(f"retry budget exhausted for {path!r}")
                 if resp.watch:
                     # The sender parked our request for late-response
@@ -392,7 +392,7 @@ class ScallaClient:
         refreshed_notfound = False
         total_redirects = total_waits = 0
         fo_streak = 0
-        for _attempt in range(self.config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             try:
                 node, pending, redirects, waits = yield from self._locate_full(
                     path, mode, create, refresh, tuple(avoid)
@@ -464,7 +464,7 @@ class ScallaClient:
         # than the data-plane timeout, but never forever — the bounded wait
         # is what lets the §III-C1 recovery loop engage when the staging
         # server dies underneath us.
-        timeout = self.config.pending_open_timeout if pending else self.config.op_timeout
+        timeout = PENDING_OPEN_TIMEOUT if pending else self.config.op_timeout
         resp = yield from self._request(xrootd_host(node), msg, timeout)
         if isinstance(resp, pr.OpenAck):
             return OpenResult(

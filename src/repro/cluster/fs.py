@@ -49,10 +49,11 @@ class ServerFS:
         self._total = 0
         self.bytes_written = 0
         self.bytes_read = 0
-        #: Called with the path before every create, put and remove: a
-        #: server cmsd holding queries as records watches while it holds
-        #: any (a file that appears must answer the ones still pending).
-        #: A tuple, replaced (never mutated) to add or drop a watcher.
+        #: Called with the path before a new file appears (a create, or a
+        #: put of a new path): a server cmsd watches while the network keeps
+        #: queries for it that it would not answer, since the new file must
+        #: answer the ones still pending.  A tuple, replaced (never mutated)
+        #: to add or drop a watcher.
         self.watchers: tuple = ()
 
     def __len__(self) -> int:
@@ -81,12 +82,13 @@ class ServerFS:
         """
         if type(data) is not bytes:
             data = bytes(data)
-        for watch in self.watchers:
-            watch(path)
-        f = FileData(path=path, data=data, created_at=now)
         old = self._files.get(path)
         if old is not None:
             self._total -= old.size
+        else:
+            for watch in self.watchers:
+                watch(path)
+        f = FileData(path=path, data=data, created_at=now)
         self._files[path] = f
         self._total += f.size
         return f
@@ -123,8 +125,6 @@ class ServerFS:
         return len(data)
 
     def remove(self, path: str) -> None:
-        for watch in self.watchers:
-            watch(path)
         f = self._files.pop(path, None)
         if f is None:
             raise FSError(f"no such file: {path!r}")

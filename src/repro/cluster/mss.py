@@ -40,7 +40,7 @@ class MassStorage:
         self._staging: dict[str, Event] = {}
         self.stages_started = 0
         self.stages_completed = 0
-        #: Called with the path before every archive and stage, like
+        #: Called with the path before a new path is archived, like
         #: :attr:`~repro.cluster.fs.ServerFS.watchers` (one archive may back
         #: many servers, so several cmsds may watch it).
         self.watchers: tuple = ()
@@ -57,8 +57,9 @@ class MassStorage:
 
     def archive(self, path: str, size: int) -> None:
         """Register *path* as available on tape."""
-        for watch in self.watchers:
-            watch(path)
+        if path not in self._catalog:
+            for watch in self.watchers:
+                watch(path)
         self._catalog[path] = size
 
     def has(self, path: str) -> bool:
@@ -75,8 +76,6 @@ class MassStorage:
         """
         if path not in self._catalog:
             raise KeyError(f"not archived: {path!r}")
-        for watch in self.watchers:
-            watch(path)
         existing = self._staging.get(path)
         if existing is not None and not existing.processed:
             return existing

@@ -15,7 +15,7 @@ from repro.sim.failures import (
 )
 from repro.sim.kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from repro.sim.latency import Empirical, Fixed, LatencyModel, LogNormal, Uniform
-from repro.sim.monitor import Histogram, Summary, TimeSeries
+from repro.sim.monitor import Histogram, Summary
 from repro.sim.network import ChaosConfig, Host, Network, NetworkStats
 from repro.sim.sync import Store
 
@@ -39,7 +39,6 @@ __all__ = [
     "LogNormal",
     "Empirical",
     "Histogram",
-    "TimeSeries",
     "Summary",
     "FailureEvent",
     "FailureInjector",

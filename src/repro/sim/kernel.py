@@ -29,10 +29,10 @@ Design rules:
   :meth:`Simulator.run_until_process` only choose where it stops, and
   every generator step goes through :meth:`Process._resume`.
 * **A slot without an entry.**  A seq can be taken without queueing
-  anything (``Network.send`` does so for a copy a silent leaf keeps as a
-  record, see :mod:`repro.cluster.cmsd`): the owner runs the work later
-  in that ``(time, seq)`` order, asking :meth:`Simulator.passed` whether
-  the running entry is past it, or queues it in its slot with
+  anything (``Network.send`` does so for a copy it keeps on the wire for a
+  silent leaf, see :mod:`repro.sim.network`): the owner runs the work
+  later in that ``(time, seq)`` order, asking :meth:`Simulator.passed`
+  whether the running entry is past it, or queues it in its slot with
   :meth:`Simulator.call_at_seq`.
 * **Never allocate on the dispatch path.**  This is the hottest loop in the
   repo (``benchmarks/perf`` tracks it), so the kernel follows the paper's
@@ -455,6 +455,12 @@ class Simulator:
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def seq_now(self) -> int:
+        """The seq of the heap entry running now; with :attr:`now`, where
+        the kernel stands (see :meth:`passed`)."""
+        return self._seq_now
 
     def passed(self, when: float, seq: float) -> bool:
         """True when a heap entry at ``(when, seq)`` would already have run.

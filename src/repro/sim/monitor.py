@@ -1,4 +1,4 @@
-"""Measurement utilities: histograms, time series, summaries.
+"""Measurement utilities: histograms and summaries.
 
 Every experiment reports through these so EXPERIMENTS.md rows share one
 vocabulary (count / mean / p50 / p95 / p99 / max).  Percentiles use the
@@ -9,9 +9,9 @@ the sample sizes the benches produce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Histogram", "TimeSeries", "Summary"]
+__all__ = ["Histogram", "Summary"]
 
 
 @dataclass(frozen=True)
@@ -122,36 +122,3 @@ class Histogram:
             minimum=values[0],
             maximum=values[n - 1],
         )
-
-
-@dataclass
-class TimeSeries:
-    """(time, value) pairs — cache population over time, load curves, etc."""
-
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def record(self, t: float, v: float) -> None:
-        if self.times and t < self.times[-1]:
-            raise ValueError("time series must be recorded in time order")
-        self.times.append(t)
-        self.values.append(v)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> float:
-        if not self.values:
-            raise ValueError("empty series")
-        return self.values[-1]
-
-    def max(self) -> float:
-        return max(self.values)
-
-    def steady_state_mean(self, skip_fraction: float = 0.5) -> float:
-        """Mean of the tail of the series (warm-up skipped)."""
-        if not self.values:
-            raise ValueError("empty series")
-        start = int(len(self.values) * skip_fraction)
-        tail = self.values[start:] or self.values[-1:]
-        return sum(tail) / len(tail)

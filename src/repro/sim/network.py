@@ -15,16 +15,22 @@ closed port would.  There is no second delivery path: code that wants a
 mailbox listens with a handler that puts into a
 :class:`~repro.sim.sync.Store`.
 
-The one exception is an *offered* copy.  A host's daemon may register an
-offer hook (:meth:`Network.set_offer`); :meth:`Network.send` shows it every
-copy after counting it and drawing its latency and chaos, together with
-the kernel seq reserved for its arrival.  A hook that accepts the copy
-keeps it as a record and replays its arrival itself later, in that
-``(arrival, seq)`` slot, with no heap entry: the server cmsd does this for
-the ``QueryFile``s it will not answer.  Such a host holds undelivered
-records between events, so the network settles it (:meth:`Network.hold`)
+The one exception is a *kept* copy.  A host's daemon may register an offer
+hook (:meth:`Network.set_offer`); :meth:`Network.send` shows it every copy
+after counting it and drawing its latency and chaos.  A copy the hook
+accepts stays with the network, in a per-host heap ordered by the
+``(arrival, seq)`` slot the kernel reserved for it, and costs no heap
+entry: the server cmsd accepts the ``QueryFile``s it will not answer.  The
+network owns those copies until they are delivered.  It replays the ones
+whose slots have passed with :meth:`Network._deliver`'s drop rules and
+delivery counters, and with :attr:`Network.replaying` naming the slot, so
+the receiver can serve the copy as of its arrival.  That happens when the
+host asks (:meth:`Network.catch_up`), before it keeps another copy,
 before anything that changes what an arrival sees — a kill, revive,
 partition, heal or isolation — and before :attr:`Network.stats` is read.
+When the host wants its copies delivered as ordinary entries again
+(:meth:`Network.release`, or removing the hook), the network replays the
+passed ones and queues the rest in their reserved slots.
 
 Message payloads are opaque to the network; the cluster layer defines its
 own message dataclasses (:mod:`repro.cluster.protocol`).
@@ -43,6 +49,7 @@ from repro.sim.latency import Fixed, LatencyModel
 __all__ = ["Host", "NetworkStats", "ChaosConfig", "Network"]
 
 _heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 @dataclass
@@ -93,9 +100,9 @@ class Host:
     """A network endpoint.  ``alive`` gates delivery; daemons also watch it.
 
     A host is its name, its liveness and its handler.  A daemon that wants
-    to keep some copies as records instead of deliveries registers an offer
-    hook for its host with :meth:`Network.set_offer`; the network keeps the
-    hook, so an idle host carries nothing extra.
+    some copies kept on the wire instead of queued registers an offer hook
+    for its host with :meth:`Network.set_offer`; the network keeps the hook
+    and the copies, so a host carries nothing extra.
     """
 
     def __init__(self, name: str) -> None:
@@ -158,69 +165,96 @@ class Network:
         self.chaos = chaos if chaos is not None and chaos.enabled else None
         self._chaos_rng = random.Random(chaos.seed) if self.chaos is not None else None
         #: Counted into on the send path; read through :attr:`stats`, which
-        #: first settles the hosts holding offered copies.
+        #: first replays the kept copies that have arrived.
         self._stats = NetworkStats()
         #: Host name -> offer hook (see :meth:`set_offer`).
-        self._offers: dict[str, Callable[[str, Any, float, int, float], bool]] = {}
-        #: Host name -> settle callback, for hosts that may hold offered
-        #: copies that have not arrived yet (see :meth:`hold`).
-        self._holding: dict[str, Callable[[], bool]] = {}
+        self._offers: dict[str, Callable[[Any], bool]] = {}
+        #: Host name -> heap of the copies kept for it, as ``(arrival, seq,
+        #: item)`` with the item :meth:`_deliver` takes; no empty heaps.
+        self._kept: dict[str, list[tuple[float, int, tuple]]] = {}
+        #: The kept copy being delivered while it is replayed, as ``(arrival,
+        #: seq, item)``, else None (an ordinary delivery arrives now).
+        self.replaying: tuple[float, int, tuple] | None = None
         if obs is not None:
-            # chaos_dropped is counted at send time: no settling needed.
+            # chaos_dropped is counted at send time: no replay needed.
             obs.metrics.pull(
                 self._stats, counters=[("chaos_msgs_dropped_total", "chaos_dropped")]
             )
 
     @property
     def stats(self) -> NetworkStats:
-        """The counters, exact as of now: hosts holding offered copies
-        first count the ones that have arrived."""
+        """The counters, exact as of now: the kept copies that have arrived
+        are delivered first."""
         self._settle()
         return self._stats
 
-    # -- offered copies --------------------------------------------------------
+    # -- kept copies -----------------------------------------------------------
 
-    def set_offer(
-        self, name: str, offer: Callable[[str, Any, float, int, float], bool] | None
-    ) -> None:
-        """Show every copy sent to *name* to ``offer(src, payload, arrival,
-        seq, sent_at)`` first; None removes the hook.
+    def set_offer(self, name: str, offer: Callable[[Any], bool] | None) -> None:
+        """Show every copy sent to *name* to ``offer(payload)`` first; None
+        removes the hook and releases the copies it kept (:meth:`release`).
 
         The hook runs after the copy is counted and its latency and chaos
-        drawn; *seq* is the kernel seq reserved for the arrival.  Returning
-        True takes the copy: the network schedules nothing, and the hook's
-        owner must account for it at ``(arrival, seq)`` exactly as
-        :meth:`_deliver` would — count it in :attr:`stats`, apply the drop
-        rules — or give it back with :meth:`redeliver`.
+        drawn.  Returning True keeps the copy on the wire in the kernel
+        slot reserved for its arrival, with no heap entry (module
+        docstring).
         """
         if name not in self.hosts:
             raise KeyError(f"unknown host {name!r}")
         if offer is None:
             self._offers.pop(name, None)
+            self.release(name)
         else:
             self._offers[name] = offer
 
-    def hold(self, name: str, settle: Callable[[], bool]) -> None:
-        """Register *settle* for host *name*, which holds offered copies
-        still on the wire.  The network calls it before any change that a
-        later arrival would see and before :attr:`stats` is read, and
-        forgets it once it returns False (nothing left on the wire)."""
-        self._holding[name] = settle
+    def keeps(self, name: str) -> bool:
+        """True while copies are kept on the wire for *name*."""
+        return name in self._kept
 
-    def redeliver(
-        self, when: float, seq: int, src: str, dst: str, payload: Any, sent_at: float
-    ) -> None:
-        """Give an offered copy back: deliver it in its reserved slot."""
-        item = (self.hosts[dst], src, dst, payload, sent_at)
-        self.sim.call_at_seq(when, seq, self._deliver, item)
+    def catch_up(self, name: str) -> None:
+        """Deliver the copies kept for *name* whose slots have passed."""
+        kept = self._kept.get(name)
+        if kept is not None:
+            self._replay(kept)
+            if not kept:
+                del self._kept[name]
+
+    def release(self, name: str) -> None:
+        """Stop keeping copies for *name*: deliver the ones whose slots have
+        passed, and queue the rest in their reserved slots."""
+        kept = self._kept.pop(name, None)
+        if kept is not None:
+            self._replay(kept)
+            call_at_seq = self.sim.call_at_seq
+            for arrival, seq, item in kept:
+                call_at_seq(arrival, seq, self._deliver, item)
+
+    def _replay(self, kept: list[tuple[float, int, tuple]]) -> None:
+        """Deliver, in slot order, the copies in *kept* whose slots come
+        before the running heap entry (:meth:`Simulator.passed`, inlined)."""
+        sim = self.sim
+        now, cur = sim._now, sim._seq_now
+        stats = self._stats
+        while kept and (kept[0][0] < now or (kept[0][0] == now and kept[0][1] < cur)):
+            self.replaying = entry = _heappop(kept)
+            # _deliver inlined: the same drop rules and counts.
+            target, src, dst, payload, sent_at = entry[2]
+            if not target.alive or (
+                (self._partitioned or self._partitioned_oneway or self._isolated)
+                and self._blocked(src, dst)
+            ):
+                stats.dropped_dead += not target.alive
+                stats.dropped_partition += target.alive
+                continue
+            stats.delivered += 1
+            target.receive(src, payload, sent_at)
+        self.replaying = None
 
     def _settle(self) -> None:
-        """Settle every host holding offered copies (before a change an
+        """Deliver every kept copy that has arrived (before a change an
         arrival would see, or a read of :attr:`stats`)."""
-        holding = self._holding
-        for name, settle in tuple(holding.items()):
-            if not settle():
-                del holding[name]
+        for name in tuple(self._kept):
+            self.catch_up(name)
 
     # -- topology management -------------------------------------------------
 
@@ -294,8 +328,8 @@ class Network:
 
     # -- failures ------------------------------------------------------------
 
-    # Every change below settles the hosts holding offered copies first:
-    # the copies that arrived before it must see the old state.
+    # Every change below first delivers the kept copies that have arrived:
+    # they must see the old state.
 
     def _known(self, *names: str) -> None:
         for name in names:
@@ -366,8 +400,8 @@ class Network:
         Drops are silent to the sender (as on a real network); the return
         value exists only for tests.  A message to a host that dies while
         the message is in flight is also lost — checked again at delivery.
-        A host with an offer hook (:meth:`set_offer`) may take the copy
-        instead of a heap entry.  An unknown *dst* raises ``KeyError``
+        A host with an offer hook (:meth:`set_offer`) may have the copy
+        kept instead of queued.  An unknown *dst* raises ``KeyError``
         before anything is counted.
         """
         target = self.hosts[dst]
@@ -385,8 +419,10 @@ class Network:
             delay = self.latency_model(src, dst).sample(self.rng)
         else:
             delay = self.default_latency.sample(self.rng)
-        delays = [delay]
-        if self.chaos is not None:
+        if self.chaos is None:
+            delays = (delay,)
+        else:
+            delays = [delay]
             cz, crng = self.chaos, self._chaos_rng
             if cz.drop_prob and crng.random() < cz.drop_prob:
                 stats.chaos_dropped += 1
@@ -405,18 +441,29 @@ class Network:
         item = (target, src, dst, payload, now)
         for d in delays:
             # Simulator.call_at inlined (d >= 0), with the seq taken first:
-            # an offered copy keeps the slot its delivery would have had.
+            # a kept copy keeps the slot its delivery would have had.
             seq = sim._seq
             sim._seq = seq + 1
-            if offer is None or not offer(src, payload, now + d, seq, now):
+            if offer is None or not offer(payload):
                 _heappush(sim._heap, (now + d, seq, self._deliver, item))
+                continue
+            kept = self._kept.get(dst)
+            if kept is None:
+                self._kept[dst] = [(now + d, seq, item)]
+                continue
+            if kept[0][0] < now or (kept[0][0] == now and kept[0][1] < sim._seq_now):
+                self._replay(kept)  # only copies still on the wire stay kept
+            _heappush(kept, (now + d, seq, item))
         return True
 
     def _deliver(self, item: tuple[Host, str, str, Any, float]) -> None:
         """Hand one arrived copy to its target, unless the target died or
         the link was cut while the message was in flight."""
         target, src, dst, payload, sent_at = item
-        if not target.alive or self._blocked(src, dst):
+        if not target.alive or (
+            (self._partitioned or self._partitioned_oneway or self._isolated)
+            and self._blocked(src, dst)
+        ):
             self._stats.dropped_dead += not target.alive
             self._stats.dropped_partition += target.alive
             return

@@ -10,6 +10,7 @@ from repro.cluster import (
     ScallaConfig,
     ScallaError,
 )
+from repro.cluster import client as client_mod
 from repro.cluster import protocol as pr
 from repro.cluster.client import ScallaClient
 from repro.sim.kernel import Simulator
@@ -18,13 +19,14 @@ from repro.sim.network import Network
 
 
 class TestFailover:
-    def test_all_managers_dead_raises_unreachable(self):
+    def test_all_managers_dead_raises_unreachable(self, monkeypatch):
+        monkeypatch.setattr(client_mod, "MAX_FAILOVER_CYCLES", 1)
         cluster = ScallaCluster(2, config=ScallaConfig(seed=321, managers=2))
         cluster.populate(["/store/f.root"], size=32)
         cluster.settle()
         for m in cluster.managers:
             cluster.node(m).crash()
-        client = cluster.client(config=ClientConfig(locate_timeout=0.2, max_failover_cycles=1))
+        client = cluster.client(config=ClientConfig(locate_timeout=0.2))
         with pytest.raises(ClusterUnreachable):
             cluster.run_process(client.open("/store/f.root"), limit=120)
 
@@ -61,11 +63,12 @@ class TestFailover:
 
 
 class TestBudgets:
-    def test_retry_budget_exhaustion_raises(self):
+    def test_retry_budget_exhaustion_raises(self, monkeypatch):
         """A file that keeps timing out must eventually fail loudly."""
+        monkeypatch.setattr(client_mod, "MAX_RETRIES", 2)
         cluster = ScallaCluster(1, config=ScallaConfig(seed=324, full_delay=0.3))
         cluster.settle()
-        client = cluster.client(config=ClientConfig(max_retries=2))
+        client = cluster.client()
         # Non-existent file: Wait -> retry -> NotFound. With retries capped
         # at 2 the client either sees NoSuchFile (clean) — never hangs.
         with pytest.raises((NoSuchFile, ScallaError)):
@@ -84,7 +87,7 @@ class TestBudgets:
 
 
 class TestPendingOpens:
-    def test_mid_stage_crash_does_not_hang_client(self):
+    def test_mid_stage_crash_does_not_hang_client(self, monkeypatch):
         """Regression: the open timeout was a ``1e6`` s sentinel for
         pending opens, so a server crashing mid-stage stranded the client
         for ~11 simulated days instead of entering the recovery loop."""
@@ -96,9 +99,9 @@ class TestPendingOpens:
         )
         cluster.archive("/store/tape.root", cluster.servers[0], size=64)
         cluster.settle()
-        client = cluster.client(
-            config=ClientConfig(pending_open_timeout=2.0, max_retries=3)
-        )
+        monkeypatch.setattr(client_mod, "PENDING_OPEN_TIMEOUT", 2.0)
+        monkeypatch.setattr(client_mod, "MAX_RETRIES", 3)
+        client = cluster.client()
 
         def scenario():
             try:
@@ -116,8 +119,9 @@ class TestPendingOpens:
         # Failure surfaces within a few timeout/retry rounds, not 1e6 s.
         assert t_end is not None and t_end < 60.0
 
-    def test_slow_stage_still_succeeds_within_budget(self):
+    def test_slow_stage_still_succeeds_within_budget(self, monkeypatch):
         """The finite pending timeout must not break legitimate staging."""
+        monkeypatch.setattr(client_mod, "PENDING_OPEN_TIMEOUT", 120.0)
         from repro.sim.latency import Fixed
 
         cluster = ScallaCluster(
@@ -126,7 +130,7 @@ class TestPendingOpens:
         )
         cluster.archive("/store/tape2.root", cluster.servers[0], size=64)
         cluster.settle()
-        client = cluster.client(config=ClientConfig(pending_open_timeout=120.0))
+        client = cluster.client()
         res = cluster.run_process(client.open("/store/tape2.root"), limit=300)
         assert res.size == 64
         assert res.latency >= 30.0

@@ -19,7 +19,8 @@ from repro.cluster import protocol as pr
 from repro.cluster.client import ClientConfig, ScallaError
 from repro.cluster.cmsd import Cmsd
 from repro.cluster.ids import NodeId, Role, cmsd_host
-from repro.cluster.fs import ServerFS
+from repro.cluster.fs import FSError, ServerFS
+from repro.cluster.mss import MassStorage
 from repro.cluster.scalla import ScallaCluster, ScallaConfig
 from repro.cluster.xrootd import XrootdServer
 from repro.obs import Observability
@@ -45,15 +46,16 @@ def send_log(monkeypatch):
 
 @pytest.fixture
 def hand_offs(monkeypatch):
-    """How often a leaf gave its records back to the eager path."""
+    """How often a leaf switched to eager with something pending: copies
+    the network keeps for it, or a record-served query in service."""
     count = [0]
-    hand_off = Cmsd._hand_off
+    go_eager = Cmsd._go_eager
 
     def counted(self):
-        count[0] += 1
-        hand_off(self)
+        count[0] += self._end is not None or self.network.keeps(self.host.name)
+        go_eager(self)
 
-    monkeypatch.setattr(Cmsd, "_hand_off", counted)
+    monkeypatch.setattr(Cmsd, "_go_eager", counted)
     return count
 
 
@@ -183,20 +185,26 @@ def test_silent_leaves_change_nothing_observable(send_log, hand_offs, jitter, ch
 # -- unit tests ---------------------------------------------------------------
 
 
-def leaf_rig(*, obs=None):
+def leaf_rig(*, obs=None, mss=None):
     """One server cmsd and a bare 'parent' host that sends it queries."""
     sim = Simulator()
     net = Network(sim, default_latency=Fixed(10e-6), rng=random.Random(1))
     parent = net.add_host("sup.cmsd")
     replies = []
     parent.listen(lambda src, msg, sent_at: replies.append((sim.now, msg)))
-    node = NodeId("srv0", Role.SERVER)
+    cmsd, fs = add_leaf(sim, net, "srv0", obs=obs, mss=mss)
+    return sim, net, cmsd, fs, replies
+
+
+def add_leaf(sim, net, name: str, *, obs=None, mss=None):
+    """A started server cmsd (80 us service) with its own disk."""
+    node = NodeId(name, Role.SERVER)
     fs = ServerFS()
-    xrootd = XrootdServer(sim, net, node, fs)
+    xrootd = XrootdServer(sim, net, node, fs, mss=mss(sim) if mss else None)
     config = ScallaConfig(server_service=Fixed(80e-6), sanitize=False)
     cmsd = Cmsd(sim, net, node, xrootd=xrootd, config=config, obs=obs)
     cmsd.start()
-    return sim, net, cmsd, fs, replies
+    return cmsd, fs
 
 
 def query(path: str, serial: int = 1) -> pr.QueryFile:
@@ -210,7 +218,7 @@ class TestRecords:
         assert net.send("sup.cmsd", cmsd.host.name, query("/store/none"))
         assert len(sim._heap) == depth
         assert sim._seq == seq + 1  # the copy's slot is reserved all the same
-        assert len(cmsd._box.records) == 1
+        assert len(net._kept[cmsd.host.name]) == 1
 
     def test_answerable_copy_is_delivered_eagerly(self):
         sim, net, cmsd, fs, replies = leaf_rig()
@@ -218,7 +226,7 @@ class TestRecords:
         depth = len(sim._heap)
         net.send("sup.cmsd", cmsd.host.name, query("/store/here"))
         assert len(sim._heap) == depth + 1
-        assert cmsd._box is None  # never took a record
+        assert not net.keeps(cmsd.host.name)  # nothing kept on the wire
         sim.run(until=1e-3)
         assert [type(m) for _, m in replies] == [pr.HaveFile]
 
@@ -256,16 +264,25 @@ class TestRecords:
         arrivals = []
         offer = Cmsd._offer
 
-        def checked(self, src, msg, arrival, seq, sent_at):
-            arrivals.append((arrival, seq))
-            took = offer(self, src, msg, arrival, seq, sent_at)
-            # Right after an offer every record is still on the wire.
-            in_flight = [a for a in arrivals if not self.sim.passed(*a)]
-            assert sorted(r[:2] for r in self._box.records) == in_flight
-            peak[0] = max(peak[0], len(self._box.records))
+        def checked(self, msg):
+            took = offer(self, msg)
+            if took:
+                # Fixed 10 us latency; Network.send reserved the slot just now.
+                arrivals.append((self.sim.now + 10e-6, self.sim._seq - 1))
             return took
 
+        def kept_after(self, src, dst, payload, *, size=0):
+            sent = send(self, src, dst, payload, size=size)
+            # Right after an offer every kept copy is still on the wire.
+            kept = self._kept.get(dst, [])
+            in_flight = [a for a in arrivals if not self.sim.passed(*a)]
+            assert sorted(k[:2] for k in kept) == in_flight
+            peak[0] = max(peak[0], len(kept))
+            return sent
+
+        send = Network.send
         monkeypatch.setattr(Cmsd, "_offer", checked)
+        monkeypatch.setattr(Network, "send", kept_after)
         sim, net, cmsd, fs, _ = leaf_rig()
         rng = random.Random(4)
         for i in range(200):
@@ -281,7 +298,7 @@ class TestRecords:
         sim.run(until=20e-6)
         net.send("sup.cmsd", cmsd.host.name, query("/store/b"))
         cmsd.stop()
-        assert not cmsd._box.records and cmsd._box.item is None
+        assert not net.keeps(cmsd.host.name) and cmsd._in_service is None
         sim.run(until=1e-3)
         assert net.stats.delivered == 2  # the second reached a closed port
 
@@ -293,3 +310,97 @@ class TestRecords:
         sim.run(until=1e-3)
         fs.put("/store/other", b"z")  # drained: the watcher leaves
         assert fs.watchers == ()
+
+    def test_failing_remove_and_stage_keep_the_leaf_lazy(self):
+        # Neither can turn a pending query into an answer: a failing remove
+        # changes nothing, and a staged path was archived already.
+        outcomes = []
+        for obs in (Observability(), None):
+            sim, net, cmsd, fs, replies = leaf_rig(obs=obs, mss=MassStorage)
+            mss = cmsd.xrootd.mss
+            mss.archive("/store/tape/a", 64)
+            net.send("sup.cmsd", cmsd.host.name, query("/store/none"))
+            sim.run(until=20e-6)
+            assert net.stats.delivered == 1  # arrived at 10 us, served until 90 us
+            depth = len(sim._heap)
+            with pytest.raises(FSError):
+                fs.remove("/store/missing")
+            mss.stage("/store/tape/a")
+            if obs is None:
+                assert len(sim._heap) == depth + 1  # the stage's own timer only
+                assert fs.watchers == mss.watchers == (cmsd._on_store_change,)
+                assert cmsd._end is not None  # still record-served
+            sim.run(until=200.0)
+            outcomes.append((replies, dataclasses.asdict(net.stats), mss.stages_completed))
+        assert outcomes[0] == outcomes[1]
+
+
+def tie_script(observability: bool, seed: int):
+    """Queries (most of them silent), answerable queries and heartbeat acks
+    sent to one leaf on a 10 us grid: with 10 us hops and 80 us service,
+    arrivals and service ends tie often."""
+    sim, net, cmsd, fs, replies = leaf_rig(obs=Observability() if observability else None)
+    fs.put("/store/here", b"x")
+    rng = random.Random(seed)
+    for i in range(120):
+        roll = rng.random()
+        if roll < 0.7:
+            msg = query(f"/store/none{i}", i)
+        elif roll < 0.9:
+            msg = query("/store/here", i)
+        else:
+            msg = pr.HeartbeatAck(node="sup", known=True)
+        at = rng.randrange(1000) * 10e-6
+        sim.call_at(at, lambda _a, m=msg: net.send("sup.cmsd", cmsd.host.name, m), None)
+    sim.run(until=0.1)
+    return [(t, repr(m)) for t, m in replies], dataclasses.asdict(net.stats)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_switch_to_eager_under_fixed_latencies(send_log, monkeypatch, seed):
+    """A real message reaching a leaf while a record-served query is in
+    service gives that service end the slot just past its busy period's
+    arrival seqs; ties must then resolve as on the eager path."""
+    fractional = [0]
+    call_at_seq = Simulator.call_at_seq
+
+    def counted(self, when, seq, fn, arg):
+        fractional[0] += seq != int(seq)
+        call_at_seq(self, when, seq, fn, arg)
+
+    monkeypatch.setattr(Simulator, "call_at_seq", counted)
+    eager = tie_script(True, seed)
+    eager_log = list(send_log)
+    assert fractional[0] == 0
+    send_log.clear()
+    lazy = tie_script(False, seed)
+    assert fractional[0] > 0  # the seq + 0.5 slot was taken
+    assert send_log == eager_log
+    assert lazy == eager
+
+
+def test_switched_end_keeps_its_place_among_same_instant_arrivals(send_log):
+    """A new file switches a leaf to eager while a record-served query is
+    in service; answerable queries reach it and a second leaf exactly when
+    that service ends.  On the eager path the end runs first, so the first
+    leaf takes its query into service before the second leaf does, and
+    their answers, due at the same instant, leave in that order."""
+    runs = []
+    for obs in (Observability(), None):
+        send_log.clear()
+        sim, net, first, fs1, replies = leaf_rig(obs=obs)
+        second, fs2 = add_leaf(sim, net, "srv1", obs=obs)
+        fs1.put("/store/one", b"x")
+        fs2.put("/store/two", b"x")
+
+        def send_at(when, cmsd, path):
+            sim.call_at(when, lambda _a: net.send("sup.cmsd", cmsd.host.name, query(path)), None)
+
+        send_at(0.0, first, "/store/none")  # served 10-90 us, silently
+        send_at(80e-6, first, "/store/one")  # both arrive at 90 us
+        send_at(80e-6, second, "/store/two")
+        sim.call_at(85e-6, lambda _a: fs1.put("/store/new", b"y"), None)
+        sim.run(until=1e-3)
+        runs.append((list(send_log), [(t, m.node) for t, m in replies]))
+    assert runs[0] == runs[1]
+    assert runs[1][1] == [(pytest.approx(180e-6), "srv0"), (pytest.approx(180e-6), "srv1")]

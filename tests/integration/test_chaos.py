@@ -26,6 +26,7 @@ import random
 import pytest
 
 from repro.cluster import ScallaCluster, ScallaConfig
+from repro.cluster import client as client_mod
 from repro.cluster.client import ClientConfig, ScallaError
 from repro.cluster.ids import cmsd_host
 from repro.sim import ChaosConfig
@@ -37,6 +38,13 @@ N_SERVERS = 8
 N_FILES = 12
 HORIZON = 10.0  # chaos window, simulated seconds
 COOLDOWN = 2.0  # post-recovery settle before the verify sweep
+
+
+@pytest.fixture(autouse=True)
+def short_pending_open(monkeypatch):
+    """A 5 s pending-open timeout: a read redirected to a crashed stager
+    fails over within the churn window."""
+    monkeypatch.setattr(client_mod, "PENDING_OPEN_TIMEOUT", 5.0)
 
 
 def chaos_cluster(seed, **overrides):
@@ -58,9 +66,7 @@ def chaos_cluster(seed, **overrides):
         ),
         # Short client timeouts: dead-manager detection in fractions of a
         # second keeps the read cadence high through the churn window.
-        client=ClientConfig(
-            locate_timeout=0.5, op_timeout=0.5, pending_open_timeout=5.0
-        ),
+        client=ClientConfig(locate_timeout=0.5, op_timeout=0.5),
     )
     cfg.update(overrides)
     cluster = ScallaCluster(N_SERVERS, config=ScallaConfig(**cfg))

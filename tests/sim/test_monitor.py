@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.monitor import Histogram, TimeSeries
+from repro.sim.monitor import Histogram
 
 
 class TestHistogram:
@@ -89,29 +89,3 @@ class TestHistogram:
         h.extend([0.001, 0.002])
         text = h.summary().format(scale=1000, unit="ms")
         assert "mean=1.50ms" in text
-
-
-class TestTimeSeries:
-    def test_record_and_last(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(1.0, 20.0)
-        assert len(ts) == 2
-        assert ts.last() == 20.0
-        assert ts.max() == 20.0
-
-    def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(4.0, 2.0)
-
-    def test_steady_state_mean_skips_warmup(self):
-        ts = TimeSeries()
-        for t in range(10):
-            ts.record(float(t), 0.0 if t < 5 else 100.0)
-        assert ts.steady_state_mean(skip_fraction=0.5) == 100.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()

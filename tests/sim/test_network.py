@@ -430,3 +430,66 @@ class TestInjectorValidation:
         sim.run()
         assert net.send("a", "b", "x")
         assert len(inj.executed) == 4
+
+
+class TestKeptCopies:
+    """Copies an offer hook accepts stay with the network until replayed
+    (through the drop rules and counters) or released into the heap."""
+
+    def rig(self):
+        sim, net, a, b = make_net(latency=10e-6)
+        got = []
+        b.listen(lambda src, payload, sent_at: got.append((sim.now, payload, net.replaying)))
+        net.set_offer("b", lambda payload: payload.startswith("silent"))
+        return sim, net, got
+
+    def test_replayed_in_its_slot_without_a_heap_entry(self):
+        sim, net, got = self.rig()
+        depth, seq = len(sim._heap), sim._seq
+        assert net.send("a", "b", "silent")
+        assert len(sim._heap) == depth and net.keeps("b")
+        sim.run(until=20e-6)
+        assert got == []  # nothing ran: the copy is still kept
+        assert net.stats.delivered == 1  # reading the stats replays it
+        (now, payload, slot), = got
+        assert payload == "silent" and slot[:2] == (10e-6, seq)
+        assert net.replaying is None and not net.keeps("b")
+
+    def test_ordinary_copies_are_queued(self):
+        sim, net, got = self.rig()
+        net.send("a", "b", "loud")
+        assert not net.keeps("b")
+        sim.run()
+        assert got == [(10e-6, "loud", None)]
+
+    def test_drop_rules_apply_as_of_arrival(self):
+        sim, net, got = self.rig()
+        net.send("a", "b", "silent-early")  # arrives at 10 us
+        sim.run(until=5e-6)
+        net.send("a", "b", "silent-late")  # arrives at 15 us
+        sim.run(until=12e-6)
+        net.isolate("b")  # after the first arrival, before the second
+        sim.run(until=1e-3)
+        stats = net.stats
+        assert [p for _, p, _ in got] == ["silent-early"]
+        assert (stats.delivered, stats.dropped_partition) == (1, 1)
+
+    def test_release_queues_the_rest_in_their_slots(self):
+        sim, net, got = self.rig()
+        net.send("a", "b", "silent-1")
+        sim.run(until=5e-6)
+        net.send("a", "b", "silent-2")
+        sim.run(until=12e-6)
+        net.release("b")  # the first has arrived: replayed now
+        assert [(p, s is not None) for _, p, s in got] == [("silent-1", True)]
+        sim.run()
+        assert got[1] == (5e-6 + 10e-6, "silent-2", None)  # by its heap entry
+        assert net.stats.delivered == 2
+
+    def test_removing_the_hook_releases_its_copies(self):
+        sim, net, got = self.rig()
+        net.send("a", "b", "silent")
+        net.set_offer("b", None)
+        assert not net.keeps("b")
+        sim.run()
+        assert got == [(10e-6, "silent", None)]
