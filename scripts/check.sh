@@ -2,8 +2,9 @@
 # Local pre-push check — the same gates CI runs, in the same order.
 #
 #   scripts/check.sh           # ruff (if installed) + scalla-lint +
-#                              # tier-1 tests + determinism double-run +
-#                              # sanitized chaos soak
+#                              # tier-1 tests + perfbench tests +
+#                              # determinism double-run + sanitized chaos
+#                              # soak
 #   scripts/check.sh --bench   # also run scripts/smoke_bench.sh (the
 #                              # smoke benches, their snapshot gate and
 #                              # the drift gate on the committed records)
@@ -46,6 +47,9 @@ python -m repro.analysis.lint src tests benchmarks
 
 echo "== tier-1 tests"
 python -m pytest -x -q
+
+echo "== perfbench tests (the tracer wraps daemon methods by name)"
+python -m pytest perfbench/tests -q
 
 echo "== determinism (same-seed double run, SimSan on run 2)"
 python -m repro.analysis.determinism --sanitize

@@ -47,9 +47,11 @@ def main(argv: list[str] | None = None) -> int:
 
     missing = []
     for name, spec in cluster.topology.nodes.items():
-        cmsd = cluster.nodes[name].cmsd
-        if spec.children and len(cmsd.children) != len(spec.children):
-            missing.append(f"{name}: {len(cmsd.children)}/{len(spec.children)} children")
+        if not spec.children:
+            continue
+        members = cluster.nodes[name].cmsd.membership.member_count()
+        if members != len(spec.children):
+            missing.append(f"{name}: {members}/{len(spec.children)} children")
 
     print(
         json.dumps(

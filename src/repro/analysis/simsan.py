@@ -165,7 +165,7 @@ class Sanitizer:
                     c_i=c_i,
                     n_c=membership.n_c,
                 )
-            occupied = membership.slot(i) is not None
+            occupied = membership.slots[i] is not None
             if occupied != bool(membership.v_members & bitvec.bit(i)):
                 raise self._tag(
                     InvariantViolation(

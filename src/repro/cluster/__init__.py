@@ -18,7 +18,7 @@ from repro.cluster.client import (
     ScallaError,
     ServerTimeout,
 )
-from repro.cluster.cmsd import ChildInfo, Cmsd, CmsdStats
+from repro.cluster.cmsd import Cmsd, CmsdStats
 from repro.cluster.cnsd import CNSD_HOST, CnsDaemon
 from repro.cluster.config import ScallaConfig
 from repro.cluster.fs import FileData, FSError, ServerFS
@@ -44,7 +44,6 @@ __all__ = [
     "ServerTimeout",
     "Cmsd",
     "CmsdStats",
-    "ChildInfo",
     "CnsDaemon",
     "CNSD_HOST",
     "ServerFS",

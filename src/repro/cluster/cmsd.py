@@ -59,6 +59,7 @@ oracle the obs-off runs are checked against.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,7 +79,7 @@ from repro.core.selection import MostSpace, RoundRobin, ServerMetrics
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
-__all__ = ["CmsdStats", "ChildInfo", "Cmsd"]
+__all__ = ["CmsdStats", "Cmsd"]
 
 #: Cap on the exponential re-login backoff (engaged when a parent is
 #: silent and no standby exists — e.g. the parent is a manager the
@@ -106,6 +107,12 @@ READ_POLICY = RoundRobin()
 CREATE_POLICY = MostSpace()
 
 _QueryFile = pr.QueryFile
+
+
+@functools.lru_cache(maxsize=256)
+def _rotation(standbys: tuple, parents: tuple) -> tuple:
+    """The re-home rotation; siblings pass equal tuples, so share one."""
+    return standbys + parents
 
 
 @dataclass
@@ -145,16 +152,6 @@ class CmsdStats:
     orphaned_seconds: float = 0.0
     prepares: int = 0
     refreshes: int = 0
-
-
-@dataclass
-class ChildInfo:
-    """Parent-side metadata about one direct subordinate."""
-
-    name: str
-    role: Role
-    last_seen: float = 0.0
-    site: str = ""
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,6 @@ class Cmsd:
         *,
         parents: tuple[str, ...] = (),  # parent node names
         standbys: tuple[str | tuple[str, ...], ...] = (),  # failover parents, in order
-        standby_pool: tuple[str | tuple[str, ...], ...] = (),  # re-home rotation
         exports: tuple[str, ...] = ("/store",),
         xrootd: XrootdServer | None = None,
         config: ScallaConfig | None = None,
@@ -212,10 +208,9 @@ class Cmsd:
         self.node_id = node_id
         self.parents = parents
         self.standbys = standbys
-        #: Re-home rotation (NodeSpec.standby_pool): the configured
-        #: standbys (a name, or a tuple of peer parents adopted together),
-        #: then the original parents.
-        self._standby_pool = standby_pool
+        #: Re-home rotation: the configured standbys (a name, or a tuple of
+        #: peer parents adopted together), then the original parents.
+        self._standby_pool = _rotation(standbys, parents)
         self._standby_idx = 0
         self.exports = exports
         self.xrootd = xrootd
@@ -265,14 +260,12 @@ class Cmsd:
             )
             self.deadline = DeadlinePolicy(full_delay=config.full_delay)
             self.metrics = ServerMetrics()
-            self.children: dict[str, ChildInfo] = {}
         else:
             self.membership = None
             self.cache = None
             self.rq = None
             self.deadline = None
             self.metrics = None
-            self.children = {}
         # Every role gets a sanitizer: servers have no cache/queue, but
         # their subordinate half (parents, re-home state) is checkable.
         self.sanitizer = Sanitizer(node=node_id.name) if config.sanitize else None
@@ -614,28 +607,14 @@ class Cmsd:
         self.sim.call_at(self.sim.now + self.cache.tick_interval, self._window_tick, epoch)
 
     def _liveness_sweep(self, epoch: int) -> None:
-        """Disconnect children whose heartbeats stopped; drop them later.
-
-        Implements §III-A4's two-phase removal: a silent child first goes
-        *offline* (still a member, cached info stays valid), and only after
-        ``drop_timeout`` is it dropped (V_m scrubbed, slot freed).
-        """
+        """Disconnect children whose heartbeats stopped; drop them later
+        (§III-A4's two-phase removal, :meth:`ClusterMembership.expire`)."""
         if epoch != self._epoch:
             return
         now = self.sim.now
-        for name, info in list(self.children.items()):
-            slot = self.membership.slot_of(name)
-            if slot is None:
-                del self.children[name]
-                continue
-            silent_for = now - info.last_seen
-            entry = self.membership.slot(slot)
-            if entry.online and silent_for > self.config.disconnect_timeout:
-                self.membership.disconnect(name)
-            elif not entry.online and silent_for > self.config.drop_timeout:
-                self.membership.drop(name)
-                del self.children[name]
-        self.sim.call_at(now + self.config.heartbeat_interval, self._liveness_sweep, epoch)
+        cfg = self.config
+        self.membership.expire(now, cfg.disconnect_timeout, cfg.drop_timeout)
+        self.sim.call_at(now + cfg.heartbeat_interval, self._liveness_sweep, epoch)
 
     # -- main dispatch ---------------------------------------------------------
 
@@ -830,11 +809,9 @@ class Cmsd:
         if not self.config.adaptive_window:
             return None
         slowest = 0.0
+        slots = self.membership.slots
         for slot in bitvec.iter_bits(self.membership.v_online):
-            name = self.membership.server_name(slot)
-            if name is None:
-                continue
-            rtt = self._peer_rtt.get(name)
+            rtt = self._peer_rtt.get(slots[slot].name)
             if rtt is not None and rtt > slowest:
                 slowest = rtt
         return max(self.config.fast_period, WINDOW_RTT_MULT * slowest)
@@ -842,36 +819,30 @@ class Cmsd:
     # -- membership handling -----------------------------------------------------
 
     def _on_login(self, msg: pr.Login, src: str, sent_at: float = 0.0) -> None:
-        self._observe_peer(msg.node, 2.0 * (self.sim.now - sent_at))
+        now = self.sim.now
+        self._observe_peer(msg.node, 2.0 * (now - sent_at))
+        role = Role(msg.role).value  # raises on a role no node can have
         try:
-            slot = self.membership.login(msg.node, msg.paths)
+            slot = self.membership.login(msg.node, msg.paths, host=src, role=role, now=now)
         except OverflowError:
             # All 64 slots occupied: ignore the login.  The subordinate's
             # heartbeats keep drawing HeartbeatAck(known=False), which do
             # not stop its silence clock, so it rotates on to its next
             # standby instead of wedging on a full parent.
             return
-        self.children[msg.node] = ChildInfo(
-            name=msg.node, role=Role(msg.role), last_seen=self.sim.now
-        )
         self.metrics.selections[slot] = 0
         self.stats.logins_handled += 1
         self._send(src, pr.LoginAck(slot))
 
     def _on_heartbeat(self, msg: pr.Heartbeat, src: str, sent_at: float = 0.0) -> None:
-        self._observe_peer(msg.node, 2.0 * (self.sim.now - sent_at))
-        info = self.children.get(msg.node)
-        slot = self.membership.slot_of(msg.node)
-        if info is None or slot is None:
+        now = self.sim.now
+        self._observe_peer(msg.node, 2.0 * (now - sent_at))
+        # An offline child reconnects here (case 3 of §III-A4).
+        slot = self.membership.heartbeat(msg.node, now, msg.site)
+        if slot is None:
             # We do not know this child (we probably restarted): tell it so.
             self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=False))
             return
-        info.last_seen = self.sim.now
-        info.site = msg.site
-        entry = self.membership.slot(slot)
-        if not entry.online:
-            # Reconnection within the drop window (case 3 of §III-A4).
-            self.membership.login(msg.node, entry.paths)
         self.metrics.load[slot] = msg.load
         self.metrics.free_space[slot] = msg.free_space
         self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=True))
@@ -961,16 +932,16 @@ class Cmsd:
         size = pr.estimate_size(q)
         src = self.host.name
         send = self.network.send
-        server_name = self.membership.server_name
-        fanout = 0
-        for slot in bitvec.iter_bits(targets):
-            name = server_name(slot)
-            if name is not None:
-                send(src, cmsd_host(name), q, size=size)
-                fanout += 1
+        slots = self.membership.slots
+        rest = targets
+        while rest:  # bitvec.iter_bits inlined: one step per silent copy
+            low = rest & -rest
+            send(src, slots[low.bit_length() - 1].host, q, size=size)
+            rest ^= low
+        fanout = bitvec.count(targets)
         self.stats.messages_sent += fanout
         self.stats.queries_sent += fanout
-        if self._obs is not None and fanout:
+        if self._obs is not None:
             self._obs.tracer.event(path, "query.flood", node=self.node_id.name, fanout=fanout)
         obj.v_q &= ~targets & bitvec.FULL_MASK
 
@@ -998,12 +969,7 @@ class Cmsd:
         site are preferred when any exist (extension; see
         ScallaConfig.locality_aware).
         """
-        avoid_mask = 0
-        for name in avoid:
-            slot = self.membership.slot_of(name)
-            if slot is not None:
-                avoid_mask |= bitvec.bit(slot)
-        usable = ~avoid_mask & self.membership.v_online & bitvec.FULL_MASK
+        usable = self._usable(avoid)
         holders = obj.v_h & usable
         if holders:
             return self._prefer_local(holders, client_site), False
@@ -1012,23 +978,32 @@ class Cmsd:
             return self._prefer_local(preparing, client_site), True
         return 0, False
 
+    def _usable(self, avoid: tuple[str, ...]) -> int:
+        """The online slots, less those of the *avoid*ed node names."""
+        usable = self.membership.v_online
+        for name in avoid:
+            slot = self.membership.slot_of(name)
+            if slot is not None:
+                usable &= ~bitvec.bit(slot)
+        return usable
+
     def _prefer_local(self, candidates: int, client_site: str) -> int:
         if not self.config.locality_aware or not client_site:
             return candidates
+        slots = self.membership.slots
         local = 0
         for slot in bitvec.iter_bits(candidates):
-            info = self.children.get(self.membership.server_name(slot) or "")
-            if info is not None and info.site == client_site:
+            if slots[slot].site == client_site:
                 local |= bitvec.bit(slot)
         return local or candidates
 
     def _redirect(self, msg: pr.Locate, slot: int, pending: bool) -> None:
-        name = self.membership.server_name(slot)
-        info = self.children.get(name)
-        role = info.role.value if info is not None else Role.SERVER.value
+        child = self.membership.slots[slot]
         self._send(
             msg.reply_to,
-            pr.Redirect(msg.req_id, msg.path, target=name, target_role=role, pending=pending),
+            pr.Redirect(
+                msg.req_id, msg.path, target=child.name, target_role=child.role, pending=pending
+            ),
         )
         self.stats.redirects += 1
 
@@ -1139,13 +1114,7 @@ class Cmsd:
 
     def _place_create(self, msg: pr.Locate, obj) -> str:
         """Pick a node for a brand-new file (non-existence now confirmed)."""
-        eligible = self.membership.eligible(msg.path) & self.membership.v_online
-        avoid_mask = 0
-        for name in msg.avoid:
-            slot = self.membership.slot_of(name)
-            if slot is not None:
-                avoid_mask |= bitvec.bit(slot)
-        eligible &= ~avoid_mask & bitvec.FULL_MASK
+        eligible = self.membership.eligible(msg.path) & self._usable(msg.avoid)
         if not eligible:
             self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
             self.stats.notfounds += 1
@@ -1287,9 +1256,7 @@ class Cmsd:
                 holder=msg.node,
                 waiters=len(late),
             )
-        name = self.membership.server_name(slot)
-        info = self.children.get(name)
-        role = info.role.value if info is not None else Role.SERVER.value
+        role = self.membership.slots[slot].role
         for waiter in released + late:
             payload = waiter.payload
             if isinstance(payload, _ClientWaiter):
@@ -1300,7 +1267,7 @@ class Cmsd:
                     pr.Redirect(
                         payload.req_id,
                         payload.path,
-                        target=name,
+                        target=msg.node,
                         target_role=role,
                         pending=msg.pending,
                     ),

@@ -119,7 +119,6 @@ class ScallaNode:
             self.spec.node_id,
             parents=self.spec.parents,
             standbys=self.spec.standbys,
-            standby_pool=self.spec.standby_pool,
             exports=self.spec.exports,
             xrootd=self.xrootd,
             config=self.config,

@@ -44,10 +44,6 @@ class NodeSpec:
     #: together: the parent's own parent set, i.e. every peer manager,
     #: since each answers only for the subordinates logged into it.
     standbys: tuple[str | tuple[str, ...], ...] = ()
-    #: The cmsd's re-home rotation: the standbys, then the node's own
-    #: parents (so a subordinate driven off its home parent eventually
-    #: retries it once the alternatives are exhausted).
-    standby_pool: tuple[str | tuple[str, ...], ...] = ()
 
     @property
     def name(self) -> str:
@@ -178,20 +174,18 @@ def _assign_standbys(topo: Topology) -> None:
     every manager, so its list is empty — there is nowhere else to go,
     and the capped-backoff re-login loop covers a manager restart instead.
 
-    Siblings share their parents, so the list and the re-home rotation
-    are computed once per distinct parent set, and all the siblings share
-    the same two tuples.
+    Siblings share their parents, so the list is computed once per
+    distinct parent set, and all the siblings share the same tuple.
     """
-    shared: dict[tuple[str, ...], tuple[tuple, tuple]] = {}
+    shared: dict[tuple[str, ...], tuple] = {}
     for spec in topo.nodes.values():
         if not spec.parents:
             continue
-        lists = shared.get(spec.parents)
-        if lists is None:
-            standbys = _standbys_under(topo, spec.parents)
+        standbys = shared.get(spec.parents)
+        if standbys is None:
             # A standby list never names the node's own parents.
-            lists = shared[spec.parents] = (standbys, standbys + spec.parents)
-        spec.standbys, spec.standby_pool = lists
+            standbys = shared[spec.parents] = _standbys_under(topo, spec.parents)
+        spec.standbys = standbys
 
 
 def _standbys_under(

@@ -38,6 +38,11 @@ The four membership events of §III-A4 map to methods here:
 
 A reconnect that declares a *different* path set is treated as drop + new
 connection, exactly as the paper prescribes.
+
+A :class:`ServerSlot` is everything a cmsd knows about one child, and the
+liveness policy lives here too, clock-agnostic: :meth:`~ClusterMembership.heartbeat`
+refreshes a member (case 3 for an offline one) and
+:meth:`~ClusterMembership.expire` applies cases 1 and 2 as of a given ``now``.
 """
 
 from __future__ import annotations
@@ -50,16 +55,21 @@ from repro.core.location import LocationObject
 __all__ = ["ServerSlot", "ClusterMembership", "apply_corrections"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerSlot:
-    """One of the 64 subordinate slots of a cmsd."""
+    """One of the 64 subordinate slots of a cmsd: its record of the child."""
 
     index: int
     name: str
     paths: frozenset[str]
+    #: The child's cmsd host (its Login's sender) and declared role.
+    host: str = ""
+    role: str = "server"
+    #: From its latest heartbeat ("" until one follows its Login).
+    site: str = ""
+    #: When its latest Login or heartbeat arrived.
+    last_seen: float = 0.0
     online: bool = True
-    #: Cumulative logins through this slot (diagnostics only).
-    logins: int = 1
 
 
 @dataclass
@@ -82,7 +92,8 @@ class ClusterMembership:
     """
 
     def __init__(self, *, obs=None, node: str = "") -> None:
-        self._slots: list[ServerSlot | None] = [None] * bitvec.MAX_SERVERS
+        #: Slot index -> its :class:`ServerSlot`, or None.  Read-only outside.
+        self.slots: list[ServerSlot | None] = [None] * bitvec.MAX_SERVERS
         self._by_name: dict[str, int] = {}
         #: Master connection counter N_c.
         self.n_c: int = 0
@@ -129,14 +140,6 @@ class ClusterMembership:
         """Slot index of server *name*, or None if not a member."""
         return self._by_name.get(name)
 
-    def slot(self, index: int) -> ServerSlot | None:
-        """The :class:`ServerSlot` occupying *index*, or None."""
-        return self._slots[index]
-
-    def server_name(self, index: int) -> str | None:
-        s = self._slots[index]
-        return s.name if s is not None else None
-
     def member_count(self) -> int:
         return bitvec.count(self.v_members)
 
@@ -153,10 +156,6 @@ class ClusterMembership:
                 v_m |= entry.v_m
         return v_m
 
-    def exported_paths(self) -> list[str]:
-        """All registered export prefixes (sorted for determinism)."""
-        return sorted(self._paths)
-
     def connected_since(self, c_n: int) -> int:
         """Correction vector V_c: slots whose C[i] exceeds snapshot *c_n*."""
         v_c = 0
@@ -167,8 +166,9 @@ class ClusterMembership:
 
     # -- membership events -----------------------------------------------------
 
-    def login(self, name: str, paths, *, slot: int | None = None) -> int:
-        """Register server *name* exporting *paths*; returns its slot.
+    def login(self, name: str, paths, *, slot=None, host="", role="server", now=0.0) -> int:
+        """Register server *name* exporting *paths*; returns its slot, whose
+        record gets *host*, *role*, ``last_seen = now`` and no site.
 
         Handles all four §III-A4 cases:
 
@@ -185,25 +185,28 @@ class ClusterMembership:
             raise ValueError("a server must export at least one path")
         existing = self._by_name.get(name)
         if existing is not None:
-            current = self._slots[existing]
+            current = self.slots[existing]
             assert current is not None
             if current.paths != path_set:
                 self.drop(existing)
             else:
+                current.host, current.role, current.site = host, role, ""
+                current.last_seen = now
                 current.online = True
-                current.logins += 1
                 self.v_offline &= ~bitvec.bit(existing) & bitvec.FULL_MASK
                 self._stamp_connection(existing)
                 return existing
 
         if slot is None:
             slot = self._find_free_slot()
-        elif self._slots[slot] is not None:
-            raise ValueError(f"slot {slot} already occupied by {self._slots[slot].name!r}")
+        elif self.slots[slot] is not None:
+            raise ValueError(f"slot {slot} already occupied by {self.slots[slot].name!r}")
         if not 0 <= slot < bitvec.MAX_SERVERS:
             raise ValueError(f"slot {slot} outside [0, {bitvec.MAX_SERVERS})")
 
-        self._slots[slot] = ServerSlot(index=slot, name=name, paths=path_set)
+        self.slots[slot] = ServerSlot(
+            index=slot, name=name, paths=path_set, host=host, role=role, last_seen=now
+        )
         self._by_name[name] = slot
         self.v_members |= bitvec.bit(slot)
         self.v_offline &= ~bitvec.bit(slot) & bitvec.FULL_MASK
@@ -227,7 +230,7 @@ class ClusterMembership:
         V_m bits are untouched and cached info mentioning it stays valid.
         """
         slot = self._require_slot(name)
-        entry = self._slots[slot]
+        entry = self.slots[slot]
         assert entry is not None
         entry.online = False
         self.v_offline |= bitvec.bit(slot)
@@ -245,7 +248,7 @@ class ClusterMembership:
             slot = self._require_slot(slot_or_name)
         else:
             slot = slot_or_name
-        entry = self._slots[slot]
+        entry = self.slots[slot]
         if entry is None:
             raise KeyError(f"slot {slot} is not occupied")
         known = len(self._paths)
@@ -258,12 +261,43 @@ class ClusterMembership:
         if len(self._paths) != known:
             self._prefixes = tuple(self._paths.items())
         del self._by_name[entry.name]
-        self._slots[slot] = None
+        self.slots[slot] = None
         mask = ~bitvec.bit(slot) & bitvec.FULL_MASK
         self.v_members &= mask
         self.v_offline &= mask
         self.drops += 1
         return slot
+
+    # -- liveness ------------------------------------------------------------
+
+    def heartbeat(self, name: str, now: float, site: str = "") -> int | None:
+        """Member *name* was heard from at *now*, at *site*: returns its slot
+        (None for a non-member).  An offline member logs in again with its
+        own record (case 3), so objects cached meanwhile re-query it."""
+        slot = self._by_name.get(name)
+        if slot is None:
+            return None
+        entry = self.slots[slot]
+        if not entry.online:
+            self.login(name, entry.paths, host=entry.host, role=entry.role, now=now)
+        entry.site = site
+        entry.last_seen = now
+        return slot
+
+    def expire(self, now: float, disconnect_after: float, drop_after: float) -> None:
+        """§III-A4's two-phase removal as of *now*: a member silent for
+        more than *disconnect_after* goes offline (case 1), an offline one
+        silent for more than *drop_after* is dropped (case 2).  Slot order;
+        within one call a disconnect and a drop commute."""
+        slots = self.slots
+        for index in bitvec.iter_bits(self.v_members):
+            entry = slots[index]
+            silent_for = now - entry.last_seen
+            if entry.online:
+                if silent_for > disconnect_after:
+                    self.disconnect(entry.name)
+            elif silent_for > drop_after:
+                self.drop(index)
 
     # -- internals ---------------------------------------------------------
 

@@ -184,7 +184,6 @@ class EvictionWindows:
         chain = self._chains[window]
         result = TickResult(window=window)
         population_before = self._population
-        survivors: list[LocationObject] = []
         for obj in chain:
             result.swept += 1
             if obj.hidden or obj.t_a == window:
@@ -197,8 +196,8 @@ class EvictionWindows:
                 self._chains[obj.t_a].append(obj)
                 obj.chain_window = obj.t_a
                 result.rechained += 1
-        # Survivors all moved elsewhere or were hidden; the chain empties.
-        self._chains[window] = survivors
+        # Every object moved to another chain or was hidden: the chain empties.
+        self._chains[window] = []
         self._population -= len(result.hidden)
         self.total_hidden += len(result.hidden)
         self.total_rechained += result.rechained

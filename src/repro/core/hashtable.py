@@ -73,10 +73,6 @@ class LocationTable:
         """Number of chained objects, hidden ones included."""
         return self._count
 
-    @property
-    def load_factor(self) -> float:
-        return self._count / self._size
-
     # -- operations ---------------------------------------------------------
 
     def find(self, key: str, hash_val: int) -> LocationObject | None:

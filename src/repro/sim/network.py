@@ -175,6 +175,9 @@ class Network:
         #: The kept copy being delivered while it is replayed, as ``(arrival,
         #: seq, item)``, else None (an ordinary delivery arrives now).
         self.replaying: tuple[float, int, tuple] | None = None
+        #: :meth:`_deliver`, bound once: every queued copy's heap entry
+        #: takes this one object instead of a fresh bound method.
+        self._deliver_fn = self._deliver
         if obs is not None:
             # chaos_dropped is counted at send time: no replay needed.
             obs.metrics.pull(
@@ -227,7 +230,7 @@ class Network:
             self._replay(kept)
             call_at_seq = self.sim.call_at_seq
             for arrival, seq, item in kept:
-                call_at_seq(arrival, seq, self._deliver, item)
+                call_at_seq(arrival, seq, self._deliver_fn, item)
 
     def _replay(self, kept: list[tuple[float, int, tuple]]) -> None:
         """Deliver, in slot order, the copies in *kept* whose slots come
@@ -445,7 +448,7 @@ class Network:
             seq = sim._seq
             sim._seq = seq + 1
             if offer is None or not offer(payload):
-                _heappush(sim._heap, (now + d, seq, self._deliver, item))
+                _heappush(sim._heap, (now + d, seq, self._deliver_fn, item))
                 continue
             kept = self._kept.get(dst)
             if kept is None:

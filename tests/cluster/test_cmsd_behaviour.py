@@ -59,9 +59,9 @@ class TestMembershipTiming:
         cluster.node(srv).crash()
         slot = mgr.membership.slot_of(srv)
         cluster.run(until=cluster.sim.now + 0.7)
-        assert mgr.membership.slot(slot).online  # not yet
+        assert mgr.membership.slots[slot].online  # not yet
         cluster.run(until=cluster.sim.now + 1.0)
-        assert not mgr.membership.slot(slot).online
+        assert not mgr.membership.slots[slot].online
 
     def test_drop_fires_only_after_drop_timeout(self):
         cluster = ScallaCluster(
@@ -252,18 +252,18 @@ class TestFifoServer:
         assert draws.drawn_at == [1.0, 2.3]
 
 
-class _SweepLog(dict):
-    """A cmsd ``children`` table that logs when the liveness sweep reads it
-    (the sweep is its only reader of ``items()``)."""
+class _SweepLog:
+    """Wraps a cmsd membership's ``expire`` (the liveness sweep's one
+    call) to log when the sweep runs."""
 
-    def __init__(self, sim):
-        super().__init__()
+    def __init__(self, sim, membership):
         self.sim = sim
         self.swept_at = []
+        self._expire = membership.expire
 
-    def items(self):
+    def __call__(self, *args):
         self.swept_at.append(self.sim.now)
-        return super().items()
+        return self._expire(*args)
 
 
 class TestTimers:
@@ -275,7 +275,7 @@ class TestTimers:
         net = Network(sim, default_latency=Fixed(latency))
         boxes = {p: mailbox(sim, net.add_host(f"{p}.cmsd")) for p in parents}
         cmsd = Cmsd(sim, net, NodeId("sup0", Role.SUPERVISOR), parents=parents)
-        cmsd.children = _SweepLog(sim)
+        cmsd.membership.expire = _SweepLog(sim, cmsd.membership)
         return sim, net, cmsd, boxes
 
     @staticmethod
@@ -293,7 +293,7 @@ class TestTimers:
         expected = pytest.approx([0.6 + i for i in range(1, 10)])
         for box in boxes.values():
             assert self._heartbeats(box) == expected
-        assert cmsd.children.swept_at == expected
+        assert cmsd.membership.expire.swept_at == expected
 
     def test_stop_at_a_timer_instant_silences_that_timer(self):
         sim, net, cmsd, boxes = self._supervisor("mgr0")
@@ -301,7 +301,7 @@ class TestTimers:
         cmsd.start()
         sim.run(until=5.0)
         assert self._heartbeats(boxes["mgr0"]) == []
-        assert cmsd.children.swept_at == []
+        assert cmsd.membership.expire.swept_at == []
 
     def test_first_arm_takes_the_bootstrap_slot(self):
         """A daemon started at the instant another's timer fires arms its

@@ -1,16 +1,18 @@
 """Tests for the locality-aware selection extension (WAN federations)."""
 
+import math
+
 from repro.cluster import ScallaCluster, ScallaConfig
 from repro.cluster.ids import cmsd_host, xrootd_host
 from repro.sim.latency import Fixed
 
 
-def wan_cluster(locality: bool):
+def wan_cluster(locality: bool, heartbeat_interval: float = 0.2):
     cluster = ScallaCluster(
         4,
         config=ScallaConfig(
             seed=341,
-            heartbeat_interval=0.2,
+            heartbeat_interval=heartbeat_interval,
             fast_period=0.5,
             locality_aware=locality,
         ),
@@ -110,3 +112,51 @@ class TestLocalityAware:
         warm(cluster)
         west_nodes = set(opens_from(cluster, "west"))
         assert len(west_nodes) == 2  # alternates, ignoring locality
+
+
+class TestRepeatLogin:
+    HEARTBEAT = 2.0
+
+    def _past_next_heartbeat(self, cluster):
+        """Heartbeats leave at whole multiples of the interval."""
+        beat = self.HEARTBEAT
+        cluster.run(until=beat * math.ceil(cluster.sim.now / beat) + 0.05)
+
+    def test_repeat_login_clears_the_site_until_the_next_heartbeat(self):
+        """A Login rewrites the manager's record of the child: its site is
+        unknown until its next heartbeat, so meanwhile a west client's
+        redirect falls back to every holder."""
+        cluster = wan_cluster(locality=True, heartbeat_interval=self.HEARTBEAT)
+        self._past_next_heartbeat(cluster)
+        mgr = cluster.manager_cmsd()
+        east, west = cluster.servers[0], cluster.servers[2]
+        record = mgr.membership.slots[mgr.membership.slot_of(west)]
+        assert record.site == "west"
+
+        cluster.node(west).cmsd._login_to_parent(cluster.managers[0])
+        cluster.settle(0.1)
+        assert mgr.membership.slot_of(west) == record.index
+        assert record.site == ""
+        # A file both replicas hold, first looked up after the login (the
+        # login re-queries west for anything cached before it).
+        for server in (east, west):
+            cluster.place("/store/fresh.root", server, size=64)
+        cluster.run_process(
+            client_at(cluster, "east", "warm-fresh").open("/store/fresh.root"), limit=120
+        )
+        cluster.settle(0.1)
+
+        def west_opens(tag):
+            return {
+                cluster.run_process(
+                    client_at(cluster, "west", f"{tag}{i}").open("/store/fresh.root"), limit=120
+                ).node
+                for i in range(3)
+            }
+
+        assert west_opens("before") == {east, west}
+        assert record.site == ""  # no heartbeat yet: every open saw no site
+
+        self._past_next_heartbeat(cluster)
+        assert record.site == "west"
+        assert west_opens("after") == {west}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import ScallaCluster, ScallaConfig
 from repro.cluster.ids import Role
 from repro.cluster.topology import build_topology, expected_depth
 
@@ -150,13 +151,14 @@ class TestStandbys:
             assert first.standbys
             for spec in rest:
                 assert spec.standbys is first.standbys
-                assert spec.standby_pool is first.standby_pool
                 assert spec.parents is first.parents
 
     def test_standby_pool_is_standbys_then_own_parents(self):
-        topo = build_topology(16, fanout=4, managers=2)
-        for spec in topo.nodes.values():
-            assert spec.standby_pool == spec.standbys + spec.parents
+        """The cmsd derives its re-home rotation from its spec."""
+        cluster = ScallaCluster(16, config=ScallaConfig(seed=1, fanout=4, managers=2))
+        for name, spec in cluster.topology.nodes.items():
+            pool = cluster.node(name).cmsd._standby_pool
+            assert pool == spec.standbys + spec.parents
 
     def test_standbys_exclude_own_parents(self):
         topo = build_topology(32, fanout=4)

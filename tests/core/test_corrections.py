@@ -136,6 +136,67 @@ class TestDisconnectDropReconnect:
         assert m.eligible("/store/f") == bitvec.bit(b)
 
 
+class TestLiveness:
+    """The §III-A4 liveness policy, driven with explicit clock values."""
+
+    DISCONNECT, DROP = 3.5, 600.0
+
+    def _member(self, now=0.0):
+        m = ClusterMembership()
+        s = m.login("srv-a", ["/store"], host="srv-a.cmsd", role="supervisor", now=now)
+        return m, s
+
+    def test_login_writes_the_record(self):
+        m, s = self._member(now=2.0)
+        assert m.heartbeat("srv-a", 3.0, "east") == s
+        m.login("srv-a", ["/store"], host="srv-a.cmsd", role="supervisor", now=4.0)
+        record = m.slots[s]
+        assert (record.host, record.role, record.last_seen) == ("srv-a.cmsd", "supervisor", 4.0)
+        assert record.site == ""  # unknown again until the next heartbeat
+
+    def test_silent_past_disconnect_horizon_goes_offline(self):
+        m, s = self._member()
+        m.expire(self.DISCONNECT, self.DISCONNECT, self.DROP)
+        assert m.v_online == bitvec.bit(s)  # not past the horizon yet
+        m.expire(self.DISCONNECT + 0.1, self.DISCONNECT, self.DROP)
+        assert m.v_offline == bitvec.bit(s)
+        assert m.slot_of("srv-a") == s
+        assert not m.slots[s].online
+        assert m.eligible("/store/f") == bitvec.bit(s)  # V_m kept
+        assert m.disconnects == 1
+        m.expire(self.DISCONNECT + 0.2, self.DISCONNECT, self.DROP)
+        assert m.disconnects == 1  # already offline
+
+    def test_offline_past_drop_horizon_is_dropped(self):
+        m, s = self._member()
+        m.expire(self.DISCONNECT + 0.1, self.DISCONNECT, self.DROP)
+        m.expire(self.DROP, self.DISCONNECT, self.DROP)
+        assert m.member_count() == 1
+        m.expire(self.DROP + 0.1, self.DISCONNECT, self.DROP)
+        assert m.slot_of("srv-a") is None
+        assert m.slots[s] is None
+        assert m.eligible("/store/f") == 0
+        assert m.drops == 1
+        assert m.login("srv-b", ["/store"]) == s  # the slot is free again
+
+    def test_heartbeat_reconnects_an_offline_member_in_its_slot(self):
+        m, s = self._member()
+        m.expire(self.DISCONNECT + 0.1, self.DISCONNECT, self.DROP)
+        n_c = m.n_c
+        assert m.heartbeat("srv-a", 10.0, "west") == s
+        record = m.slots[s]
+        assert record.online and m.v_online == bitvec.bit(s)
+        assert m.n_c == n_c + 1 and m.c[s] == m.n_c  # cached objects re-query it
+        assert (record.host, record.role) == ("srv-a.cmsd", "supervisor")
+        assert (record.site, record.last_seen) == ("west", 10.0)
+        m.expire(10.0 + self.DISCONNECT, self.DISCONNECT, self.DROP)
+        assert record.online  # the heartbeat reset the silence clock
+
+    def test_heartbeat_from_a_stranger(self):
+        m, _ = self._member()
+        assert m.heartbeat("ghost", 1.0) is None
+
+
 class TestConnectedSince:
     def test_vc_reflects_later_connections(self):
         m = ClusterMembership()

@@ -285,7 +285,7 @@ class CacheMachine(RuleBasedStateMachine):
     def churn_membership(self):
         n = self.m.member_count()
         if n > 1:
-            name = self.m.server_name(bitvec.first_bit(self.m.v_members))
+            name = self.m.slots[bitvec.first_bit(self.m.v_members)].name
             self.m.drop(name)
         else:
             self.m.login(f"srv-new-{self.m.n_c}", ["/store"])

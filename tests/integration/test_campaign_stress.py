@@ -102,7 +102,7 @@ class TestCampaign:
             from repro.core import bitvec
 
             for slot in bitvec.iter_bits(obj.v_h):
-                name = mgr.membership.server_name(slot)
+                name = mgr.membership.slots[slot].name
                 assert cluster.node(name).fs.exists(obj.key), (
                     f"{name} advertised for {obj.key} but lacks it"
                 )

@@ -49,10 +49,10 @@ class TestServerCrashRecovery:
         mgr = cluster.manager_cmsd()
         slot = mgr.membership.slot_of(holder)
         assert slot is not None  # disconnected, NOT dropped (case 1)
-        assert not mgr.membership.slot(slot).online
+        assert not mgr.membership.slots[slot].online
         cluster.node(holder).restart()
         cluster.run(until=cluster.sim.now + 1.0)  # reconnect (case 3)
-        assert mgr.membership.slot(mgr.membership.slot_of(holder)).online
+        assert mgr.membership.slots[mgr.membership.slot_of(holder)].online
         res = cluster.run_process(cluster.client().open("/store/solo.root"), limit=60)
         assert res.node == holder
 
@@ -185,7 +185,7 @@ class TestPartitions:
         cluster.run(until=cluster.sim.now + 2.0)
         mgr = cluster.manager_cmsd()
         slot = mgr.membership.slot_of(srv)
-        assert slot is not None and mgr.membership.slot(slot).online
+        assert slot is not None and mgr.membership.slots[slot].online
 
 
 class TestDataLoss:

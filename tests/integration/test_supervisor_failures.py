@@ -42,7 +42,7 @@ class TestSupervisorCrash:
         cluster.node(sup).crash()
         cluster.run(until=cluster.sim.now + 2.0)
         slot = mgr.membership.slot_of(sup)
-        assert slot is not None and not mgr.membership.slot(slot).online
+        assert slot is not None and not mgr.membership.slots[slot].online
 
     def test_files_under_other_supervisor_unaffected(self):
         cluster = tree_cluster()
@@ -85,7 +85,7 @@ class TestSupervisorCrash:
         assert sup_cmsd.membership.member_count() == len(subtree)
         # ...and the manager sees it online again.
         mgr = cluster.manager_cmsd()
-        assert mgr.membership.slot(mgr.membership.slot_of(sup)).online
+        assert mgr.membership.slots[mgr.membership.slot_of(sup)].online
         # Files in that subtree resolve through it once more.
         res = cluster.run_process(cluster.client().open("/store/t/f1.root"), limit=120)
         assert res.size == 64
