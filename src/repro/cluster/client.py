@@ -190,9 +190,9 @@ class ScallaClient:
         if not ev.triggered:
             ev.succeed(None)
 
-    def _request(self, to_host: str, msg, timeout: float):
+    def _request(self, to_host: str, msg: pr.Message, timeout: float):
         """Send *msg*, wait for its reply or *timeout*; returns reply or None."""
-        self.network.send(self.host.name, to_host, msg, size=pr.estimate_size(msg))
+        self.network.send(self.host.name, to_host, msg, size=msg.wire_size())
         reply = yield self._await_reply(msg.req_id, timeout)
         if reply is None:
             self._pending.pop(msg.req_id, None)

@@ -358,9 +358,9 @@ class Cmsd:
 
     # -- outbound helpers -----------------------------------------------------
 
-    def _send(self, to: str, msg: object) -> None:
+    def _send(self, to: str, msg: pr.Message) -> None:
         self.stats.messages_sent += 1
-        self.network.send(self.host.name, to, msg, size=pr.estimate_size(msg))
+        self.network.send(self.host.name, to, msg, size=msg.wire_size())
 
     def _login_to_parent(self, parent: str) -> None:
         msg = pr.Login(
@@ -929,7 +929,7 @@ class Cmsd:
             refresh=refresh,
         )
         # Every copy is the same message: size it once, not once per target.
-        size = pr.estimate_size(q)
+        size = q.wire_size()
         src = self.host.name
         send = self.network.send
         slots = self.membership.slots

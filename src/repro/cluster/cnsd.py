@@ -47,7 +47,7 @@ class CnsDaemon:
         elif isinstance(msg, pr.List):
             names = tuple(self.list(msg.prefix))
             reply = pr.ListAck(msg.req_id, names)
-            self.network.send(self.host.name, msg.reply_to, reply, size=pr.estimate_size(reply))
+            self.network.send(self.host.name, msg.reply_to, reply, size=reply.wire_size())
 
     # -- namespace maintenance ----------------------------------------------------
 

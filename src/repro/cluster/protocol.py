@@ -1,9 +1,17 @@
 """Wire messages of the simulated Scalla protocol.
 
-Plain dataclasses; the network treats them as opaque payloads.  Sizes (in
-bytes) approximate the real cms/xroot protocol framing closely enough for
-the registration-cost experiment (E11), where *what* is transmitted (path
-prefixes vs full manifests) is the entire point.
+Each message type is declared once, as a class body of annotated fields
+under :func:`message`.  A field's annotation is its *kind* on the wire:
+``str``, ``bytes``, ``tuple[str, ...]`` (a str-tuple) or a scalar
+(``int``, ``float``, ``bool``).  From that declaration :func:`message`
+generates the class — an immutable, hashable tuple of the field values,
+equal only to a message of the same type with the same fields, whose
+``repr`` is ``Name(field=value, ...)`` — and its ``wire_size``.  The
+network treats messages as opaque payloads.
+
+Sizes (in bytes) approximate the real cms/xroot protocol framing closely
+enough for the registration-cost experiment (E11), where *what* is
+transmitted (path prefixes vs full manifests) is the entire point.
 
 Naming follows the paper: queries flood down, ``Have`` responses come back
 only from holders (request-rarely-respond), clients get ``Redirect`` /
@@ -12,7 +20,16 @@ only from holders (request-rarely-respond), clients get ``Redirect`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import dataclass_transform
+
+try:
+    from _collections import _tuplegetter
+except ImportError:  # not CPython: a plain property does the same
+    from operator import itemgetter
+
+    def _tuplegetter(index: int, doc: str) -> property:
+        return property(itemgetter(index), doc=doc)
+
 
 __all__ = [
     "Login",
@@ -46,10 +63,149 @@ __all__ = [
     "estimate_size",
 ]
 
+# -- size model and the message declaration ---------------------------------------
+
+_BASE_OVERHEAD = 24  # rough header: lengths, opcodes, stream ids
+_SCALAR_SIZE = 8
+
+STR, BYTES, STRS, SCALAR = "str", "bytes", "strs", "scalar"
+
+#: Field kind of each annotation a message may declare.  Strings cost
+#: their UTF-8 length, byte payloads their length, a str-tuple the UTF-8
+#: lengths of its members, a scalar a flat 8 bytes.  Exactness doesn't
+#: matter; *scaling* does (E11 compares prefix registration against full
+#: manifests).
+_KINDS = {
+    "str": STR,
+    "bytes": BYTES,
+    "tuple[str, ...]": STRS,
+    "int": SCALAR,
+    "float": SCALAR,
+    "bool": SCALAR,
+}
+
+
+class Message(tuple):
+    """Base of every message: the field values, in declaration order.
+
+    ``_fields`` and ``_kinds`` hold the declaration.  Equality holds only
+    between messages of one type, never with a plain tuple; messages have
+    no order.  Assigning a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _kinds: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(self)))
+
+    def __lt__(self, other: object) -> bool:
+        raise TypeError(f"{type(self).__qualname__} messages have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def wire_size(self) -> int:
+        """Approximate on-the-wire size in bytes (generated per type)."""
+        raise NotImplementedError
+
+
+def _size_term(kind: str, index: int) -> str:
+    """Source of the wire cost of field *index*, a non-scalar *kind*."""
+    if kind == STR:
+        return f"len(self[{index}].encode())"
+    if kind == BYTES:
+        return f"len(self[{index}])"
+    return (
+        f'(sum(len(str(v).encode("utf-8")) for v in self[{index}]) '
+        f"if self[{index}] else 0)"
+    )
+
+
+@dataclass_transform(frozen_default=True)
+def message(cls: type) -> type[Message]:
+    """Build the message class a class body of annotated fields declares.
+
+    Fields without a default come first, as in a dataclass.  The class's
+    docstring carries over; its methods do not (a message is data).
+    """
+    names: list[str] = []
+    kinds: list[str] = []
+    defaults: list[object] = []
+    for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+        if annotation not in _KINDS:
+            raise TypeError(f"{cls.__name__}.{name}: no wire kind for {annotation!r}")
+        if name.startswith("_") or hasattr(Message, name):
+            raise TypeError(f"{cls.__name__}.{name}: reserved field name")
+        if name in cls.__dict__:
+            defaults.append(cls.__dict__[name])
+        elif defaults:
+            raise TypeError(f"{cls.__name__}.{name}: field without a default after one with")
+        names.append(name)
+        kinds.append(_KINDS[annotation])
+    if not names:
+        raise TypeError(f"{cls.__name__} declares no fields")
+    args = ", ".join(names)
+    size = _BASE_OVERHEAD + _SCALAR_SIZE * kinds.count(SCALAR)
+    terms = [_size_term(kind, i) for i, kind in enumerate(kinds) if kind != SCALAR]
+    source = (
+        f"def __new__(_cls, {args}):\n"
+        f"    return _tuple_new(_cls, ({args},))\n"
+        f"def wire_size(self):\n"
+        f"    return {' + '.join([str(size), *terms])}\n"
+    )
+    namespace: dict = {"_tuple_new": tuple.__new__}
+    exec(source, namespace)
+    new, wire_size = namespace["__new__"], namespace["wire_size"]
+    new.__defaults__ = tuple(defaults) or None
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    wire_size.__qualname__ = f"{cls.__qualname__}.wire_size"
+    wire_size.__doc__ = Message.wire_size.__doc__
+    body = {
+        "__slots__": (),
+        "__doc__": cls.__doc__,
+        "__module__": cls.__module__,
+        "__qualname__": cls.__qualname__,
+        "__match_args__": tuple(names),
+        "_fields": tuple(names),
+        "_kinds": tuple(kinds),
+        "__new__": new,
+        "wire_size": wire_size,
+    }
+    for i, name in enumerate(names):
+        body[name] = _tuplegetter(i, f"{cls.__name__}.{name}")
+    return type(cls.__name__, (Message,), body)
+
+
+def estimate_size(msg: Message) -> int:
+    """Approximate on-the-wire size of a message, in bytes.
+
+    Hot senders call ``msg.wire_size()`` directly; this is the same number.
+    """
+    return msg.wire_size()
+
+
 # -- cmsd control plane -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@message
 class Login:
     """Subordinate cmsd announces itself to its parent.
 
@@ -64,12 +220,12 @@ class Login:
     instance: int = 0  # restart counter, diagnostics only
 
 
-@dataclass(frozen=True)
+@message
 class LoginAck:
     slot: int
 
 
-@dataclass(frozen=True)
+@message
 class Heartbeat:
     """Periodic liveness + metrics report from subordinate to parent.
 
@@ -83,7 +239,7 @@ class Heartbeat:
     site: str = ""
 
 
-@dataclass(frozen=True)
+@message
 class HeartbeatAck:
     """Parent's liveness reply; a run of missed acks makes the subordinate
     re-login, which is how a restarted (state-less) parent rebuilds its
@@ -93,7 +249,7 @@ class HeartbeatAck:
     known: bool  # False: parent does not know the sender -> re-login now
 
 
-@dataclass(frozen=True)
+@message
 class QueryFile:
     """Parent asks a subordinate whether it has *path* (flood, §II-B2)."""
 
@@ -110,7 +266,7 @@ class QueryFile:
     refresh: bool = False
 
 
-@dataclass(frozen=True)
+@message
 class HaveFile:
     """Positive response: the sender has (or is preparing) *path*.
 
@@ -128,7 +284,7 @@ class HaveFile:
 # -- client-facing location plane ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@message
 class Locate:
     """Client asks a manager/supervisor for a server holding *path*.
 
@@ -151,7 +307,7 @@ class Locate:
     client_site: str = ""
 
 
-@dataclass(frozen=True)
+@message
 class Redirect:
     req_id: int
     path: str
@@ -160,7 +316,7 @@ class Redirect:
     pending: bool = False  # target is still staging the file
 
 
-@dataclass(frozen=True)
+@message
 class Wait:
     """Back off *delay* seconds and reissue the request.
 
@@ -178,13 +334,13 @@ class Wait:
     watch: bool = False
 
 
-@dataclass(frozen=True)
+@message
 class NotFound:
     req_id: int
     path: str
 
 
-@dataclass(frozen=True)
+@message
 class Prepare:
     """Bulk pre-location: spawn parallel background look-ups (§III-B2)."""
 
@@ -193,7 +349,7 @@ class Prepare:
     paths: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@message
 class PrepareAck:
     req_id: int
     scheduled: int
@@ -202,7 +358,7 @@ class PrepareAck:
 # -- xrootd data plane ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@message
 class Open:
     req_id: int
     reply_to: str
@@ -211,21 +367,21 @@ class Open:
     create: bool = False
 
 
-@dataclass(frozen=True)
+@message
 class OpenAck:
     req_id: int
     handle: int
     size: int
 
 
-@dataclass(frozen=True)
+@message
 class OpenFail:
     req_id: int
     path: str
     reason: str
 
 
-@dataclass(frozen=True)
+@message
 class Read:
     req_id: int
     reply_to: str
@@ -234,13 +390,13 @@ class Read:
     length: int
 
 
-@dataclass(frozen=True)
+@message
 class ReadAck:
     req_id: int
     data: bytes
 
 
-@dataclass(frozen=True)
+@message
 class Write:
     req_id: int
     reply_to: str
@@ -249,52 +405,52 @@ class Write:
     data: bytes
 
 
-@dataclass(frozen=True)
+@message
 class WriteAck:
     req_id: int
     written: int
 
 
-@dataclass(frozen=True)
+@message
 class Close:
     req_id: int
     reply_to: str
     handle: int
 
 
-@dataclass(frozen=True)
+@message
 class CloseAck:
     req_id: int
 
 
-@dataclass(frozen=True)
+@message
 class Stat:
     req_id: int
     reply_to: str
     path: str
 
 
-@dataclass(frozen=True)
+@message
 class StatAck:
     req_id: int
     exists: bool
     size: int
 
 
-@dataclass(frozen=True)
+@message
 class Remove:
     req_id: int
     reply_to: str
     path: str
 
 
-@dataclass(frozen=True)
+@message
 class RemoveAck:
     req_id: int
     removed: bool
 
 
-@dataclass(frozen=True)
+@message
 class List:
     """Server-local listing (full POSIX semantics exist only at leaves)."""
 
@@ -303,13 +459,13 @@ class List:
     prefix: str
 
 
-@dataclass(frozen=True)
+@message
 class ListAck:
     req_id: int
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@message
 class NamespaceUpdate:
     """Server -> cnsd notification keeping the global namespace (§II-B4
     footnote 3) eventually consistent."""
@@ -317,28 +473,3 @@ class NamespaceUpdate:
     node: str
     path: str
     op: str  # "create" | "remove"
-
-
-# -- size model ---------------------------------------------------------------
-
-_BASE_OVERHEAD = 24  # rough header: lengths, opcodes, stream ids
-
-
-def estimate_size(msg: object) -> int:
-    """Approximate on-the-wire size of a message, in bytes.
-
-    Strings cost their UTF-8 length, byte payloads their length, everything
-    else a flat 8 bytes.  Exactness doesn't matter; *scaling* does (E11
-    compares prefix registration against full manifests).
-    """
-    size = _BASE_OVERHEAD
-    for value in vars(msg).values():
-        if isinstance(value, str):
-            size += len(value.encode("utf-8"))
-        elif isinstance(value, bytes):
-            size += len(value)
-        elif isinstance(value, tuple):
-            size += sum(len(str(v).encode("utf-8")) for v in value)
-        else:
-            size += 8
-    return size

@@ -151,7 +151,7 @@ class XrootdServer:
         request) and stop counting the request active."""
         self._active -= 1
         if reply is not None:
-            self.network.send(self.host.name, msg.reply_to, reply, size=pr.estimate_size(reply))
+            self.network.send(self.host.name, msg.reply_to, reply, size=reply.wire_size())
 
     def _serve(self, msg) -> None:
         """The service time is over: reply, or start the stage or transfer
@@ -287,4 +287,4 @@ class XrootdServer:
     def _notify_cnsd(self, path: str, op: str) -> None:
         if self.cnsd_host is not None:
             msg = pr.NamespaceUpdate(node=self.node_id.name, path=path, op=op)
-            self.network.send(self.host.name, self.cnsd_host, msg, size=pr.estimate_size(msg))
+            self.network.send(self.host.name, self.cnsd_host, msg, size=msg.wire_size())
