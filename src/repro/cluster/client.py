@@ -62,6 +62,9 @@ MAX_RETRIES = 10
 #: server crashing mid-stage would otherwise strand the client on the
 #: old 1e6 s sentinel instead of entering the recovery loop.
 PENDING_OPEN_TIMEOUT = 300.0
+#: ``Redirect.target_role`` of a data server: read once here, not per
+#: redirect (an Enum's ``value`` is a descriptor call).
+_SERVER_ROLE = Role.SERVER.value
 
 
 class ScallaError(Exception):
@@ -325,7 +328,7 @@ class ScallaClient:
                     )
                 if redirects > MAX_HOPS:
                     raise ScallaError(f"redirect loop resolving {path!r}")
-                if resp.target_role == Role.SERVER.value:
+                if resp.target_role == _SERVER_ROLE:
                     return resp.target, resp.pending, redirects, waits
                 # Interior node: re-issue the locate one level down.
                 contact = cmsd_host(resp.target)

@@ -107,6 +107,8 @@ READ_POLICY = RoundRobin()
 CREATE_POLICY = MostSpace()
 
 _QueryFile = pr.QueryFile
+#: The role strings a Login may carry, read off the Enum once.
+_ROLE_VALUES = frozenset(role.value for role in Role)
 
 
 @functools.lru_cache(maxsize=256)
@@ -821,7 +823,9 @@ class Cmsd:
     def _on_login(self, msg: pr.Login, src: str, sent_at: float = 0.0) -> None:
         now = self.sim.now
         self._observe_peer(msg.node, 2.0 * (now - sent_at))
-        role = Role(msg.role).value  # raises on a role no node can have
+        role = msg.role
+        if role not in _ROLE_VALUES:
+            raise ValueError(f"{role!r} is not a valid Role")  # no node can have it
         try:
             slot = self.membership.login(msg.node, msg.paths, host=src, role=role, now=now)
         except OverflowError:
