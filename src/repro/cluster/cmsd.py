@@ -826,6 +826,9 @@ class Cmsd:
         role = msg.role
         if role not in _ROLE_VALUES:
             raise ValueError(f"{role!r} is not a valid Role")  # no node can have it
+        slots = self.membership.slots
+        known = self.membership.slot_of(msg.node)
+        record = None if known is None else slots[known]
         try:
             slot = self.membership.login(msg.node, msg.paths, host=src, role=role, now=now)
         except OverflowError:
@@ -834,6 +837,11 @@ class Cmsd:
             # not stop its silence clock, so it rotates on to its next
             # standby instead of wedging on a full parent.
             return
+        if slots[slot] is not record:
+            # A new record (a new name, or new exported paths): what this
+            # slot's last occupant reported is not this child's.
+            self.metrics.load[slot] = 0.0
+            self.metrics.free_space[slot] = 0.0
         self.metrics.selections[slot] = 0
         self.stats.logins_handled += 1
         self._send(src, pr.LoginAck(slot))

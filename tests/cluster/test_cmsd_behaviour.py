@@ -47,6 +47,53 @@ class TestHeartbeatMetrics:
         assert picks == {cluster.servers[1]}
 
 
+class TestReusedSlot:
+    """A child logging into a slot freed by a drop starts from clean
+    metrics; a reconnecting member keeps its own."""
+
+    @staticmethod
+    def _dropped_loaded_server():
+        cluster = ScallaCluster(
+            2,
+            config=ScallaConfig(
+                seed=306, heartbeat_interval=0.2, disconnect_timeout=0.5, drop_timeout=1.0
+            ),
+        )
+        cluster.settle(0.5)
+        mgr = cluster.manager_cmsd()
+        srv = next(s for s in cluster.servers if mgr.membership.slot_of(s) == 0)
+        cluster.node(srv).crash()
+        hb = pr.Heartbeat(node=srv, load=0.9, free_space=123.0)
+        cluster.network.send(f"{srv}.cmsd", mgr.host.name, hb)
+        cluster.run(until=cluster.sim.now + 0.1)
+        assert (mgr.metrics.load[0], mgr.metrics.free_space[0]) == (0.9, 123.0)
+        cluster.run(until=cluster.sim.now + 2.0)
+        assert mgr.membership.slot_of(srv) is None  # dropped: slot 0 is free
+        return cluster, mgr, srv
+
+    def test_new_login_into_a_freed_slot_reads_no_load(self):
+        cluster, mgr, _ = self._dropped_loaded_server()
+        mailbox(cluster.sim, cluster.network.add_host("newcomer.cmsd"))
+        login = pr.Login(node="newcomer", role="server", paths=("/store",))
+        cluster.network.send("newcomer.cmsd", mgr.host.name, login)
+        cluster.run(until=cluster.sim.now + 0.01)
+        assert mgr.membership.slot_of("newcomer") == 0
+        assert (mgr.metrics.load[0], mgr.metrics.free_space[0]) == (0.0, 0.0)
+
+    def test_reconnect_keeps_the_members_metrics(self):
+        cluster = ScallaCluster(1, config=ScallaConfig(seed=307, heartbeat_interval=0.2))
+        cluster.settle(0.5)
+        mgr = cluster.manager_cmsd()
+        srv = cluster.servers[0]
+        slot = mgr.membership.slot_of(srv)
+        mgr.metrics.load[slot] = 0.7
+        login = pr.Login(node=srv, role="server", paths=cluster.config.exports)
+        cluster.network.send(f"{srv}.cmsd", mgr.host.name, login)
+        cluster.run(until=cluster.sim.now + 0.01)
+        assert mgr.membership.slot_of(srv) == slot
+        assert mgr.metrics.load[slot] == 0.7
+
+
 class TestMembershipTiming:
     def test_disconnect_fires_after_timeout_not_before(self):
         cluster = ScallaCluster(
