@@ -302,10 +302,12 @@ class Cmsd:
         #: first ack.
         self._relogin_state: dict[str, tuple[int, float]] = {}
         self._query_serial = 0
-        #: Per-child EWMA round-trip estimate (seconds), fed from the
-        #: observed one-way delivery delay of logins/heartbeats/responses
-        #: and from query-response latencies.  Sizes adaptive windows.
-        self._peer_rtt: dict[str, float] = {}
+        #: Per-slot EWMA round-trip estimate (seconds) of the child in that
+        #: slot, or None before its first sample.  Fed, only with adaptive
+        #: windows on, from the observed one-way delivery delay of
+        #: logins/heartbeats/responses and from query-response latencies;
+        #: a login that creates a new membership record starts it afresh.
+        self._peer_rtt: list[float | None] = [None] * bitvec.MAX_SERVERS
 
         if node_id.role is Role.SERVER and xrootd is not None:
             # The "newfile" advisory hook: without it, a manager whose cache
@@ -787,19 +789,16 @@ class Cmsd:
 
     # -- per-peer RTT estimation (adaptive window sizing) ---------------------------
 
-    def _observe_peer(self, node: str, rtt: float) -> None:
-        """Fold one round-trip observation into *node*'s EWMA estimate.
+    def _observe_peer(self, slot: int, rtt: float) -> None:
+        """Fold one round-trip observation into *slot*'s EWMA estimate.
 
         Sim time is globally consistent, so any child message stamps its
         own one-way delivery delay (``now - sent_at``, backlog queueing and
         our service time included — exactly the delays a response must
         survive); doubled, that is a conservative RTT sample.
         """
-        prev = self._peer_rtt.get(node)
-        if prev is None:
-            self._peer_rtt[node] = rtt
-        else:
-            self._peer_rtt[node] = prev + RTT_ALPHA * (rtt - prev)
+        prev = self._peer_rtt[slot]
+        self._peer_rtt[slot] = rtt if prev is None else prev + RTT_ALPHA * (rtt - prev)
 
     def _fast_window(self) -> float | None:
         """Adaptive anchor window, or None for the flat configured period.
@@ -811,9 +810,8 @@ class Cmsd:
         if not self.config.adaptive_window:
             return None
         slowest = 0.0
-        slots = self.membership.slots
         for slot in bitvec.iter_bits(self.membership.v_online):
-            rtt = self._peer_rtt.get(slots[slot].name)
+            rtt = self._peer_rtt[slot]
             if rtt is not None and rtt > slowest:
                 slowest = rtt
         return max(self.config.fast_period, WINDOW_RTT_MULT * slowest)
@@ -822,7 +820,6 @@ class Cmsd:
 
     def _on_login(self, msg: pr.Login, src: str, sent_at: float = 0.0) -> None:
         now = self.sim.now
-        self._observe_peer(msg.node, 2.0 * (now - sent_at))
         role = msg.role
         if role not in _ROLE_VALUES:
             raise ValueError(f"{role!r} is not a valid Role")  # no node can have it
@@ -842,19 +839,23 @@ class Cmsd:
             # slot's last occupant reported is not this child's.
             self.metrics.load[slot] = 0.0
             self.metrics.free_space[slot] = 0.0
+            self._peer_rtt[slot] = None
         self.metrics.selections[slot] = 0
+        if self.config.adaptive_window:
+            self._observe_peer(slot, 2.0 * (now - sent_at))
         self.stats.logins_handled += 1
         self._send(src, pr.LoginAck(slot))
 
     def _on_heartbeat(self, msg: pr.Heartbeat, src: str, sent_at: float = 0.0) -> None:
         now = self.sim.now
-        self._observe_peer(msg.node, 2.0 * (now - sent_at))
         # An offline child reconnects here (case 3 of §III-A4).
         slot = self.membership.heartbeat(msg.node, now, msg.site)
         if slot is None:
             # We do not know this child (we probably restarted): tell it so.
             self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=False))
             return
+        if self.config.adaptive_window:
+            self._observe_peer(slot, 2.0 * (now - sent_at))
         self.metrics.load[slot] = msg.load
         self.metrics.free_space[slot] = msg.free_space
         self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=True))
@@ -1212,20 +1213,22 @@ class Cmsd:
             self._obs.tracer.event(
                 msg.path, "have.received", node=self.node_id.name, holder=msg.node
             )
-        self._observe_peer(msg.node, 2.0 * (now - sent_at))
         slot = self.membership.slot_of(msg.node)
         if slot is None:
             return  # responder was dropped while the answer was in flight
+        adaptive = self.config.adaptive_window
+        if adaptive:
+            self._observe_peer(slot, 2.0 * (now - sent_at))
         prior_ref, _ = self.cache.lookup(msg.path, now, add=False)
         prior_known = prior_ref is not None and (
             prior_ref.get().v_h | prior_ref.get().v_p
         ) != 0
         obj = self.cache.update_holder(msg.path, msg.hash_val, slot, pending=msg.pending)
-        if obj is not None and self.deadline.active(obj, now):
+        if adaptive and obj is not None and self.deadline.active(obj, now):
             # Full query->response latency (epoch arm to answer arrival) is
             # a direct RTT sample for the responder — the very delay an
             # adaptive window must cover.
-            self._observe_peer(msg.node, now - (obj.deadline - self.deadline.full_delay))
+            self._observe_peer(slot, now - (obj.deadline - self.deadline.full_delay))
         released = (
             []
             if obj is None
