@@ -20,16 +20,7 @@ only from holders (request-rarely-respond), clients get ``Redirect`` /
 
 from __future__ import annotations
 
-from typing import dataclass_transform
-
-try:
-    from _collections import _tuplegetter
-except ImportError:  # not CPython: a plain property does the same
-    from operator import itemgetter
-
-    def _tuplegetter(index: int, doc: str) -> property:
-        return property(itemgetter(index), doc=doc)
-
+from _collections import _tuplegetter  # namedtuple's field accessor
 
 __all__ = [
     "Login",
@@ -119,9 +110,6 @@ class Message(tuple):
 
     __le__ = __gt__ = __ge__ = __lt__
 
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
     def wire_size(self) -> int:
         """Approximate on-the-wire size in bytes (generated per type)."""
         raise NotImplementedError
@@ -139,7 +127,6 @@ def _size_term(kind: str, index: int) -> str:
     )
 
 
-@dataclass_transform(frozen_default=True)
 def message(cls: type) -> type[Message]:
     """Build the message class a class body of annotated fields declares.
 
@@ -183,7 +170,6 @@ def message(cls: type) -> type[Message]:
         "__doc__": cls.__doc__,
         "__module__": cls.__module__,
         "__qualname__": cls.__qualname__,
-        "__match_args__": tuple(names),
         "_fields": tuple(names),
         "_kinds": tuple(kinds),
         "__new__": new,

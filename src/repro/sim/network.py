@@ -33,7 +33,7 @@ When the host wants its copies delivered as ordinary entries again
 passed ones and queues the rest in their reserved slots.
 
 Message payloads are opaque to the network; the cluster layer defines its
-own message dataclasses (:mod:`repro.cluster.protocol`).
+own message classes (:mod:`repro.cluster.protocol`).
 """
 
 from __future__ import annotations
