@@ -3,9 +3,10 @@
 Unlike the ``bench_e*`` experiment benches (which reproduce the paper's
 *simulated-time* claims), this package measures the reproduction's own
 *wall-clock* hot paths — the discrete-event kernel, the name-cache fetch
-path, and end-to-end E1 resolution — and appends the numbers to the
-``BENCH_kernel.json`` / ``BENCH_cache.json`` trajectory files at the repo
-root, so every PR can see what it did to throughput.
+path, end-to-end E1 resolution, and building and sizing wire messages —
+and appends the numbers to the ``BENCH_kernel.json`` /
+``BENCH_cache.json`` trajectory files at the repo root, so every PR can
+see what it did to throughput.
 
 Conventions (``scripts/check_perf.py`` relies on them):
 

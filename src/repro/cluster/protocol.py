@@ -148,7 +148,7 @@ def message(cls: type) -> type[Message]:
         names.append(name)
         kinds.append(_KINDS[annotation])
     if not names:
-        raise TypeError(f"{cls.__name__} declares no fields")
+        raise TypeError(f"{cls.__name__} declares no fields")  # () would be falsy
     args = ", ".join(names)
     size = _BASE_OVERHEAD + _SCALAR_SIZE * kinds.count(SCALAR)
     terms = [_size_term(kind, i) for i, kind in enumerate(kinds) if kind != SCALAR]
