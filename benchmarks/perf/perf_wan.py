@@ -3,20 +3,16 @@
 The regression this tracks: at seed, query responses crossing an 80 ms
 one-way link always landed after the 133 ms fast-response window, so every
 cold locate of an *existing* remote file silently degraded to the full 5 s
-conservative delay (5.13 s measured).  Late-response reconciliation and the
-adaptive window (EXPERIMENTS.md finding #4) bring that to ~160 ms — about
-one WAN query round trip.
+conservative delay (5.13 s measured).  Late-response reconciliation
+(EXPERIMENTS.md finding #4) brings that to ~160 ms — about one WAN query
+round trip.
 
-Both metrics are *simulated* time, deterministic and machine-independent:
+The metric is *simulated* time, deterministic and machine-independent:
 any movement means the protocol's behaviour changed, which is exactly what
 the perf-smoke gate should catch (SIMTIME_TOLERANCE in check_perf).
 
 * ``wan_cold_locate_us`` — default config (late-response reconciliation
-  on, adaptive window off): the parked client is released when the
-  straggling response lands.
-* ``wan_adaptive_locate_us`` — adaptive window with warm RTT estimates:
-  the window is sized to cover the WAN round trip, so the release stays on
-  the fast path (no window expiry at all).
+  on): the parked client is released when the straggling response lands.
 """
 
 from __future__ import annotations
@@ -26,8 +22,8 @@ from repro.cluster.ids import cmsd_host, xrootd_host
 from repro.sim.latency import Uniform
 
 
-def _cold_wan_locate_us(*, settle: float, **config_kwargs) -> float:
-    cluster = ScallaCluster(4, config=ScallaConfig(seed=74, **config_kwargs))
+def _cold_wan_locate_us(*, settle: float) -> float:
+    cluster = ScallaCluster(4, config=ScallaConfig(seed=74))
     net = cluster.network
     remote = [h for s in cluster.servers for h in (cmsd_host(s), xrootd_host(s))]
     net.federate(
@@ -51,9 +47,4 @@ def run_suite(*, scale: int = 1, repeats: int = 3) -> dict[str, float]:
     # Simulated-time metrics: one run is exact, scale/repeats are accepted
     # only for signature symmetry with the wall-clock suites.
     del scale, repeats
-    return {
-        "wan_cold_locate_us": round(_cold_wan_locate_us(settle=0.5), 3),
-        "wan_adaptive_locate_us": round(
-            _cold_wan_locate_us(settle=2.5, adaptive_window=True), 3
-        ),
-    }
+    return {"wan_cold_locate_us": round(_cold_wan_locate_us(settle=0.5), 3)}

@@ -11,19 +11,19 @@ site pair.  It shows:
   where the bytes live;
 * what WAN distance costs — the same file read from the local site vs
   across the Atlantic;
-* replica placement paying off — with the locality-aware selection
-  extension enabled, each client's reads of a replicated hot file stay at
-  its own site, and the measured gap against a remote replica quantifies
-  why federations replicate hot data;
+* replica placement paying off — every client here sits at a site, so
+  the locality-aware selection extension keeps its reads of a replicated
+  hot file at its own site, and the measured gap against a remote replica
+  quantifies why federations replicate hot data;
 * staging from a remote tape archive (MSS), the V_p path at WAN scale.
 
-A reproduction finding worth noting: with the paper's default 133 ms
-fast-response window, transatlantic query responses (~160 ms round trip)
-*miss the window*, so every cold WAN lookup silently degrades to the full
-5 s wait.  The 133 ms constant is a LAN-era choice; WAN federations must
-raise it to cover the slowest site's response time, as this example does
-(``fast_period=0.5``).  Comment that line out to watch cold SLAC lookups
-jump from ~160 ms to ~5.2 s.
+A reproduction finding worth noting: with the paper's 133 ms fast-response
+window, transatlantic query responses (~160 ms round trip) *miss the
+window*.  As the paper describes it, every such cold lookup would then
+degrade to the full 5 s wait.  Late-response reconciliation (on by
+default) releases the parked client the moment the answer lands, so the
+lookup costs one WAN round trip.  Add ``late_release=False`` to the config
+to watch cold cross-Atlantic lookups jump from ~300 ms to ~5.3 s.
 
 Run:  python examples/wan_federation.py
 """
@@ -52,13 +52,9 @@ def main() -> None:
         config=ScallaConfig(
             seed=23,
             stage_latency=Fixed(30.0),
-            # The LAN-era 133 ms window would drop ~160 ms transatlantic
-            # responses; see the module docstring.
-            fast_period=0.5,
-            # Prefer same-site replicas when redirecting.  The manager
+            # Redirects prefer replicas at the client's site.  The manager
             # learns each child's site from heartbeats, so run them often
             # enough to have the map before the first reads.
-            locality_aware=True,
             heartbeat_interval=0.2,
         ),
     )

@@ -132,7 +132,7 @@ class ScallaClient:
         managers: tuple[str, ...],
         *,
         config: ClientConfig | None = None,
-        rng: random.Random | None = None,
+        seed: float = 0,
         obs=None,
     ) -> None:
         if not managers:
@@ -142,7 +142,8 @@ class ScallaClient:
         self.name = name
         self.managers = managers
         self.config = config if config is not None else ClientConfig()
-        self.rng = rng if rng is not None else random.Random(0)
+        self._seed = seed
+        self._rng: random.Random | None = None
         self.host = network.add_host(name)
         self.stats = ClientStats()
         # Observability (repro.obs): the client is where a resolution
@@ -166,6 +167,13 @@ class ScallaClient:
         self._pending: dict[int, Event] = {}
         self.host.listen(self._on_message)
         self._manager_idx = 0
+
+    @property
+    def rng(self) -> random.Random:
+        """The failover-jitter generator, ``Random(seed)``, built on first use."""
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
 
     # -- plumbing ---------------------------------------------------------
 

@@ -88,18 +88,6 @@ RELOGIN_BACKOFF_CAP = 30.0
 #: Jitter fraction on re-login backoff delays (decorrelates a 64-wide
 #: subtree re-discovering its parent at once).
 RELOGIN_JITTER = 0.25
-#: k in the adaptive window formula (see ScallaConfig.adaptive_window).
-WINDOW_RTT_MULT = 3.0
-#: EWMA smoothing factor for per-peer RTT estimates (fed from login /
-#: heartbeat arrival latencies and observed query-response latencies).
-RTT_ALPHA = 0.25
-#: Bounded re-query (adaptive mode only): on window expiry with the
-#: epoch deadline still active, re-flood the still-silent subset up to
-#: this many times — each round's window scaled by REQUERY_BACKOFF and
-#: capped at the epoch remainder — before the full-delay fallback.
-REQUERY_LIMIT = 1
-#: Window growth factor per re-query round.
-REQUERY_BACKOFF = 2.0
 #: Selection policy for read/write redirection, and for placing new
 #: files.  Both are stateless (``choose`` keeps its state in the calling
 #: cmsd's ServerMetrics), so every cmsd shares one of each.
@@ -135,8 +123,6 @@ class CmsdStats:
     #: Clients released by a response that arrived *after* its window
     #: expired (late-response reconciliation).
     late_released: int = 0
-    #: Bounded re-query rounds issued on window expiry (adaptive mode).
-    requeries: int = 0
     #: add_waiter rejections (anchor exhaustion): each one parked a client
     #: on the full conservative delay — visible anchor pressure, not noise.
     rq_rejected: int = 0
@@ -241,7 +227,6 @@ class Cmsd:
                     ("cmsd_queries_sent_total", "queries_sent"),
                     ("cmsd_haves_received_total", "haves_received"),
                     ("cmsd_fast_released_total", "fast_released"),
-                    ("rq_requeries_total", "requeries"),
                     ("rehomes_total", "rehomes"),
                 ],
                 gauges=[("orphaned_subtree_seconds", "orphaned_seconds")],
@@ -302,12 +287,6 @@ class Cmsd:
         #: first ack.
         self._relogin_state: dict[str, tuple[int, float]] = {}
         self._query_serial = 0
-        #: Per-slot EWMA round-trip estimate (seconds) of the child in that
-        #: slot, or None before its first sample.  Fed, only with adaptive
-        #: windows on, from the observed one-way delivery delay of
-        #: logins/heartbeats/responses and from query-response latencies;
-        #: a login that creates a new membership record starts it afresh.
-        self._peer_rtt: list[float | None] = [None] * bitvec.MAX_SERVERS
 
         if node_id.role is Role.SERVER and xrootd is not None:
             # The "newfile" advisory hook: without it, a manager whose cache
@@ -503,13 +482,12 @@ class Cmsd:
         self.sim.call_at(now + (max(0.0, nxt - now) + 1e-6), self._response_clock, epoch)
 
     def _response_clock(self, epoch: int) -> None:
-        """The fast-response 'thread': expire anchors past their window.
+        """The fast-response 'thread': expire anchors one period old.
 
-        An expired client waiter is, in order of preference: ridden through
-        a bounded re-query round (adaptive mode, epoch still active), or
-        told to wait the full delay — watched, so a late response can still
-        turn into a redirect (late-response reconciliation).  Expired
-        parent waiters get nothing (non-response = negative).
+        An expired client waiter is told to wait the full delay — watched,
+        so a late response can still turn into a redirect (late-response
+        reconciliation).  Expired parent waiters get nothing
+        (non-response = negative).
         """
         if epoch != self._epoch:
             return
@@ -519,8 +497,6 @@ class Cmsd:
         for waiter in expired:
             payload = waiter.payload
             if isinstance(payload, _ClientWaiter):
-                if self._try_requery(waiter, payload):
-                    continue
                 self._close_wait_span(payload.span, outcome="timeout")
                 self._send(
                     payload.reply_to,
@@ -534,68 +510,8 @@ class Cmsd:
                 self.stats.waits_sent += 1
         self._arm_response_clock(epoch)
 
-    def _try_requery(self, waiter, payload: "_ClientWaiter") -> bool:
-        """Give an expired waiter one more fast-response round, maybe.
-
-        Returns True when the waiter was re-queued (joining a re-query
-        round already armed by an earlier waiter of the same batch, or
-        arming a fresh one: re-flood the still-silent online subset and
-        open a backoff-scaled window capped at the epoch remainder).
-        False condemns it to the full conservative delay.
-        """
-        cfg = self.config
-        if not cfg.adaptive_window:
-            return False
-        now = self.sim.now
-        ref, _ = self.cache.lookup(payload.path, now, add=False)
-        if ref is None:
-            return False
-        obj = ref.get()
-        if not self.deadline.active(obj, now):
-            return False
-        if not self.rq.has_anchor(obj, waiter.mode):
-            # First expired waiter of this batch decides; co-waiters join.
-            if obj.rq_retries >= REQUERY_LIMIT:
-                return False
-            obj.rq_retries += 1
-            silent = (
-                self.membership.eligible(payload.path)
-                & self.membership.v_online
-                & ~(obj.v_h | obj.v_p)
-                & bitvec.FULL_MASK
-            )
-            if silent:
-                obj.v_q |= silent
-                self._flood_queries(obj, payload.path, ref.hash_val, waiter.mode)
-            self.stats.requeries += 1
-            if self._obs is not None:
-                self._obs.tracer.event(
-                    payload.path,
-                    "rq.requery",
-                    node=self.node_id.name,
-                    round=obj.rq_retries,
-                    fanout=bitvec.count(silent),
-                )
-        base = self._fast_window() or cfg.fast_period
-        window = min(
-            base * (REQUERY_BACKOFF**obj.rq_retries),
-            self.deadline.remaining(obj, now),
-        )
-        outcome = self.rq.add_waiter(obj, waiter.mode, payload, now, window=window)
-        if outcome.accepted:
-            # The expiry pass already parked this waiter; withdraw that copy
-            # or the late answer would release the client twice.
-            self.rq.unpark(obj, waiter)
-            if outcome.queue_was_empty:
-                self._wake_response_clock()
-        if not outcome.accepted:
-            self.stats.rq_rejected += 1
-            if self._obs is not None:
-                self._obs.tracer.event(payload.path, "rq.rejected", node=self.node_id.name)
-        return outcome.accepted
-
     def _wake_response_clock(self) -> None:
-        """A first anchor opened: unpark the clock with one same-time
+        """A first anchor opened: wake the parked clock with one same-time
         callback (a no-op while it is armed)."""
         if not self._rq_armed:
             self._rq_armed = True
@@ -776,50 +692,20 @@ class Cmsd:
         elif isinstance(msg, pr.Locate) and role is not Role.SERVER:
             self._on_locate(msg)
         elif isinstance(msg, pr.HaveFile) and role is not Role.SERVER:
-            self._on_have(msg, sent_at)
+            self._on_have(msg)
         elif isinstance(msg, pr.Heartbeat) and role is not Role.SERVER:
-            self._on_heartbeat(msg, src, sent_at)
+            self._on_heartbeat(msg, src)
         elif isinstance(msg, pr.HeartbeatAck):
             self._on_heartbeat_ack(msg, src)
         elif isinstance(msg, pr.Login) and role is not Role.SERVER:
-            self._on_login(msg, src, sent_at)
+            self._on_login(msg, src)
         elif isinstance(msg, pr.Prepare) and role is not Role.SERVER:
             self._on_prepare(msg)
         # Anything else: drop (e.g. QueryFile racing a role change).
 
-    # -- per-peer RTT estimation (adaptive window sizing) ---------------------------
-
-    def _observe_peer(self, slot: int, rtt: float) -> None:
-        """Fold one round-trip observation into *slot*'s EWMA estimate.
-
-        Sim time is globally consistent, so any child message stamps its
-        own one-way delivery delay (``now - sent_at``, backlog queueing and
-        our service time included — exactly the delays a response must
-        survive); doubled, that is a conservative RTT sample.
-        """
-        prev = self._peer_rtt[slot]
-        self._peer_rtt[slot] = rtt if prev is None else prev + RTT_ALPHA * (rtt - prev)
-
-    def _fast_window(self) -> float | None:
-        """Adaptive anchor window, or None for the flat configured period.
-
-        ``max(fast_period, k x slowest expected responder RTT)``: the
-        window must outlive a query round trip to the slowest site that
-        might answer, and never undercuts the paper's default.
-        """
-        if not self.config.adaptive_window:
-            return None
-        slowest = 0.0
-        for slot in bitvec.iter_bits(self.membership.v_online):
-            rtt = self._peer_rtt[slot]
-            if rtt is not None and rtt > slowest:
-                slowest = rtt
-        return max(self.config.fast_period, WINDOW_RTT_MULT * slowest)
-
     # -- membership handling -----------------------------------------------------
 
-    def _on_login(self, msg: pr.Login, src: str, sent_at: float = 0.0) -> None:
-        now = self.sim.now
+    def _on_login(self, msg: pr.Login, src: str) -> None:
         role = msg.role
         if role not in _ROLE_VALUES:
             raise ValueError(f"{role!r} is not a valid Role")  # no node can have it
@@ -827,7 +713,7 @@ class Cmsd:
         known = self.membership.slot_of(msg.node)
         record = None if known is None else slots[known]
         try:
-            slot = self.membership.login(msg.node, msg.paths, host=src, role=role, now=now)
+            slot = self.membership.login(msg.node, msg.paths, host=src, role=role, now=self.sim.now)
         except OverflowError:
             # All 64 slots occupied: ignore the login.  The subordinate's
             # heartbeats keep drawing HeartbeatAck(known=False), which do
@@ -839,23 +725,17 @@ class Cmsd:
             # slot's last occupant reported is not this child's.
             self.metrics.load[slot] = 0.0
             self.metrics.free_space[slot] = 0.0
-            self._peer_rtt[slot] = None
         self.metrics.selections[slot] = 0
-        if self.config.adaptive_window:
-            self._observe_peer(slot, 2.0 * (now - sent_at))
         self.stats.logins_handled += 1
         self._send(src, pr.LoginAck(slot))
 
-    def _on_heartbeat(self, msg: pr.Heartbeat, src: str, sent_at: float = 0.0) -> None:
-        now = self.sim.now
+    def _on_heartbeat(self, msg: pr.Heartbeat, src: str) -> None:
         # An offline child reconnects here (case 3 of §III-A4).
-        slot = self.membership.heartbeat(msg.node, now, msg.site)
+        slot = self.membership.heartbeat(msg.node, self.sim.now, msg.site)
         if slot is None:
             # We do not know this child (we probably restarted): tell it so.
             self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=False))
             return
-        if self.config.adaptive_window:
-            self._observe_peer(slot, 2.0 * (now - sent_at))
         self.metrics.load[slot] = msg.load
         self.metrics.free_space[slot] = msg.free_space
         self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=True))
@@ -959,9 +839,7 @@ class Cmsd:
         obj.v_q &= ~targets & bitvec.FULL_MASK
 
     def _enqueue_waiter(self, obj, mode: str, payload, path: str = "") -> bool:
-        outcome = self.rq.add_waiter(
-            obj, mode, payload, self.sim.now, window=self._fast_window()
-        )
+        outcome = self.rq.add_waiter(obj, mode, payload, self.sim.now)
         if outcome.accepted and outcome.queue_was_empty:
             self._wake_response_clock()
         if not outcome.accepted:
@@ -977,10 +855,8 @@ class Cmsd:
     ) -> tuple[int, bool]:
         """Selectable (online) holders, preferring V_h over V_p.
 
-        Returns (vector, pending) after excluding avoided node names.  With
-        locality awareness enabled and a known client site, holders at that
-        site are preferred when any exist (extension; see
-        ScallaConfig.locality_aware).
+        Returns (vector, pending) after excluding avoided node names; when
+        the client names its site and holders there exist, just those.
         """
         usable = self._usable(avoid)
         holders = obj.v_h & usable
@@ -1001,7 +877,7 @@ class Cmsd:
         return usable
 
     def _prefer_local(self, candidates: int, client_site: str) -> int:
-        if not self.config.locality_aware or not client_site:
+        if not client_site:
             return candidates
         slots = self.membership.slots
         local = 0
@@ -1201,7 +1077,7 @@ class Cmsd:
         )
         self.stats.haves_sent += 1
 
-    def _on_have(self, msg: pr.HaveFile, sent_at: float = 0.0) -> None:
+    def _on_have(self, msg: pr.HaveFile) -> None:
         """A subordinate reported holding the file: update cache, release
         every waiter the fast response queue holds for it (§III-B1) — and
         every waiter *parked* after its window expired (late-response
@@ -1216,19 +1092,11 @@ class Cmsd:
         slot = self.membership.slot_of(msg.node)
         if slot is None:
             return  # responder was dropped while the answer was in flight
-        adaptive = self.config.adaptive_window
-        if adaptive:
-            self._observe_peer(slot, 2.0 * (now - sent_at))
         prior_ref, _ = self.cache.lookup(msg.path, now, add=False)
         prior_known = prior_ref is not None and (
             prior_ref.get().v_h | prior_ref.get().v_p
         ) != 0
         obj = self.cache.update_holder(msg.path, msg.hash_val, slot, pending=msg.pending)
-        if adaptive and obj is not None and self.deadline.active(obj, now):
-            # Full query->response latency (epoch arm to answer arrival) is
-            # a direct RTT sample for the responder — the very delay an
-            # adaptive window must cover.
-            self._observe_peer(slot, now - (obj.deadline - self.deadline.full_delay))
         released = (
             []
             if obj is None

@@ -34,6 +34,9 @@ class ScallaConfig:
     built), and every client shares :attr:`client`.  Set fields before
     the cluster is built, not while it runs.
 
+    Every fast-response anchor expires one ``fast_period`` after it opens,
+    and a client that names its site is sent to holders there if any exist.
+
     Latency defaults model the paper's hardware: ~10 µs per LAN hop, ~80 µs
     of server-side query handling (so a query round trip lands at the
     paper's "servers respond within 100us"), 5 µs of manager CPU per
@@ -96,18 +99,6 @@ class ScallaConfig:
     #: all eligible servers itself, duplicating floods (§III-C2's "only one
     #: thread should issue the queries" un-enforced).
     deadline_sync: bool = True
-    #: EXTENSION: when True, redirection prefers holders at the client's
-    #: site (WAN federations, §IV-A); falls back to the full candidate set
-    #: when no local replica exists.
-    locality_aware: bool = False
-    #: EXTENSION (WAN federations): adaptive fast-response window sizing.
-    #: When True, each new response-queue anchor's deadline is
-    #: ``max(fast_period, WINDOW_RTT_MULT x slowest expected responder's
-    #: EWMA RTT)`` instead of the flat ``fast_period``; on a LAN the RTT
-    #: term stays far below 133 ms, so the paper's default is preserved
-    #: bit-for-bit.  Also arms the bounded re-query (see
-    #: :data:`repro.cluster.cmsd.REQUERY_LIMIT`).
-    adaptive_window: bool = False
     #: Late-response reconciliation: a HaveFile arriving after its anchor
     #: expired still updates V_h *and* releases clients parked on the full
     #: 5 s delay (they are told to keep listening via ``Wait.watch``).

@@ -153,7 +153,7 @@ class ScallaCluster:
             name,
             self.managers,
             config=config if config is not None else self.config.client,
-            rng=random.Random(self.rng.random()),
+            seed=self.rng.random(),
             obs=self.obs,
         )
 

@@ -41,22 +41,10 @@ class DeadlinePolicy:
 
         Called by the thread about to flood V_q (resolution step 1: "if
         V_q is not null, a processing deadline of 5 seconds from the
-        current time is set in the location object").  A fresh epoch also
-        resets the bounded re-query budget: retries are per epoch, not per
-        object lifetime.
+        current time is set in the location object").
         """
         loc.deadline = now + self.full_delay
-        loc.rq_retries = 0
         return loc.deadline
-
-    def remaining(self, loc: LocationObject, now: float) -> float:
-        """Seconds of the current epoch still ahead (0 when expired).
-
-        Re-query windows are capped to this: there is no point arming a
-        fast-response window that outlives the epoch whose answers it is
-        waiting for.
-        """
-        return max(0.0, loc.deadline - now)
 
     def active(self, loc: LocationObject, now: float) -> bool:
         """True while some thread's query epoch is still in flight."""

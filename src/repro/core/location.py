@@ -75,10 +75,6 @@ class LocationObject:
     rq_read_stamp / rq_write_stamp:
         Association stamps; a queue slot reference is valid only while the
         slot's own stamp matches (loose coupling, §III-B).
-    rq_retries:
-        Re-query rounds already spent on the current query epoch
-        (extension: bounded re-query with backoff before the full-delay
-        fallback).  Reset whenever a new epoch is armed.
     generation:
         Reuse counter; incremented each time the storage is recycled for a
         new file.  A :class:`~repro.core.refs.CacheRef` is valid iff its
@@ -108,7 +104,6 @@ class LocationObject:
         "rq_read_stamp",
         "rq_write",
         "rq_write_stamp",
-        "rq_retries",
         "generation",
         "chain_window",
         "next",
@@ -134,7 +129,6 @@ class LocationObject:
         self.rq_read_stamp = 0
         self.rq_write = NO_QUEUE
         self.rq_write_stamp = 0
-        self.rq_retries = 0
         self.generation = 1 if key else 0
         self.chain_window = -1
         self.next: LocationObject | None = None
@@ -163,7 +157,6 @@ class LocationObject:
         self.rq_read_stamp = 0
         self.rq_write = NO_QUEUE
         self.rq_write_stamp = 0
-        self.rq_retries = 0
 
     def hide(self) -> None:
         """Make the object unfindable and invalidate references to it.

@@ -19,14 +19,8 @@ queue (§III-B) closes that gap:
   clients fall back to the full 5 s wait-and-retry.  A server response
   arriving within the period releases all waiting clients immediately.
 
-Two extensions beyond the paper's fixed LAN-scoped window (both preserve
-the paper's behaviour exactly when unused):
+One extension beyond the paper, inert while no response arrives late:
 
-* **Per-anchor windows** — :meth:`ResponseQueue.add_waiter` accepts an
-  optional ``window`` so the host can size each anchor's deadline to the
-  slowest expected responder (WAN federations, §IV-A).  Anchors default to
-  the global 133 ms period, and the expiry timeline is a heap because
-  per-anchor windows break the FIFO ordering a deque assumed.
 * **Late-response reconciliation** — waiters expired into the full
   conservative delay are *parked* (per location key + generation) for up
   to ``park_ttl`` seconds.  A response arriving after the window closed —
@@ -115,8 +109,6 @@ class _Anchor:
     loc: LocationObject | None = None
     loc_generation: int = -1
     mode: str = AccessMode.READ
-    oldest: float = 0.0
-    expiry: float = 0.0
     waiters: list[Waiter] = field(default_factory=list)
 
     def reclaim(self) -> list[Waiter]:
@@ -148,8 +140,9 @@ class ResponseQueue:
         #: than a few requests in flight, so most of the 1024 never exist.
         self._anchors: list[_Anchor | None] = [None] * anchors
         self._free: list[int] = list(range(anchors - 1, -1, -1))
-        #: Expiry heap: (absolute expiry time, anchor index, stamp).  A heap
-        #: (not a deque) because per-anchor windows expire out of FIFO order.
+        #: Expiry heap: (absolute expiry time, anchor index, stamp).  Expiries
+        #: arrive in order, but anchors opened at one instant must expire in
+        #: index order, not opening order (a deque would reorder their Waits).
         self._timeline: list[tuple[float, int, int]] = []
         self.period = period
         #: Late-response parking: (loc key, loc generation) -> parked
@@ -165,8 +158,6 @@ class ResponseQueue:
         self.timeouts = 0
         self.rejected = 0
         self.late_responses = 0
-        #: Expiry window of the most recently opened anchor.
-        self.last_window = 0.0
         # Observability (repro.obs): the statistics above exported as
         # series, plus an anchor-wait histogram sampled on every release.
         self._obs = obs
@@ -180,10 +171,7 @@ class ResponseQueue:
                     ("rq_expired_total", "timeouts"),
                     ("rq_late_responses_total", "late_responses"),
                 ],
-                gauges=[
-                    ("rq_active_anchors", "active_anchors"),
-                    ("rq_window_seconds", "last_window"),
-                ],
+                gauges=[("rq_active_anchors", "active_anchors")],
                 node=node,
             )
             self._m_wait = obs.metrics.histogram("rq_wait_seconds", node=node)
@@ -201,30 +189,16 @@ class ResponseQueue:
         """Expired waiters still eligible for late-response release."""
         return sum(len(entry) for entry in self._parked.values())
 
-    def has_anchor(self, loc: LocationObject, mode: str) -> bool:
-        """True when *loc* holds a live anchor association for *mode*."""
-        return self._valid_anchor(loc, mode) is not None
-
     # -- enqueue ---------------------------------------------------------------
 
-    def add_waiter(
-        self,
-        loc: LocationObject,
-        mode: str,
-        payload: Any,
-        now: float,
-        *,
-        window: float | None = None,
-    ) -> AddOutcome:
+    def add_waiter(self, loc: LocationObject, mode: str, payload: Any, now: float) -> AddOutcome:
         """Queue a client for the answer to *loc* under *mode*.
 
         Joins the location object's existing anchor when its reference is
         still valid; otherwise takes a fresh anchor and records the
-        association in the location object (``R_r`` or ``R_w``).
-
-        *window* sizes the fresh anchor's expiry deadline; None means the
-        global period.  A join ignores it — the anchor's clock is already
-        running, and extending it per joiner would starve the expiry sweep.
+        association in the location object (``R_r`` or ``R_w``).  A fresh
+        anchor expires one period after it opens; a join leaves that expiry
+        alone, since extending it per joiner would starve the expiry sweep.
         """
         was_empty = self._active == 0
         anchor = self._valid_anchor(loc, mode)
@@ -240,13 +214,9 @@ class ResponseQueue:
             anchor.loc = loc
             anchor.loc_generation = loc.generation
             anchor.mode = mode
-            anchor.oldest = now
-            effective = self.period if window is None else window
-            anchor.expiry = now + effective
             self._active += 1
-            heapq.heappush(self._timeline, (anchor.expiry, anchor.index, anchor.stamp))
+            heapq.heappush(self._timeline, (now + self.period, anchor.index, anchor.stamp))
             self._associate(loc, mode, anchor)
-            self.last_window = effective
         anchor.waiters.append(Waiter(payload=payload, enqueued_at=now, mode=mode))
         self.enqueued += 1
         return AddOutcome(accepted=True, queue_was_empty=was_empty)
@@ -368,26 +338,6 @@ class ResponseQueue:
         return None
 
     # -- late-response parking ---------------------------------------------------
-
-    def unpark(self, loc: LocationObject, waiter: Waiter) -> bool:
-        """Withdraw one parked waiter (it found another path to an answer).
-
-        The re-query path calls this after re-anchoring an expired waiter's
-        payload: leaving the stale parked copy behind would release the
-        same client twice when the late answer finally lands.
-        """
-        key = (loc.key, loc.generation)
-        entry = self._parked.get(key)
-        if not entry:
-            return False
-        kept = [(p, w) for (p, w) in entry if w is not waiter]
-        if len(kept) == len(entry):
-            return False
-        if kept:
-            self._parked[key] = kept
-        else:
-            del self._parked[key]
-        return True
 
     def _record_waits(self, waiters: list[Waiter], now: float) -> None:
         """Sample each departing waiter's anchor wait (observability only)."""

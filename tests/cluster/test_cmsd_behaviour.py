@@ -52,7 +52,7 @@ class TestReusedSlot:
     metrics; a reconnecting member keeps its own."""
 
     @staticmethod
-    def _dropped_loaded_server(adaptive_window=False):
+    def _dropped_loaded_server():
         cluster = ScallaCluster(
             2,
             config=ScallaConfig(
@@ -60,7 +60,6 @@ class TestReusedSlot:
                 heartbeat_interval=0.2,
                 disconnect_timeout=0.5,
                 drop_timeout=1.0,
-                adaptive_window=adaptive_window,
             ),
         )
         cluster.settle(0.5)
@@ -83,21 +82,6 @@ class TestReusedSlot:
         cluster.run(until=cluster.sim.now + 0.01)
         assert mgr.membership.slot_of("newcomer") == 0
         assert (mgr.metrics.load[0], mgr.metrics.free_space[0]) == (0.0, 0.0)
-
-    def test_rtt_is_kept_only_for_adaptive_windows(self):
-        _, mgr, _ = self._dropped_loaded_server()
-        assert mgr._peer_rtt == [None] * len(mgr._peer_rtt)
-
-    def test_new_login_into_a_freed_slot_starts_a_fresh_rtt(self):
-        cluster, mgr, _ = self._dropped_loaded_server(adaptive_window=True)
-        assert len(mgr._peer_rtt) == 64
-        mgr._peer_rtt[0] = 9.0  # the dropped occupant's estimate
-        mailbox(cluster.sim, cluster.network.add_host("newcomer.cmsd"))
-        login = pr.Login(node="newcomer", role="server", paths=("/store",))
-        cluster.network.send("newcomer.cmsd", mgr.host.name, login)
-        cluster.run(until=cluster.sim.now + 0.01)
-        assert mgr.membership.slot_of("newcomer") == 0
-        assert mgr._peer_rtt[0] < 0.1  # the login's own sample, not 9 s
 
     def test_reconnect_keeps_the_members_metrics(self):
         cluster = ScallaCluster(1, config=ScallaConfig(seed=307, heartbeat_interval=0.2))

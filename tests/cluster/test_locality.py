@@ -1,4 +1,5 @@
-"""Tests for the locality-aware selection extension (WAN federations)."""
+"""Tests for the locality-aware selection extension (WAN federations):
+a client that names its site is sent to holders at that site."""
 
 import math
 
@@ -7,15 +8,13 @@ from repro.cluster.ids import cmsd_host, xrootd_host
 from repro.sim.latency import Fixed
 
 
-def wan_cluster(locality: bool, heartbeat_interval: float = 0.2):
+WAN = Fixed(40e-3)
+
+
+def wan_cluster(heartbeat_interval: float = 0.2):
     cluster = ScallaCluster(
         4,
-        config=ScallaConfig(
-            seed=341,
-            heartbeat_interval=heartbeat_interval,
-            fast_period=0.5,
-            locality_aware=locality,
-        ),
+        config=ScallaConfig(seed=341, heartbeat_interval=heartbeat_interval, fast_period=0.5),
     )
     net = cluster.network
     # Two sites, two servers each; the manager sits at site east.
@@ -24,7 +23,7 @@ def wan_cluster(locality: bool, heartbeat_interval: float = 0.2):
         net.set_host_site(cmsd_host(server), site)
         net.set_host_site(xrootd_host(server), site)
     net.set_host_site(cmsd_host(cluster.managers[0]), "east")
-    net.set_site_latency("east", "west", Fixed(40e-3))
+    net.set_site_latency("east", "west", WAN)
     # A file replicated once per site.
     cluster.place("/store/hot.root", cluster.servers[0], size=64)  # east
     cluster.place("/store/hot.root", cluster.servers[2], size=64)  # west
@@ -57,7 +56,7 @@ def opens_from(cluster, site, n=4):
 
 class TestLocalityAware:
     def test_west_clients_stay_west(self):
-        cluster = wan_cluster(locality=True)
+        cluster = wan_cluster()
         # Warm the location cache (cold opens are answered by first
         # responder, which is a latency race, not a policy decision).
         warm(cluster)
@@ -65,31 +64,43 @@ class TestLocalityAware:
         assert west_nodes == {cluster.servers[2]}
 
     def test_east_clients_stay_east(self):
-        cluster = wan_cluster(locality=True)
+        cluster = wan_cluster()
         warm(cluster)
         east_nodes = set(opens_from(cluster, "east"))
         assert east_nodes == {cluster.servers[0]}
 
     def test_latency_benefit_is_real(self):
-        aware = wan_cluster(locality=True)
-        naive = wan_cluster(locality=False)
-        for c in (aware, naive):
-            warm(c)
-        aware_lat = []
-        for i in range(4):
-            client = client_at(aware, "west", f"wa{i}")
-            aware_lat.append(aware.run_process(client.open("/store/hot.root"), limit=120).latency)
-        naive_lat = []
-        for i in range(4):
-            client = client_at(naive, "west", f"wn{i}")
-            naive_lat.append(naive.run_process(client.open("/store/hot.root"), limit=120).latency)
-        # Locality: locate crosses the WAN (manager is east) but the data
-        # open stays west.  Naive round-robin alternates sites, so its mean
-        # open latency carries extra WAN round trips half the time.
-        assert sum(aware_lat) < sum(naive_lat)
+        """A west client that names its site against one at the same place
+        that names none (its links to east hosts cost the WAN hop too)."""
+        cluster = wan_cluster()
+        warm(cluster)
+        net = cluster.network
+        east = [cmsd_host(cluster.managers[0])] + [
+            h for s in cluster.servers[:2] for h in (cmsd_host(s), xrootd_host(s))
+        ]
+
+        def open_latencies(sited: bool):
+            latencies = []
+            for i in range(4):
+                if sited:
+                    client = client_at(cluster, "west", f"sited{i}")
+                else:
+                    client = cluster.client(f"unsited{i}")
+                    for host in east:
+                        net.set_link_latency(client.host.name, host, WAN)
+                res = cluster.run_process(client.open("/store/hot.root"), limit=120)
+                latencies.append(res.latency)
+            return latencies
+
+        unsited, sited = open_latencies(False), open_latencies(True)
+        # Both locates cross the WAN (the manager is east).  The sited
+        # client's open stays west; plain round-robin sends the unsited
+        # client's opens east half the time, each one more WAN round trip.
+        assert sum(sited) < sum(unsited)
+        assert max(sited) < max(unsited)
 
     def test_falls_back_when_no_local_replica(self):
-        cluster = wan_cluster(locality=True)
+        cluster = wan_cluster()
         cluster.place("/store/east-only.root", cluster.servers[1], size=64)
         cluster.run_process(
             client_at(cluster, "east", "warm2").open("/store/east-only.root"), limit=120
@@ -99,19 +110,13 @@ class TestLocalityAware:
         assert res.node == cluster.servers[1]  # served, remotely
 
     def test_unsited_client_gets_plain_selection(self):
-        cluster = wan_cluster(locality=True)
+        cluster = wan_cluster()
         warm(cluster)
         nodes = set()
         for i in range(4):
             client = cluster.client(f"nosite{i}")  # never placed at a site
             nodes.add(cluster.run_process(client.open("/store/hot.root"), limit=120).node)
         assert len(nodes) == 2  # round-robin across both replicas
-
-    def test_disabled_flag_ignores_sites(self):
-        cluster = wan_cluster(locality=False)
-        warm(cluster)
-        west_nodes = set(opens_from(cluster, "west"))
-        assert len(west_nodes) == 2  # alternates, ignoring locality
 
 
 class TestRepeatLogin:
@@ -126,7 +131,7 @@ class TestRepeatLogin:
         """A Login rewrites the manager's record of the child: its site is
         unknown until its next heartbeat, so meanwhile a west client's
         redirect falls back to every holder."""
-        cluster = wan_cluster(locality=True, heartbeat_interval=self.HEARTBEAT)
+        cluster = wan_cluster(heartbeat_interval=self.HEARTBEAT)
         self._past_next_heartbeat(cluster)
         mgr = cluster.manager_cmsd()
         east, west = cluster.servers[0], cluster.servers[2]

@@ -55,6 +55,7 @@ class TestRngIdentity:
 
     @pytest.mark.parametrize("seed", [None, 0.25])
     def test_standalone_daemons_draw_their_seed_stream(self, seed):
+        from repro.cluster.client import ScallaClient
         from repro.cluster.fs import ServerFS
         from repro.cluster.ids import NodeId
         from repro.cluster.mss import MassStorage
@@ -65,11 +66,26 @@ class TestRngIdentity:
         kw = {} if seed is None else {"seed": seed}
         sim = Simulator()
         mss = MassStorage(sim, **kw)
-        xrootd = XrootdServer(sim, Network(sim), NodeId("srv0", Role.SERVER), ServerFS(), **kw)
+        net = Network(sim)
+        xrootd = XrootdServer(sim, net, NodeId("srv0", Role.SERVER), ServerFS(), **kw)
+        client = ScallaClient(sim, net, "c", ("mgr0",), **kw)
         ref = _stream(random.Random(0 if seed is None else seed), 10)
-        for daemon in (mss, xrootd):
+        for daemon in (mss, xrootd, client):
             # Built once, then kept: the second five draws continue the stream.
             assert _stream(daemon.rng) + _stream(daemon.rng) == ref
+
+
+    def test_cluster_clients_draw_the_cluster_stream(self):
+        """Each client takes one draw of the cluster's generator, in build
+        order, and builds ``Random(draw)`` only when first asked."""
+        cluster = ScallaCluster(4, config=ScallaConfig(seed=17))
+        ref = random.Random()
+        ref.setstate(cluster.rng.getstate())
+        clients = [cluster.client() for _ in range(3)]
+        assert all(c._rng is None for c in clients)
+        for client in clients:
+            assert _stream(client.rng) == _stream(random.Random(ref.random()))
+        assert cluster.rng.random() == ref.random()
 
 
 class TestBuiltOnFirstUse:

@@ -154,6 +154,31 @@ class TestExpiry:
         assert [w.payload for w in expired] == ["early"]
         assert q.pending_waiters() == 1
 
+    def test_join_keeps_the_running_expiry(self):
+        q = ResponseQueue(period=0.133)
+        loc = make_loc()
+        q.add_waiter(loc, AccessMode.READ, "c1", now=0.0)
+        q.add_waiter(loc, AccessMode.READ, "c2", now=0.1)
+        # The joiner rides the anchor's clock: one period from its opening.
+        assert q.next_expiry() == pytest.approx(0.133)
+        assert [w.payload for w in q.expire(now=0.14)] == ["c1", "c2"]
+
+    def test_same_instant_anchors_expire_in_index_order(self):
+        """Anchors opened at one instant expire by anchor index, not by the
+        order they opened in (the free stack can hand out a higher index
+        first)."""
+        q = ResponseQueue(period=0.133)
+        first, second = make_loc("/a"), make_loc("/b")
+        q.add_waiter(first, AccessMode.READ, "a", now=0.0)  # anchor 0
+        q.add_waiter(second, AccessMode.READ, "b", now=0.0)  # anchor 1
+        q.on_response(first, server=0, write_capable=False)  # frees 0
+        q.on_response(second, server=0, write_capable=False)  # frees 1, on top
+        x, y = make_loc("/x"), make_loc("/y")
+        q.add_waiter(x, AccessMode.READ, "x", now=1.0)  # anchor 1
+        q.add_waiter(y, AccessMode.READ, "y", now=1.0)  # anchor 0
+        assert (x.rq_read, y.rq_read) == (1, 0)
+        assert [w.payload for w in q.expire(now=1.2)] == ["y", "x"]
+
     def test_responded_anchor_not_expired(self):
         q = ResponseQueue(period=0.133)
         loc = make_loc()
@@ -176,43 +201,6 @@ class TestExpiry:
         q.add_waiter(loc, AccessMode.READ, "c", now=0.0)
         q.on_response(loc, server=0, write_capable=False)
         assert q.fast_responses == 1 and q.timeouts == 0
-
-
-class TestPerAnchorWindows:
-    def test_explicit_window_overrides_period(self):
-        q = ResponseQueue(period=0.133)
-        loc = make_loc()
-        q.add_waiter(loc, AccessMode.READ, "c", now=0.0, window=0.5)
-        assert q.next_expiry() == pytest.approx(0.5)
-        assert q.expire(now=0.2) == []
-        assert [w.payload for w in q.expire(now=0.51)] == ["c"]
-
-    def test_join_keeps_the_running_window(self):
-        q = ResponseQueue(period=0.133)
-        loc = make_loc()
-        q.add_waiter(loc, AccessMode.READ, "c1", now=0.0, window=0.5)
-        q.add_waiter(loc, AccessMode.READ, "c2", now=0.3, window=9.0)
-        # The joiner's window is ignored: the anchor's clock already runs.
-        assert q.next_expiry() == pytest.approx(0.5)
-        assert len(q.expire(now=0.51)) == 2
-
-    def test_mixed_windows_expire_out_of_fifo_order(self):
-        q = ResponseQueue(period=0.133)
-        long_w, short_w = make_loc("/a"), make_loc("/b")
-        q.add_waiter(long_w, AccessMode.READ, "long", now=0.0, window=1.0)
-        q.add_waiter(short_w, AccessMode.READ, "short", now=0.1)
-        assert [w.payload for w in q.expire(now=0.3)] == ["short"]
-        assert [w.payload for w in q.expire(now=1.1)] == ["long"]
-
-    def test_has_anchor(self):
-        q = ResponseQueue(period=0.133)
-        loc = make_loc()
-        assert not q.has_anchor(loc, AccessMode.READ)
-        q.add_waiter(loc, AccessMode.READ, "c", now=0.0)
-        assert q.has_anchor(loc, AccessMode.READ)
-        assert not q.has_anchor(loc, AccessMode.WRITE)
-        q.expire(now=1.0)
-        assert not q.has_anchor(loc, AccessMode.READ)
 
 
 class TestLateResponses:
@@ -292,17 +280,6 @@ class TestLateResponses:
         q.expire(now=0.14)
         loc.hide()  # recycled: any late answer now concerns a dead epoch
         assert q.on_late_response(loc, server=1, write_capable=True, now=0.2) == []
-
-    def test_unpark_withdraws_one_waiter(self):
-        q = ResponseQueue(period=0.133, park_ttl=5.0)
-        loc = make_loc()
-        q.add_waiter(loc, AccessMode.READ, "c1", now=0.0)
-        q.add_waiter(loc, AccessMode.READ, "c2", now=0.0)
-        parked = q.expire(now=0.14)
-        assert q.unpark(loc, parked[0])
-        assert not q.unpark(loc, parked[0])  # already gone
-        released = q.on_late_response(loc, server=1, write_capable=True, now=0.2)
-        assert [w.payload for w in released] == ["c2"]
 
 
 class TestAnchorsOnDemand:
