@@ -16,6 +16,7 @@ Paper claims reproduced here (simulated time):
 from repro.cluster import ScallaCluster, ScallaConfig
 from repro.sim.latency import LogNormal
 from repro.sim.monitor import Histogram
+from repro.workloads.wan import cold_locate, wan_federation
 
 from reporting import record, record_snapshot, us
 
@@ -112,37 +113,6 @@ def test_nonexistent_files_cost_full_delay_regardless(benchmark):
     )
 
 
-def run_wan_locate(*, settle: float = 0.5, **config_kwargs):
-    """Cold locate of an existing file over an 80 ms one-way site link.
-
-    Returns (elapsed seconds, manager CmsdStats, manager ResponseQueue).
-    Shared by this bench, the integration tests, and perf_wan.
-    """
-    from repro.cluster.ids import cmsd_host, xrootd_host
-    from repro.sim.latency import Uniform
-
-    cluster = ScallaCluster(4, config=ScallaConfig(seed=74, **config_kwargs))
-    net = cluster.network
-    remote = [h for s in cluster.servers for h in (cmsd_host(s), xrootd_host(s))]
-    net.federate(
-        {"remote": remote, "hq": [cmsd_host(cluster.managers[0])]},
-        wan_latency=Uniform(78e-3, 82e-3),
-    )
-    cluster.populate(["/store/wan.root"], size=64)
-    cluster.settle(settle)
-    client = cluster.client()
-    net.set_host_site(client.host.name, "hq")
-    t0 = cluster.sim.now
-
-    def probe():
-        yield from client.locate("/store/wan.root")
-        return cluster.sim.now - t0
-
-    elapsed = cluster.run_process(probe(), limit=120)
-    mgr = cluster.manager_cmsd()
-    return elapsed, mgr.stats, mgr.rq
-
-
 def test_wan_window_fix(benchmark):
     """The 133 ms constant assumes LAN response times; the fix unmakes that.
 
@@ -155,9 +125,10 @@ def test_wan_window_fix(benchmark):
     """
 
     def run():
-        before, _, _ = run_wan_locate(late_release=False)
-        late, st_late, _ = run_wan_locate()
-        return before, late, st_late
+        before, _ = cold_locate(wan_federation(late_release=False))
+        cluster = wan_federation()
+        late, _ = cold_locate(cluster)
+        return before, late, cluster.manager_cmsd().stats
 
     before, late, st_late = benchmark.pedantic(run, rounds=1, iterations=1)
     assert before > 5.0  # seed behaviour: degraded to the full delay

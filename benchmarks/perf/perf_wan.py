@@ -17,34 +17,12 @@ the perf-smoke gate should catch (SIMTIME_TOLERANCE in check_perf).
 
 from __future__ import annotations
 
-from repro.cluster import ScallaCluster, ScallaConfig
-from repro.cluster.ids import cmsd_host, xrootd_host
-from repro.sim.latency import Uniform
-
-
-def _cold_wan_locate_us(*, settle: float) -> float:
-    cluster = ScallaCluster(4, config=ScallaConfig(seed=74))
-    net = cluster.network
-    remote = [h for s in cluster.servers for h in (cmsd_host(s), xrootd_host(s))]
-    net.federate(
-        {"remote": remote, "hq": [cmsd_host(cluster.managers[0])]},
-        wan_latency=Uniform(78e-3, 82e-3),
-    )
-    cluster.populate(["/store/wan.root"], size=64)
-    cluster.settle(settle)
-    client = cluster.client()
-    net.set_host_site(client.host.name, "hq")
-    t0 = cluster.sim.now
-
-    def probe():
-        yield from client.locate("/store/wan.root")
-        return cluster.sim.now - t0
-
-    return cluster.run_process(probe(), limit=120) * 1e6
+from repro.workloads.wan import cold_locate, wan_federation
 
 
 def run_suite(*, scale: int = 1, repeats: int = 3) -> dict[str, float]:
     # Simulated-time metrics: one run is exact, scale/repeats are accepted
     # only for signature symmetry with the wall-clock suites.
     del scale, repeats
-    return {"wan_cold_locate_us": round(_cold_wan_locate_us(settle=0.5), 3)}
+    elapsed, _ = cold_locate(wan_federation(settle=0.5))
+    return {"wan_cold_locate_us": round(elapsed * 1e6, 3)}

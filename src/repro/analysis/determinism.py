@@ -13,28 +13,38 @@ trace, all stamped with sim time — and compares two runs field by field.
 Any divergence means nondeterminism leaked in somewhere, and the diff
 pinpoints the first diverging metric or trace event.
 
-Used three ways:
+Used four ways:
 
 * ``python -m repro.analysis.determinism`` — CI's ``determinism`` job and
   ``scripts/check.sh``; exit 0 on identical runs, 1 on divergence;
 * :func:`run_workload` / :func:`diff_snapshots` from tests;
 * with ``--sanitize`` the second run sweeps SimSan, doubling as a check
-  that sanitization really is a pure read (identical streams with it on).
+  that sanitization really is a pure read (identical streams with it on);
+* :func:`send_log_record` hashes every message the workload sends, for
+  seeds 51, 7 and 1234, with observability on and off (the off run keeps
+  silent-leaf copies on the wire).  ``scripts/smoke_bench.sh`` commits
+  the digests as ``benchmarks/results/send-log.md`` and fails when a
+  change moves one message.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster.client import NoSuchFile
 from repro.cluster.scalla import ScallaCluster, ScallaConfig
 from repro.obs import export
 from repro.sim.latency import Fixed
+from repro.sim.network import Network
 
-__all__ = ["run_workload", "diff_snapshots", "main"]
+__all__ = ["run_workload", "send_log_digest", "send_log_record", "diff_snapshots", "main"]
+
+#: The seeds :func:`send_log_record` covers.
+SEND_LOG_SEEDS = (51, 7, 1234)
 
 
 def run_workload(
@@ -46,8 +56,11 @@ def run_workload(
     lookups: int = 60,
     misses: int = 8,
     sanitize: bool = False,
+    observability: bool = True,
+    on_network: Callable[[Network], None] | None = None,
 ) -> dict[str, Any]:
-    """Run one deterministic locate workload; return its full snapshot.
+    """Run one deterministic locate workload; return its full snapshot
+    (without *observability*, only its ``extra`` counts).
 
     The workload exercises every subsystem whose iteration order could
     leak nondeterminism: cache lookups and adds (hash table), fast
@@ -55,16 +68,20 @@ def run_workload(
     vectors, a server disconnect mid-run (correction machinery), two
     window ticks (eviction sweep + background removal), and the xrootd's
     request handling: service timers, NIC transfers and MSS staging.
+    *on_network* gets the cluster's network before any daemon starts.
     """
     config = ScallaConfig(
         seed=seed,
         fanout=fanout,
-        observability=True,
+        observability=observability,
         sanitize=sanitize,
         lifetime=1200.0,  # tick every 18.75 s: the run crosses several ticks
         stage_latency=Fixed(0.5),
     )
-    cluster = ScallaCluster(n_servers, config=config)
+    cluster = ScallaCluster(n_servers, config=config, start=False)
+    if on_network is not None:
+        on_network(cluster.network)
+    cluster.start()
     paths = [f"/store/d{i % 5}/f{i:03d}.root" for i in range(files)]
     cluster.populate(paths)
     cluster.settle()
@@ -108,9 +125,46 @@ def run_workload(
     # Cross a few eviction ticks and queue-expiry periods with the cluster
     # otherwise idle, then freeze.
     cluster.run(until=cluster.sim.now + 2.5 * cluster.config.lifetime / 64)
-    snap = cluster.obs_snapshot()
+    snap = cluster.obs_snapshot() if observability else {}
     snap["extra"] = {"seed": seed, "resolved": resolved, "notfound": notfound}
     return snap
+
+
+def send_log_digest(seed: int = 51, *, observability: bool = True, **sizes) -> tuple[int, str]:
+    """Run the workload and hash every ``Network.send`` in send order, one
+    ``(time repr, src, dst, repr(payload), size)`` line each; returns the
+    number of sends and their SHA-256 hex digest."""
+    digest = hashlib.sha256()
+    sends = 0
+
+    def log(network: Network) -> None:
+        send, sim = network.send, network.sim
+
+        def logged(src, dst, payload, *, size=0):
+            nonlocal sends
+            sends += 1
+            digest.update(f"{sim.now!r}\t{src}\t{dst}\t{payload!r}\t{size}\n".encode())
+            return send(src, dst, payload, size=size)
+
+        network.send = logged
+
+    run_workload(seed, observability=observability, on_network=log, **sizes)
+    return sends, digest.hexdigest()
+
+
+def send_log_record() -> str:
+    """The send-log digests of :data:`SEND_LOG_SEEDS`, observability on
+    and off, as the text of ``benchmarks/results/send-log.md``."""
+    lines = [
+        "# Send log: SHA-256 of every Network.send of the determinism workload",
+        "",
+        "seed  observability  sends  sha256",
+    ]
+    for seed in SEND_LOG_SEEDS:
+        for obs in ("on", "off"):
+            sends, digest = send_log_digest(seed, observability=obs == "on")
+            lines.append(f"{seed:<4}  {obs:<13}  {sends:<5}  {digest}")
+    return "\n".join(lines) + "\n"
 
 
 def diff_snapshots(a: dict[str, Any], b: dict[str, Any], *, limit: int = 20) -> list[str]:

@@ -74,8 +74,8 @@ from repro.core.cache import NameCache
 from repro.core.corrections import ClusterMembership
 from repro.core.crc32 import hash_name
 from repro.core.deadline import DeadlinePolicy
-from repro.core.response_queue import DEFAULT_ANCHORS, AccessMode, ResponseQueue
-from repro.core.selection import MostSpace, RoundRobin, ServerMetrics
+from repro.core.response_queue import DEFAULT_ANCHORS, DEFAULT_PERIOD, AccessMode, ResponseQueue
+from repro.core.selection import MostSpace, RoundRobin
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -89,8 +89,8 @@ RELOGIN_BACKOFF_CAP = 30.0
 #: subtree re-discovering its parent at once).
 RELOGIN_JITTER = 0.25
 #: Selection policy for read/write redirection, and for placing new
-#: files.  Both are stateless (``choose`` keeps its state in the calling
-#: cmsd's ServerMetrics), so every cmsd shares one of each.
+#: files.  Both are stateless (``choose`` reads and counts on the calling
+#: cmsd's membership records), so every cmsd shares one of each.
 READ_POLICY = RoundRobin()
 CREATE_POLICY = MostSpace()
 
@@ -240,19 +240,17 @@ class Cmsd:
             )
             self.rq = ResponseQueue(
                 anchors=DEFAULT_ANCHORS,
-                period=config.fast_period,
+                period=DEFAULT_PERIOD,
                 park_ttl=config.full_delay if config.late_release else 0.0,
                 obs=obs,
                 node=node_id.name,
             )
             self.deadline = DeadlinePolicy(full_delay=config.full_delay)
-            self.metrics = ServerMetrics()
         else:
             self.membership = None
             self.cache = None
             self.rq = None
             self.deadline = None
-            self.metrics = None
         # Every role gets a sanitizer: servers have no cache/queue, but
         # their subordinate half (parents, re-home state) is checkable.
         self.sanitizer = Sanitizer(node=node_id.name) if config.sanitize else None
@@ -263,7 +261,7 @@ class Cmsd:
         #: True while the response clock has an expiry (or a wake) pending,
         #: or is running; False while it is parked with no open anchor.
         self._rq_armed = False
-        #: The FIFO server: the (msg, src, sent_at) in service (None when
+        #: The FIFO server: the (msg, src) in service (None when
         #: idle), the arrivals waiting behind it (a deque built the first
         #: time a message has to wait), and — while the one in service is
         #: record-served (module docstring) — its service end, with a lower
@@ -552,7 +550,7 @@ class Cmsd:
                 # service, its end gets no heap entry.  (Inlined: this runs
                 # for nearly every query a flood sends.)
                 when, seq, _ = kept
-                item = (msg, src, sent_at, seq)
+                item = (msg, src, seq)
                 end = self._end
                 if end is not None and (end < when or (end == when and self._end_seq < seq)):
                     if self._backlog:
@@ -571,7 +569,7 @@ class Cmsd:
                 return
             if self._end is not None or self.network.keeps(self.host.name):
                 self._go_eager()
-        item = (msg, src, sent_at)
+        item = (msg, src)
         if self._in_service is None:
             self._begin_service(item)
         elif self._backlog is not None:
@@ -579,7 +577,7 @@ class Cmsd:
         else:
             self._backlog = deque((item,))
 
-    def _begin_service(self, item: tuple[object, str, float]) -> None:
+    def _begin_service(self, item: tuple) -> None:
         # The service time is drawn here, as the message enters service:
         # the RNG is shared with re-login jitter, so the draw order is part
         # of the protocol's behaviour.
@@ -591,7 +589,7 @@ class Cmsd:
         """Service of *item* ended: act on it, then start on the next."""
         if item is not self._in_service:
             return  # stopped while in service: the message is lost
-        self._dispatch(item[0], item[1], item[2])
+        self._dispatch(item[0], item[1])
         if self._backlog:
             self._begin_service(self._backlog.popleft())
         else:
@@ -633,8 +631,8 @@ class Cmsd:
                 self._in_service = self._end = None
                 return
             item = self._in_service = backlog.popleft()
-            if item[3] > bound:
-                bound = item[3]
+            if item[2] > bound:
+                bound = item[2]
             end += self._service.sample(self.rng)
         self._end, self._end_seq = end, bound
 
@@ -680,7 +678,7 @@ class Cmsd:
         self._go_eager()
         self._watch(False)
 
-    def _dispatch(self, msg: object, src: str, sent_at: float = 0.0) -> None:
+    def _dispatch(self, msg: object, src: str) -> None:
         # The message types are distinct classes, so the order only sets
         # the cost: the per-file traffic (queries, locates) is tested first.
         role = self.node_id.role
@@ -709,9 +707,6 @@ class Cmsd:
         role = msg.role
         if role not in _ROLE_VALUES:
             raise ValueError(f"{role!r} is not a valid Role")  # no node can have it
-        slots = self.membership.slots
-        known = self.membership.slot_of(msg.node)
-        record = None if known is None else slots[known]
         try:
             slot = self.membership.login(msg.node, msg.paths, host=src, role=role, now=self.sim.now)
         except OverflowError:
@@ -720,24 +715,19 @@ class Cmsd:
             # not stop its silence clock, so it rotates on to its next
             # standby instead of wedging on a full parent.
             return
-        if slots[slot] is not record:
-            # A new record (a new name, or new exported paths): what this
-            # slot's last occupant reported is not this child's.
-            self.metrics.load[slot] = 0.0
-            self.metrics.free_space[slot] = 0.0
-        self.metrics.selections[slot] = 0
+        self.membership.slots[slot].selections = 0
         self.stats.logins_handled += 1
         self._send(src, pr.LoginAck(slot))
 
     def _on_heartbeat(self, msg: pr.Heartbeat, src: str) -> None:
         # An offline child reconnects here (case 3 of §III-A4).
-        slot = self.membership.heartbeat(msg.node, self.sim.now, msg.site)
+        slot = self.membership.heartbeat(
+            msg.node, self.sim.now, msg.site, msg.load, msg.free_space
+        )
         if slot is None:
             # We do not know this child (we probably restarted): tell it so.
             self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=False))
             return
-        self.metrics.load[slot] = msg.load
-        self.metrics.free_space[slot] = msg.free_space
         self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=True))
 
     def _on_heartbeat_ack(self, msg: pr.HeartbeatAck, src: str) -> None:
@@ -939,7 +929,7 @@ class Cmsd:
         # POSIX outcome).
         candidates, pending = self._candidates(obj, msg.avoid, msg.client_site)
         if candidates:
-            slot = READ_POLICY.choose(candidates, self.metrics)
+            slot = READ_POLICY.choose(candidates, self.membership.slots)
             self._redirect(msg, slot, pending)
             return "redirect"
 
@@ -1008,7 +998,7 @@ class Cmsd:
             self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
             self.stats.notfounds += 1
             return "notfound"
-        slot = CREATE_POLICY.choose(eligible, self.metrics)
+        slot = CREATE_POLICY.choose(eligible, self.membership.slots)
         self._redirect(msg, slot, pending=False)
         return "create-redirect"
 
@@ -1139,19 +1129,19 @@ class Cmsd:
                 holder=msg.node,
                 waiters=len(late),
             )
-        role = self.membership.slots[slot].role
+        responder = self.membership.slots[slot]
         for waiter in released + late:
             payload = waiter.payload
             if isinstance(payload, _ClientWaiter):
                 self._close_wait_span(payload.span, outcome="released")
-                self.metrics.record_selection(slot)
+                responder.selections += 1
                 self._send(
                     payload.reply_to,
                     pr.Redirect(
                         payload.req_id,
                         payload.path,
                         target=msg.node,
-                        target_role=role,
+                        target_role=responder.role,
                         pending=msg.pending,
                     ),
                 )

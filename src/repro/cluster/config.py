@@ -34,7 +34,8 @@ class ScallaConfig:
     built), and every client shares :attr:`client`.  Set fields before
     the cluster is built, not while it runs.
 
-    Every fast-response anchor expires one ``fast_period`` after it opens,
+    Every fast-response anchor expires one fixed period after it opens
+    (the paper's 133 ms, :data:`~repro.core.response_queue.DEFAULT_PERIOD`),
     and a client that names its site is sent to holders there if any exist.
 
     Latency defaults model the paper's hardware: ~10 µs per LAN hop, ~80 µs
@@ -65,8 +66,6 @@ class ScallaConfig:
     full_delay: float = 5.0
     #: Location-object lifetime L_t (paper: 8 h).
     lifetime: float = 8 * 3600.0
-    #: Fast-response clocking period (paper: 133 ms).
-    fast_period: float = 0.133
     #: Subordinate -> parent heartbeat interval.
     heartbeat_interval: float = 1.0
     #: Missed-heartbeat horizon after which a child is marked offline.

@@ -33,7 +33,6 @@ from repro.core.selection import (
     RandomChoice,
     RoundRobin,
     SelectionPolicy,
-    ServerMetrics,
     WeightedComposite,
 )
 
@@ -78,5 +77,4 @@ __all__ = [
     "MostSpace",
     "WeightedComposite",
     "RandomChoice",
-    "ServerMetrics",
 ]

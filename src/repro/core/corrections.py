@@ -39,10 +39,13 @@ The four membership events of §III-A4 map to methods here:
 A reconnect that declares a *different* path set is treated as drop + new
 connection, exactly as the paper prescribes.
 
-A :class:`ServerSlot` is everything a cmsd knows about one child, and the
-liveness policy lives here too, clock-agnostic: :meth:`~ClusterMembership.heartbeat`
-refreshes a member (case 3 for an offline one) and
-:meth:`~ClusterMembership.expire` applies cases 1 and 2 as of a given ``now``.
+A :class:`ServerSlot` is everything a cmsd knows about one child, the
+selection inputs of §II-B3 (load, free space, selection count) included:
+a new record starts them at zero, a same-member re-login keeps them.  The
+liveness policy lives here too, clock-agnostic:
+:meth:`~ClusterMembership.heartbeat` stores a member's report and refreshes
+it (case 3 for an offline one), and :meth:`~ClusterMembership.expire`
+applies cases 1 and 2 as of a given ``now``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ class ServerSlot:
     #: When its latest Login or heartbeat arrived.
     last_seen: float = 0.0
     online: bool = True
+    #: Utilization in [0, 1] and free bytes, from its latest heartbeat.
+    load: float = 0.0
+    free_space: float = 0.0
+    #: How often a selection policy chose it (§II-B3's "selection
+    #: frequency"); the cmsd resets it at each Login.
+    selections: int = 0
 
 
 @dataclass
@@ -168,7 +177,9 @@ class ClusterMembership:
 
     def login(self, name: str, paths, *, slot=None, host="", role="server", now=0.0) -> int:
         """Register server *name* exporting *paths*; returns its slot, whose
-        record gets *host*, *role*, ``last_seen = now`` and no site.
+        record gets *host*, *role*, ``last_seen = now`` and no site.  A
+        re-login of the same member updates its record in place; a new
+        record starts with no load, free space or selections.
 
         Handles all four §III-A4 cases:
 
@@ -270,10 +281,13 @@ class ClusterMembership:
 
     # -- liveness ------------------------------------------------------------
 
-    def heartbeat(self, name: str, now: float, site: str = "") -> int | None:
-        """Member *name* was heard from at *now*, at *site*: returns its slot
-        (None for a non-member).  An offline member logs in again with its
-        own record (case 3), so objects cached meanwhile re-query it."""
+    def heartbeat(
+        self, name: str, now: float, site: str = "", load: float = 0.0, free_space: float = 0.0
+    ) -> int | None:
+        """Member *name* was heard from at *now*, at *site*, reporting *load*
+        and *free_space*: returns its slot (None for a non-member).  An
+        offline member logs in again with its own record (case 3), so
+        objects cached meanwhile re-query it."""
         slot = self._by_name.get(name)
         if slot is None:
             return None
@@ -282,6 +296,8 @@ class ClusterMembership:
             self.login(name, entry.paths, host=entry.host, role=entry.role, now=now)
         entry.site = site
         entry.last_seen = now
+        entry.load = load
+        entry.free_space = free_space
         return slot
 
     def expire(self, now: float, disconnect_after: float, drop_after: float) -> None:

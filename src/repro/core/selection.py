@@ -3,7 +3,9 @@
 When more than one node can serve a file, "a selection is made based on
 configuration defined criteria (e.g., load, selection frequency, space,
 etc.)" (paper §II-B3).  This module implements those criteria over the
-64-bit candidate vectors.
+64-bit candidate vectors, reading each candidate's membership record
+(:class:`~repro.core.corrections.ServerSlot`): the load and free space its
+heartbeats report and how often it has been selected.
 
 All policies are deterministic given their inputs (the random policy takes
 an explicit seeded RNG), which keeps cluster simulations reproducible.
@@ -12,51 +14,38 @@ an explicit seeded RNG), which keeps cluster simulations reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core import bitvec
+from repro.core.corrections import ServerSlot
 
-__all__ = ["ServerMetrics", "SelectionPolicy", "RoundRobin", "LeastLoad", "MostSpace", "WeightedComposite", "RandomChoice"]
-
-
-@dataclass
-class ServerMetrics:
-    """Per-slot metrics a cmsd keeps about its subordinates.
-
-    ``load`` is an abstract utilization in [0, 1]; ``free_space`` is in
-    bytes; ``selections`` counts how often the slot has been chosen (the
-    paper's "selection frequency" criterion).
-    """
-
-    load: list[float] = field(default_factory=lambda: [0.0] * bitvec.MAX_SERVERS)
-    free_space: list[float] = field(default_factory=lambda: [0.0] * bitvec.MAX_SERVERS)
-    selections: list[int] = field(default_factory=lambda: [0] * bitvec.MAX_SERVERS)
-
-    def record_selection(self, slot: int) -> None:
-        self.selections[slot] += 1
+__all__ = ["SelectionPolicy", "RoundRobin", "LeastLoad", "MostSpace", "WeightedComposite", "RandomChoice"]
 
 
 class SelectionPolicy:
     """Base class: choose one slot out of a candidate vector."""
 
-    def choose(self, candidates: int, metrics: ServerMetrics) -> int:
+    def choose(self, candidates: int, slots: Sequence[ServerSlot | None]) -> int:
         """Return the chosen slot index; raises on an empty vector.
 
-        Subclasses implement :meth:`_score`; lower score wins, ties broken
-        by slot index for determinism.
+        *slots* holds the records, by slot index, of every candidate; the
+        chosen one's ``selections`` goes up by one.  Subclasses implement
+        :meth:`_score`; lower score wins, ties broken by slot index for
+        determinism.
         """
-        best = -1
+        best = None
         best_score = None
         for slot in bitvec.iter_bits(candidates):
-            score = self._score(slot, metrics)
+            child = slots[slot]
+            score = self._score(child)
             if best_score is None or score < best_score:
-                best, best_score = slot, score
-        if best < 0:
+                best, best_score = child, score
+        if best is None:
             raise ValueError("cannot select from an empty candidate vector")
-        metrics.record_selection(best)
-        return best
+        best.selections += 1
+        return best.index
 
-    def _score(self, slot: int, metrics: ServerMetrics) -> float:
+    def _score(self, child: ServerSlot) -> float:
         raise NotImplementedError
 
 
@@ -67,22 +56,22 @@ class RoundRobin(SelectionPolicy):
     default cmsd behaviour.
     """
 
-    def _score(self, slot: int, metrics: ServerMetrics) -> float:
-        return float(metrics.selections[slot])
+    def _score(self, child: ServerSlot) -> float:
+        return child.selections
 
 
 class LeastLoad(SelectionPolicy):
     """Pick the slot reporting the lowest load."""
 
-    def _score(self, slot: int, metrics: ServerMetrics) -> float:
-        return metrics.load[slot]
+    def _score(self, child: ServerSlot) -> float:
+        return child.load
 
 
 class MostSpace(SelectionPolicy):
     """Pick the slot with the most free space (for writes/creates)."""
 
-    def _score(self, slot: int, metrics: ServerMetrics) -> float:
-        return -metrics.free_space[slot]
+    def _score(self, child: ServerSlot) -> float:
+        return -child.free_space
 
 
 class WeightedComposite(SelectionPolicy):
@@ -101,12 +90,11 @@ class WeightedComposite(SelectionPolicy):
         self.w_freq = w_freq / total
         self.w_space = w_space / total
 
-    def _score(self, slot: int, metrics: ServerMetrics) -> float:
-        freq = metrics.selections[slot]
+    def _score(self, child: ServerSlot) -> float:
+        freq = child.selections
         freq_norm = freq / (1.0 + freq)
-        space = metrics.free_space[slot]
-        space_norm = 1.0 / (1.0 + space)
-        return self.w_load * metrics.load[slot] + self.w_freq * freq_norm + self.w_space * space_norm
+        space_norm = 1.0 / (1.0 + child.free_space)
+        return self.w_load * child.load + self.w_freq * freq_norm + self.w_space * space_norm
 
 
 class RandomChoice(SelectionPolicy):
@@ -115,13 +103,13 @@ class RandomChoice(SelectionPolicy):
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
 
-    def choose(self, candidates: int, metrics: ServerMetrics) -> int:
-        slots = bitvec.to_indices(candidates)
-        if not slots:
+    def choose(self, candidates: int, slots: Sequence[ServerSlot | None]) -> int:
+        indices = bitvec.to_indices(candidates)
+        if not indices:
             raise ValueError("cannot select from an empty candidate vector")
-        slot = self._rng.choice(slots)
-        metrics.record_selection(slot)
+        slot = self._rng.choice(indices)
+        slots[slot].selections += 1
         return slot
 
-    def _score(self, slot: int, metrics: ServerMetrics) -> float:  # pragma: no cover
+    def _score(self, child: ServerSlot) -> float:  # pragma: no cover
         raise NotImplementedError("RandomChoice overrides choose()")

@@ -1,6 +1,7 @@
 """Synthetic workload generators reproducing the paper's motivating load:
 structured HEP path families, Zipf popularity, Poisson arrivals, and the
-meta-data-burst analysis-job shape of §II-A."""
+meta-data-burst analysis-job shape of §II-A (:mod:`repro.workloads.wan`
+holds the E6-wan federation)."""
 
 from repro.workloads.jobs import JobResult, JobSpec, run_job
 from repro.workloads.namegen import (

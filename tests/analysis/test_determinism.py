@@ -2,7 +2,7 @@
 
 import copy
 
-from repro.analysis.determinism import diff_snapshots, run_workload
+from repro.analysis.determinism import diff_snapshots, run_workload, send_log_digest
 
 # Small workload: enough to exercise cache, queue, flooding, churn, and
 # eviction ticks while keeping the suite fast.
@@ -26,6 +26,20 @@ class TestSameSeed:
         a = run_workload(seed=51, **SMALL)
         b = run_workload(seed=52, **SMALL)
         assert diff_snapshots(a, b) != []
+
+
+class TestSendLog:
+    def test_observability_moves_no_message(self):
+        """Without observability, server cmsds are silent leaves whose
+        unanswered queries stay on the wire; the messages sent are the
+        same."""
+        on = send_log_digest(51, observability=True, **SMALL)
+        off = send_log_digest(51, observability=False, **SMALL)
+        assert on == off
+        assert on[0] > 0
+
+    def test_different_seeds_diverge(self):
+        assert send_log_digest(51, **SMALL) != send_log_digest(52, **SMALL)
 
 
 class TestDiff:

@@ -21,7 +21,7 @@ class TestHeartbeatMetrics:
         mgr = cluster.manager_cmsd()
         for server in cluster.servers:
             slot = mgr.membership.slot_of(server)
-            assert mgr.metrics.free_space[slot] > 0  # disk_size reported
+            assert mgr.membership.slots[slot].free_space > 0  # disk_size reported
 
     def test_least_load_selection_prefers_idle_server(self, monkeypatch):
         cluster = ScallaCluster(2, config=ScallaConfig(seed=302, heartbeat_interval=0.1))
@@ -35,21 +35,21 @@ class TestHeartbeatMetrics:
         # Fake a loaded first server via its reported metric.
         s0 = mgr.membership.slot_of(cluster.servers[0])
         s1 = mgr.membership.slot_of(cluster.servers[1])
-        mgr.metrics.load[s0] = 0.9
-        mgr.metrics.load[s1] = 0.1
+        mgr.membership.slots[s0].load = 0.9
+        mgr.membership.slots[s1].load = 0.1
         picks = set()
         for _ in range(4):
             res = cluster.run_process(cluster.client().open("/store/hot.root"), limit=60)
             picks.add(res.node)
             # keep the skew pinned (heartbeats would reset it to truth)
-            mgr.metrics.load[s0] = 0.9
-            mgr.metrics.load[s1] = 0.1
+            mgr.membership.slots[s0].load = 0.9
+            mgr.membership.slots[s1].load = 0.1
         assert picks == {cluster.servers[1]}
 
 
 class TestReusedSlot:
-    """A child logging into a slot freed by a drop starts from clean
-    metrics; a reconnecting member keeps its own."""
+    """A child logging into a slot freed by a drop starts from a clean
+    record; a reconnecting member keeps its own load."""
 
     @staticmethod
     def _dropped_loaded_server():
@@ -69,7 +69,8 @@ class TestReusedSlot:
         hb = pr.Heartbeat(node=srv, load=0.9, free_space=123.0)
         cluster.network.send(f"{srv}.cmsd", mgr.host.name, hb)
         cluster.run(until=cluster.sim.now + 0.1)
-        assert (mgr.metrics.load[0], mgr.metrics.free_space[0]) == (0.9, 123.0)
+        record = mgr.membership.slots[0]
+        assert (record.load, record.free_space) == (0.9, 123.0)
         cluster.run(until=cluster.sim.now + 2.0)
         assert mgr.membership.slot_of(srv) is None  # dropped: slot 0 is free
         return cluster, mgr, srv
@@ -81,7 +82,8 @@ class TestReusedSlot:
         cluster.network.send("newcomer.cmsd", mgr.host.name, login)
         cluster.run(until=cluster.sim.now + 0.01)
         assert mgr.membership.slot_of("newcomer") == 0
-        assert (mgr.metrics.load[0], mgr.metrics.free_space[0]) == (0.0, 0.0)
+        record = mgr.membership.slots[0]
+        assert (record.load, record.free_space) == (0.0, 0.0)
 
     def test_reconnect_keeps_the_members_metrics(self):
         cluster = ScallaCluster(1, config=ScallaConfig(seed=307, heartbeat_interval=0.2))
@@ -89,12 +91,12 @@ class TestReusedSlot:
         mgr = cluster.manager_cmsd()
         srv = cluster.servers[0]
         slot = mgr.membership.slot_of(srv)
-        mgr.metrics.load[slot] = 0.7
+        mgr.membership.slots[slot].load = 0.7
         login = pr.Login(node=srv, role="server", paths=cluster.config.exports)
         cluster.network.send(f"{srv}.cmsd", mgr.host.name, login)
         cluster.run(until=cluster.sim.now + 0.01)
         assert mgr.membership.slot_of(srv) == slot
-        assert mgr.metrics.load[slot] == 0.7
+        assert mgr.membership.slots[slot].load == 0.7
 
 
 class TestMembershipTiming:
@@ -259,7 +261,7 @@ class TestFifoServer:
         draws = _Draws(sim, service)
         cmsd = Cmsd(sim, net, NodeId("srv0", Role.SERVER), config=ScallaConfig(server_service=draws))
         served = []
-        cmsd._dispatch = lambda msg, src, sent_at=0.0: served.append((msg, sim.now))
+        cmsd._dispatch = lambda msg, src: served.append((msg, sim.now))
         cmsd.start()
         return sim, net, cmsd, draws, served
 

@@ -14,7 +14,7 @@ WAN = Fixed(40e-3)
 def wan_cluster(heartbeat_interval: float = 0.2):
     cluster = ScallaCluster(
         4,
-        config=ScallaConfig(seed=341, heartbeat_interval=heartbeat_interval, fast_period=0.5),
+        config=ScallaConfig(seed=341, heartbeat_interval=heartbeat_interval),
     )
     net = cluster.network
     # Two sites, two servers each; the manager sits at site east.

@@ -192,6 +192,20 @@ class TestLiveness:
         m.expire(10.0 + self.DISCONNECT, self.DISCONNECT, self.DROP)
         assert record.online  # the heartbeat reset the silence clock
 
+    def test_heartbeat_report_lives_on_the_record(self):
+        m, s = self._member()
+        assert m.heartbeat("srv-a", 1.0, "east", 0.9, 123.0) == s
+        record = m.slots[s]
+        assert (record.load, record.free_space) == (0.9, 123.0)
+        record.selections = 5
+        m.login("srv-a", ["/store"], now=2.0)  # the same member: its record kept
+        assert m.slots[s] is record
+        assert (record.load, record.free_space) == (0.9, 123.0)
+        m.drop("srv-a")
+        assert m.login("srv-b", ["/store"]) == s  # a new record in the freed slot
+        fresh = m.slots[s]
+        assert (fresh.load, fresh.free_space, fresh.selections) == (0.0, 0.0, 0)
+
     def test_heartbeat_from_a_stranger(self):
         m, _ = self._member()
         assert m.heartbeat("ghost", 1.0) is None

@@ -109,9 +109,9 @@ class TestRestartedDaemonsHearTheirFirstMessage:
         seen = []
         dispatch = node.cmsd._dispatch
 
-        def recording(msg, src, sent_at=0.0):
+        def recording(msg, src):
             seen.append(type(msg).__name__)
-            dispatch(msg, src, sent_at)
+            dispatch(msg, src)
 
         node.cmsd._dispatch = recording
         cluster.settle()

@@ -19,48 +19,21 @@ import pytest
 
 from repro.cluster import ScallaCluster, ScallaConfig
 from repro.cluster.client import NoSuchFile
-from repro.cluster.ids import cmsd_host, xrootd_host
-from repro.sim.latency import Uniform
-
-ONE_WAY = 80e-3  # transatlantic one-way latency (§IV-A federations)
-
-
-def make_wan(settle: float = 0.5, *, n: int = 4, **config_kwargs):
-    """A manager at 'hq' with all data servers behind an 80 ms site link."""
-    cluster = ScallaCluster(n, config=ScallaConfig(seed=74, **config_kwargs))
-    remote = [h for s in cluster.servers for h in (cmsd_host(s), xrootd_host(s))]
-    cluster.network.federate(
-        {"remote": remote, "hq": [cmsd_host(cluster.managers[0])]},
-        wan_latency=Uniform(ONE_WAY - 2e-3, ONE_WAY + 2e-3),
-    )
-    cluster.populate(["/store/wan.root"], size=64)
-    cluster.settle(settle)
-    return cluster
-
-
-def cold_locate(cluster, path="/store/wan.root"):
-    client = cluster.client()
-    cluster.network.set_host_site(client.host.name, "hq")
-    t0 = cluster.sim.now
-
-    def probe():
-        yield from client.locate(path)
-        return cluster.sim.now - t0
-
-    return cluster.run_process(probe(), limit=120), client
+from repro.core.response_queue import DEFAULT_PERIOD
+from repro.workloads.wan import cold_locate, wan_federation
 
 
 class TestLateRelease:
     def test_seed_behaviour_degrades_to_full_delay(self):
         """The "before" row: late answers help nobody, clients eat 5 s."""
-        cluster = make_wan(late_release=False)
+        cluster = wan_federation(late_release=False)
         elapsed, _ = cold_locate(cluster)
         assert elapsed > 5.0
         assert cluster.manager_cmsd().stats.late_released == 0
 
     @pytest.mark.parametrize("settle", [0.5, 2.5])
     def test_late_response_releases_parked_client(self, settle):
-        cluster = make_wan(settle)  # defaults: late_release on
+        cluster = wan_federation(settle)  # defaults: late_release on
         elapsed, client = cold_locate(cluster)
         mgr = cluster.manager_cmsd()
         # Released at ~2x one-way (query out + response back), not 5 s.
@@ -70,7 +43,7 @@ class TestLateRelease:
         assert client.stats.waits == 1  # ...and the client was parked once
 
     def test_parked_registry_drains(self):
-        cluster = make_wan()
+        cluster = wan_federation()
         cold_locate(cluster)
         cluster.run(until=cluster.sim.now + 2 * cluster.config.full_delay)
         assert cluster.manager_cmsd().rq.parked_waiters() == 0
@@ -81,19 +54,14 @@ class TestNonexistentOverWan:
         """A file that exists nowhere: no answer can come, so the window
         expires, the client sits out one full delay, and its retry hears
         NoSuchFile at once — not sooner, and no later."""
-        cluster = make_wan(2.5, full_delay=2.0)
+        cluster = wan_federation(2.5, full_delay=2.0)
         client = cluster.client()
         cluster.network.set_host_site(client.host.name, "hq")
         t0 = cluster.sim.now
-
-        def probe():
-            with pytest.raises(NoSuchFile):
-                yield from client.locate("/store/ghost.root")
-            return cluster.sim.now - t0
-
-        elapsed = cluster.run_process(probe(), limit=120)
-        cfg = cluster.config
-        assert elapsed == pytest.approx(cfg.fast_period + cfg.full_delay, abs=1e-3)
+        with pytest.raises(NoSuchFile):
+            cluster.run_process(client.locate("/store/ghost.root"), limit=120)
+        elapsed = cluster.sim.now - t0
+        assert elapsed == pytest.approx(DEFAULT_PERIOD + cluster.config.full_delay, abs=1e-3)
         assert client.stats.waits == 1
 
 
@@ -152,7 +120,7 @@ class TestAnchorExhaustionVisibility:
         mgr = cluster.manager_cmsd()
         from repro.core.response_queue import ResponseQueue
 
-        mgr.rq = ResponseQueue(anchors=1, period=mgr.config.fast_period)
+        mgr.rq = ResponseQueue(anchors=1, period=DEFAULT_PERIOD)
         client = cluster.client()
 
         def probe():
