@@ -8,7 +8,7 @@ Usage::
     python benchmarks/perf/run.py --json out.json      # machine-readable dump
     python benchmarks/perf/run.py --quick              # CI-sized workloads
 
-The kernel, e2e and protocol metrics land in ``BENCH_kernel.json``, the cache metrics
+The kernel, e2e, protocol and client metrics land in ``BENCH_kernel.json``, the cache metrics
 in ``BENCH_cache.json`` (repo root).  See ``docs/performance.md``.
 """
 
@@ -24,7 +24,14 @@ sys.path.insert(0, str(_HERE.parent))  # benchmarks/: the perf package + reporti
 sys.path.insert(0, str(_HERE.parent.parent / "src"))  # src/: repro
 
 from perf import QUICK, calibrate  # noqa: E402
-from perf import perf_cache, perf_e2e, perf_kernel, perf_protocol, perf_wan  # noqa: E402
+from perf import (  # noqa: E402
+    perf_cache,
+    perf_client,
+    perf_e2e,
+    perf_kernel,
+    perf_protocol,
+    perf_wan,
+)
 from reporting import record_bench  # noqa: E402
 
 
@@ -38,6 +45,7 @@ def run_all(*, quick: bool = False) -> dict:
             **perf_kernel.run_suite(scale=scale, repeats=repeats),
             **perf_e2e.run_suite(scale=scale, repeats=repeats),
             **perf_protocol.run_suite(scale=scale, repeats=repeats),
+            **perf_client.run_suite(scale=scale, repeats=repeats),
         },
         "cache": {
             **perf_cache.run_suite(scale=scale, repeats=repeats),

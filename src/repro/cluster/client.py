@@ -15,6 +15,13 @@ Implements the client half of the protocol (§II-B2/B3 and §III-C1):
 All operations are generator coroutines to be driven by the simulator::
 
     result = sim.run_until_process(sim.process(client.open("/store/x")))
+
+Every request has a deadline, after which it resolves to None and the
+caller recovers (§III-C1).  The client keeps one timer for all of them: a
+kernel entry for its earliest outstanding deadline only, moved on when it
+fires (:meth:`ScallaClient._await_reply`).  So a client costs the kernel
+one queued entry however many requests it has made, and an answered
+request leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -163,8 +170,13 @@ class ScallaClient:
             )
             self._m_resolve = obs.metrics.histogram("client_resolve_seconds", node=name)
         self._next_req = 1
-        #: req_id -> the event its reply resolves.
-        self._pending: dict[int, Event] = {}
+        #: req_id -> (the event its reply resolves, the deadline, the seq of
+        #: the deadline's slot).
+        self._pending: dict[int, tuple[Event, float, int]] = {}
+        #: The deadline slots holding a queued :meth:`_on_deadline` entry,
+        #: earliest first, as ``(when, seq, later)`` links; None when none
+        #: is queued.
+        self._armed: tuple | None = None
         self.host.listen(self._on_message)
         self._manager_idx = 0
 
@@ -182,32 +194,64 @@ class ScallaClient:
 
         Replies nobody waits for any more (late, or duplicated) are dropped.
         """
-        ev = self._pending.pop(getattr(payload, "req_id", None), None)
-        if ev is not None and not ev.triggered:
-            ev.succeed(payload)
+        entry = self._pending.pop(getattr(payload, "req_id", None), None)
+        if entry is not None:
+            entry[0].succeed(payload)
 
     def _await_reply(self, req_id: int, timeout: float) -> Event:
         """An event resolved by the reply to *req_id*, or by None once
-        *timeout* simulated seconds pass first."""
+        *timeout* simulated seconds pass first.
+
+        The deadline takes its kernel slot now (:meth:`Simulator.take_seq`)
+        but queues nothing: the client keeps one deadline entry queued, for
+        its earliest outstanding slot, and :meth:`_on_deadline` moves it on.
+        An answered request leaves nothing behind, and a request that times
+        out resolves in the slot its own timer entry would have had.
+        """
         sim = self.sim
         ev = sim.event()
-        self._pending[req_id] = ev
-        sim.call_at(sim.now + timeout, self._expire, ev)
+        when = sim.now + timeout
+        seq = sim.take_seq()
+        self._pending[req_id] = (ev, when, seq)
+        armed = self._armed
+        # A later request has a later seq, so only an earlier time can
+        # put its slot ahead of the queued one.
+        if armed is None or when < armed[0]:
+            sim.call_at_seq(when, seq, self._on_deadline, None)
+            self._armed = (when, seq, armed)
         return ev
 
-    @staticmethod
-    def _expire(ev: Event) -> None:
-        # Only this wait's own event: a later request has a fresh one.
-        if not ev.triggered:
-            ev.succeed(None)
+    def _on_deadline(self, _arg: None) -> None:
+        """The earliest queued deadline slot came up: expire every request
+        whose slot has passed, in slot order, then queue an entry for the
+        next outstanding slot unless one is queued there or earlier."""
+        sim = self.sim
+        now, cur = sim.now, sim.seq_now
+        # Every queued deadline entry is linked in _armed, earliest first,
+        # so the one running is the head.
+        self._armed = armed = self._armed[2]
+        pending = self._pending
+        expired = []
+        nxt = None
+        for req_id, entry in pending.items():
+            when, seq = entry[1], entry[2]
+            if when < now or (when == now and seq <= cur):
+                expired.append((when, seq, req_id))
+            elif nxt is None or when < nxt[0] or (when == nxt[0] and seq < nxt[1]):
+                nxt = (when, seq)
+        expired.sort()
+        for _, _, req_id in expired:
+            pending.pop(req_id)[0].succeed(None)
+        if nxt is not None and (
+            armed is None or nxt[0] < armed[0] or (nxt[0] == armed[0] and nxt[1] < armed[1])
+        ):
+            sim.call_at_seq(nxt[0], nxt[1], self._on_deadline, None)
+            self._armed = (nxt[0], nxt[1], armed)
 
     def _request(self, to_host: str, msg: pr.Message, timeout: float):
         """Send *msg*, wait for its reply or *timeout*; returns reply or None."""
         self.network.send(self.host.name, to_host, msg, size=msg.wire_size())
-        reply = yield self._await_reply(msg.req_id, timeout)
-        if reply is None:
-            self._pending.pop(msg.req_id, None)
-        return reply
+        return (yield self._await_reply(msg.req_id, timeout))
 
     def _req_id(self) -> int:
         rid = self._next_req
@@ -362,8 +406,6 @@ class ScallaClient:
                                 "client.late_release", self._obs.now(), node=self.name
                             )
                         early_resp = late
-                    else:
-                        self._pending.pop(msg.req_id, None)
                 else:
                     yield self.sim.sleep(resp.delay)
                 if not at_manager:

@@ -38,23 +38,27 @@ nothing.
 
 Silent leaves cost no events.  A server cmsd without an observability hub
 registers an offer hook with the network (:meth:`Cmsd._offer`): the
-network keeps a ``QueryFile`` copy the leaf will not answer — neither its
-disk nor its MSS has the path when the copy is sent — on the wire, with no
-heap entry (:mod:`repro.sim.network`).  Serving such a query changes
-nothing anyone can see, so the leaf lets the network replay the copies
-that have arrived whenever something observable touches it: a new copy,
-any other message, its heartbeat, a stop, a network-state change or a
-stats read.
+network keeps on the wire, with no heap entry (:mod:`repro.sim.network`),
+a ``QueryFile`` copy the leaf will not answer — neither its disk nor its
+MSS has the path when the copy is sent — and a ``HeartbeatAck`` from a
+parent that knows the leaf.  Serving such a copy sends nothing; an ack
+only sets the leaf's silence clock, which its heartbeat reads.  So the
+leaf lets the network replay the copies that have arrived whenever
+something observable touches it: a new copy, any other message, its
+heartbeat, a stop, a network-state change or a stats read.
 A replayed copy enters the same FIFO as of its arrival, and its service
-end gets no heap entry; such a *record-served* end just starts the next
-item when a later arrival or the running entry passes it
-(:meth:`Cmsd._advance`).  A real message, or a new file on the leaf's
-disk or MSS that could turn a pending query into an answer, switches the
-leaf to eager (:meth:`Cmsd._go_eager`): the network queues the kept
-copies in their reserved slots, the record-served end gets its heap
-entry, and the backlog drains as usual.  A leaf with a hub stays eager, so
-the tracer sees every ``server.silent`` in its span; obs-on runs are the
-oracle the obs-off runs are checked against.
+end gets no heap entry; such a *record-served* end applies a served ack
+to the silence clock as of the end's time and starts the next item, when
+a later arrival or the running entry passes it (:meth:`Cmsd._advance`).
+An ack from a parent that does not know the leaf is never kept: it sends
+a ``Login``, which draws from the network's RNG in global order.  A real
+message, or a new file on the leaf's disk or MSS that could turn a
+pending query into an answer, switches the leaf to eager
+(:meth:`Cmsd._go_eager`): the network queues the kept copies in their
+reserved slots, the record-served end gets its heap entry, and the
+backlog drains as usual.  A leaf with a hub stays eager, so the tracer
+sees every ``server.silent`` in its span; obs-on runs are the oracle the
+obs-off runs are checked against.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ READ_POLICY = RoundRobin()
 CREATE_POLICY = MostSpace()
 
 _QueryFile = pr.QueryFile
+_HeartbeatAck = pr.HeartbeatAck
 #: The role strings a Login may carry, read off the Enum once.
 _ROLE_VALUES = frozenset(role.value for role in Role)
 
@@ -557,7 +562,11 @@ class Cmsd:
                         self._advance(when, seq)
                         end = self._end
                     else:
-                        end = None  # its one query was served: idle
+                        # Its one copy was served: idle.
+                        served = self._in_service[0]
+                        if served.__class__ is _HeartbeatAck:
+                            self._on_heartbeat_ack(served, end)
+                        end = None
                 if end is None:
                     self._in_service = item
                     self._end = when + self._service.sample(self.rng)
@@ -598,12 +607,20 @@ class Cmsd:
     # -- silent leaves: copies kept on the wire ------------------------------------
 
     def _offer(self, msg: object) -> bool:
-        """The network's offer hook: keep a ``QueryFile`` copy this leaf
-        will not answer on the wire (True), or let it be queued."""
-        if msg.__class__ is not _QueryFile or (
-            self._in_service is not None and self._end is None
-        ):
-            return False  # answerable, or the FIFO is eager
+        """The network's offer hook: keep on the wire a ``QueryFile`` copy
+        this leaf will not answer, or a ``HeartbeatAck(known=True)`` (True),
+        or let the copy be queued.
+
+        A known ack only moves the silence clock, which the record-served
+        FIFO sets as the ack's service ends (:meth:`_advance`).  An unknown
+        one sends a ``Login``, which draws a latency from the network's
+        RNG, so it is delivered eagerly; so is anything else.
+        """
+        if self._in_service is not None and self._end is None:
+            return False  # the FIFO is eager
+        cls = msg.__class__
+        if cls is not _QueryFile:
+            return cls is _HeartbeatAck and msg.known
         path = msg.path
         xrootd = self.xrootd
         if xrootd.fs.exists(path):
@@ -617,8 +634,10 @@ class Cmsd:
 
     def _advance(self, when: float, seq: float) -> None:
         """Run the record-served service ends ordered before ``(when,
-        seq)``.  The query served is silent, so an end only starts the next
-        item, drawing its service time as :meth:`_begin_service` does.
+        seq)``.  A served query is silent, and a served ack only sets the
+        silence clock (:meth:`_on_heartbeat_ack`, at the end's time), so an
+        end otherwise just starts the next item, drawing its service time
+        as :meth:`_begin_service` does.
 
         The seq of a record-served end is not known: the eager path takes
         it when service starts.  The largest arrival seq of the items
@@ -627,6 +646,9 @@ class Cmsd:
         end, bound = self._end, self._end_seq
         backlog = self._backlog
         while end < when or (end == when and bound < seq):
+            served = self._in_service[0]
+            if served.__class__ is _HeartbeatAck:
+                self._on_heartbeat_ack(served, end)
             if not backlog:
                 self._in_service = self._end = None
                 return
@@ -694,7 +716,7 @@ class Cmsd:
         elif isinstance(msg, pr.Heartbeat) and role is not Role.SERVER:
             self._on_heartbeat(msg, src)
         elif isinstance(msg, pr.HeartbeatAck):
-            self._on_heartbeat_ack(msg, src)
+            self._on_heartbeat_ack(msg, self.sim.now)
         elif isinstance(msg, pr.Login) and role is not Role.SERVER:
             self._on_login(msg, src)
         elif isinstance(msg, pr.Prepare) and role is not Role.SERVER:
@@ -730,12 +752,14 @@ class Cmsd:
             return
         self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=True))
 
-    def _on_heartbeat_ack(self, msg: pr.HeartbeatAck, src: str) -> None:
+    def _on_heartbeat_ack(self, msg: pr.HeartbeatAck, end: float) -> None:
+        """Act on an ack whose service ended at *end*: now, or earlier for
+        an ack a silent leaf kept on the wire (:meth:`_advance`)."""
         parent = msg.node
         if parent not in self.parents:
             return  # stale ack from a parent we already re-homed away from
         if msg.known:
-            self._last_parent_ack[parent] = self.sim.now
+            self._last_parent_ack[parent] = end
             self._relogin_state.pop(parent, None)
         else:
             # Parent restarted state-less (or is full and ignored our

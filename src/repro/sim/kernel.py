@@ -29,11 +29,13 @@ Design rules:
   :meth:`Simulator.run_until_process` only choose where it stops, and
   every generator step goes through :meth:`Process._resume`.
 * **A slot without an entry.**  A seq can be taken without queueing
-  anything (``Network.send`` does so for a copy it keeps on the wire for a
-  silent leaf, see :mod:`repro.sim.network`): the owner runs the work
-  later in that ``(time, seq)`` order, asking :meth:`Simulator.passed`
-  whether the running entry is past it, or queues it in its slot with
-  :meth:`Simulator.call_at_seq`.
+  anything (:meth:`Simulator.take_seq`): the owner runs the work later in
+  that ``(time, seq)`` order, asking :meth:`Simulator.passed` whether the
+  running entry is past it, or queues it in its slot with
+  :meth:`Simulator.call_at_seq`.  ``Network.send`` does so, inline, for a
+  copy it keeps on the wire for a silent leaf (:mod:`repro.sim.network`);
+  the client does so for each request's deadline, and queues an entry
+  only for its earliest one (:mod:`repro.cluster.client`).
 * **Never allocate on the dispatch path.**  This is the hottest loop in the
   repo (``benchmarks/perf`` tracks it), so the kernel follows the paper's
   allocation discipline: an event's heap entry names the plain ``_fire``
@@ -551,10 +553,24 @@ class Simulator:
         _heappush(self._heap, (when, self._seq, fn, arg))
         self._seq += 1
 
+    def take_seq(self) -> int:
+        """Take the next seq without queueing anything and return it.
+
+        The caller owns the slot ``(when, seq)`` for any *when* not before
+        now: every entry queued later gets a higher seq, so the slot sorts
+        exactly where ``call_at(when, ...)`` made now would have put its
+        entry.  It may queue one entry there later (:meth:`call_at_seq`),
+        or none.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
     def call_at_seq(self, when: float, seq: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Queue ``fn(arg)`` in a ``(when, seq)`` slot taken earlier by
-        bumping ``_seq`` without queueing anything (or, for a fractional
-        *seq*, between two such slots); the slot must not have passed."""
+        """Queue ``fn(arg)`` in a ``(when, seq)`` slot taken earlier with
+        :meth:`take_seq` (or, for a fractional *seq*, between two such
+        slots); the slot must not have passed, and must hold no other
+        entry: two entries in one slot would be compared by ``fn``."""
         if self.passed(when, seq):
             raise SimError(f"slot ({when}, {seq}) has passed (now {self._now})")
         _heappush(self._heap, (when, seq, fn, arg))

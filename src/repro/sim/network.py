@@ -20,8 +20,9 @@ hook (:meth:`Network.set_offer`); :meth:`Network.send` shows it every copy
 after counting it and drawing its latency and chaos.  A copy the hook
 accepts stays with the network, in a per-host heap ordered by the
 ``(arrival, seq)`` slot the kernel reserved for it, and costs no heap
-entry: the server cmsd accepts the ``QueryFile``s it will not answer.  The
-network owns those copies until they are delivered.  It replays the ones
+entry: a server cmsd accepts the ``QueryFile``s it will not answer and the
+``HeartbeatAck``s from parents that know it.  The network owns those
+copies until they are delivered.  It replays the ones
 whose slots have passed with :meth:`Network._deliver`'s drop rules and
 delivery counters, and with :attr:`Network.replaying` naming the slot, so
 the receiver can serve the copy as of its arrival.  That happens when the

@@ -217,12 +217,12 @@ class TestRequestCorrelation:
 
 
 class TestReplyWaits:
-    """``_request`` waits on one reply event plus a timed expiry; a reply
-    or an expiry must only ever resolve the request it belongs to."""
+    """``_request`` waits on one reply event plus a deadline; a reply or an
+    expiry must only ever resolve the request it belongs to."""
 
     def _setup(self, reply_delays):
         """A client and an echo host answering its n-th Stat after
-        ``reply_delays[n]`` simulated seconds."""
+        ``reply_delays[n]`` simulated seconds (None: never)."""
         sim = Simulator()
         net = Network(sim, default_latency=Fixed(0.01))
         echo = net.add_host("echo")
@@ -232,7 +232,12 @@ class TestReplyWaits:
         def answer(msg):
             net.send("echo", msg.reply_to, pr.StatAck(msg.req_id, True, msg.req_id))
 
-        echo.listen(lambda src, msg, sent_at: sim.call_at(sim.now + delays.pop(0), answer, msg))
+        def receive(src, msg, sent_at):
+            delay = delays.pop(0)
+            if delay is not None:
+                sim.call_at(sim.now + delay, answer, msg)
+
+        echo.listen(receive)
         return sim, client
 
     def _stat(self, client, timeout):
@@ -258,3 +263,69 @@ class TestReplyWaits:
         t, second = sim.run_until_process(sim.process(self._stat(client, 10.0)))
         assert second is not None and second.req_id == 2
         assert t == pytest.approx(0.02 + 0.02 + 5.9)
+
+
+class TestDeadlineTimer:
+    """The client keeps one deadline entry queued, for its earliest
+    outstanding request; an answered request leaves nothing behind."""
+
+    _setup = TestReplyWaits._setup
+    _stat = TestReplyWaits._stat
+
+    def test_answered_requests_leave_no_heap_entries(self):
+        sim, client = self._setup([0.0] * 100)
+        grown = []
+
+        def job():
+            depth = len(sim._heap)
+            for _ in range(100):
+                _, reply = yield from self._stat(client, 10.0)
+                assert reply is not None
+                grown.append(len(sim._heap) - depth)
+
+        sim.run_until_process(sim.process(job()))
+        assert sim.now == pytest.approx(100 * 0.02)
+        assert max(grown) == 1
+        sim.run()  # the one entry fires, finds nothing due and queues nothing
+        assert client._armed is None and client._pending == {}
+
+    def test_timeout_resolves_in_its_own_slot(self):
+        """The expiry runs at send + timeout in the slot the deadline took
+        when the request was sent: after a callback for that instant queued
+        before the send, ahead of one queued after it."""
+        sim, client = self._setup([None])
+        seen = []
+
+        def probe(tag):
+            seen.append((tag, sim.now, 1 in client._pending))
+
+        sim.call_at(1.0, probe, "queued before")
+        proc = sim.process(self._stat(client, 1.0))
+        # Runs right after the process has sent its Stat.
+        sim.call_at(0.0, lambda _a: sim.call_at(1.0, probe, "queued after"), None)
+        t, reply = sim.run_until_process(proc)
+        assert (t, reply) == (1.0, None)
+        assert seen == [("queued before", 1.0, True), ("queued after", 1.0, False)]
+
+    def test_later_request_with_earlier_deadline(self):
+        """Request 2 is sent after request 1 but expires first: both expire
+        at their own deadlines, and request 1's entry, queued when it was
+        sent, is not queued a second time."""
+        sim, client = self._setup([None, None])
+        slow = sim.process(self._stat(client, 5.0))
+        sim.run(until=0.5)
+        fast = sim.process(self._stat(client, 1.0))
+        sim.run_until_process(fast)
+        assert fast.value == (1.5, None)
+        assert 1 in client._pending and 2 not in client._pending
+        # One entry left, in request 1's slot: no slot holds two entries.
+        slots = [entry[:2] for entry in sim._heap]
+        assert len(set(slots)) == len(slots)
+        assert [entry[:2] for entry in sim._heap if entry[2] == client._on_deadline] == [
+            client._armed[:2]
+        ]
+        assert sim.run_until_process(slow) == (5.0, None)
+        assert client._pending == {} and client._armed is None
+        sim.run()
+        assert sim.now == 5.0
+

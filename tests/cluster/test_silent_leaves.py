@@ -185,24 +185,27 @@ def test_silent_leaves_change_nothing_observable(send_log, hand_offs, jitter, ch
 # -- unit tests ---------------------------------------------------------------
 
 
-def leaf_rig(*, obs=None, mss=None):
-    """One server cmsd and a bare 'parent' host that sends it queries."""
+def leaf_rig(*, obs=None, mss=None, **config):
+    """One server cmsd and a bare 'parent' host that sends it queries;
+    other keywords go to :func:`add_leaf`."""
     sim = Simulator()
     net = Network(sim, default_latency=Fixed(10e-6), rng=random.Random(1))
     parent = net.add_host("sup.cmsd")
     replies = []
     parent.listen(lambda src, msg, sent_at: replies.append((sim.now, msg)))
-    cmsd, fs = add_leaf(sim, net, "srv0", obs=obs, mss=mss)
+    cmsd, fs = add_leaf(sim, net, "srv0", obs=obs, mss=mss, **config)
     return sim, net, cmsd, fs, replies
 
 
-def add_leaf(sim, net, name: str, *, obs=None, mss=None):
-    """A started server cmsd (80 us service) with its own disk."""
+def add_leaf(sim, net, name: str, *, obs=None, mss=None, parents=(), **config):
+    """A started server cmsd (80 us service) with its own disk, logged
+    into *parents* (bare hosts named ``<parent>.cmsd``); *config* sets
+    further :class:`ScallaConfig` fields."""
     node = NodeId(name, Role.SERVER)
     fs = ServerFS()
     xrootd = XrootdServer(sim, net, node, fs, mss=mss(sim) if mss else None)
-    config = ScallaConfig(server_service=Fixed(80e-6), sanitize=False)
-    cmsd = Cmsd(sim, net, node, xrootd=xrootd, config=config, obs=obs)
+    config = ScallaConfig(server_service=Fixed(80e-6), sanitize=False, **config)
+    cmsd = Cmsd(sim, net, node, parents=parents, xrootd=xrootd, config=config, obs=obs)
     cmsd.start()
     return cmsd, fs
 
@@ -338,8 +341,17 @@ class TestRecords:
 def tie_script(observability: bool, seed: int):
     """Queries (most of them silent), answerable queries and heartbeat acks
     sent to one leaf on a 10 us grid: with 10 us hops and 80 us service,
-    arrivals and service ends tie often."""
-    sim, net, cmsd, fs, replies = leaf_rig(obs=Observability() if observability else None)
+    arrivals and service ends tie often.  The leaf's parent is ``sup``,
+    whose acks it keeps on the wire when it has no hub; it heartbeats every
+    0.5 ms and calls ``sup`` silent after 1.5 ms without an ack, so its
+    heartbeats read the silence clock the kept acks set, and it re-logs in
+    with a jittered backoff between acks."""
+    sim, net, cmsd, fs, replies = leaf_rig(
+        obs=Observability() if observability else None,
+        parents=("sup",),
+        heartbeat_interval=0.5e-3,
+        relogin_timeout=1.5e-3,
+    )
     fs.put("/store/here", b"x")
     rng = random.Random(seed)
     for i in range(120):
@@ -353,7 +365,34 @@ def tie_script(observability: bool, seed: int):
         at = rng.randrange(1000) * 10e-6
         sim.call_at(at, lambda _a, m=msg: net.send("sup.cmsd", cmsd.host.name, m), None)
     sim.run(until=0.1)
-    return [(t, repr(m)) for t, m in replies], dataclasses.asdict(net.stats)
+    cmsd._catch_up()
+    return (
+        [(t, repr(m)) for t, m in replies],
+        dataclasses.asdict(net.stats),
+        dict(cmsd._last_parent_ack),
+        dict(cmsd._relogin_state),
+    )
+
+
+def test_unknown_ack_is_delivered_eagerly_and_logs_in_again():
+    """A ``known=False`` ack sends a ``Login``, which draws from the
+    network's RNG in global order, so the leaf never keeps it; a known ack
+    it keeps, with no heap entry."""
+    sim, net, cmsd, fs, replies = leaf_rig(parents=("sup",))
+    sim.run(until=1e-3)
+    assert [type(m) for _, m in replies] == [pr.Login]  # the start-up login
+    depth = len(sim._heap)
+    net.send("sup.cmsd", cmsd.host.name, pr.HeartbeatAck(node="sup", known=True))
+    assert len(sim._heap) == depth and net.keeps(cmsd.host.name)
+    sim.run(until=2e-3)
+    cmsd._catch_up()
+    assert cmsd._last_parent_ack == {"sup": pytest.approx(1e-3 + 90e-6)}
+    net.send("sup.cmsd", cmsd.host.name, pr.HeartbeatAck(node="sup", known=False))
+    assert len(sim._heap) == depth + 1 and not net.keeps(cmsd.host.name)
+    sim.run(until=3e-3)
+    assert [(t, type(m)) for t, m in replies[1:]] == [
+        (pytest.approx(2e-3 + 100e-6), pr.Login)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
