@@ -8,7 +8,7 @@ Usage::
     python benchmarks/perf/run.py --json out.json      # machine-readable dump
     python benchmarks/perf/run.py --quick              # CI-sized workloads
 
-The kernel, e2e, protocol and client metrics land in ``BENCH_kernel.json``, the cache metrics
+The kernel, e2e, protocol, client and flood metrics land in ``BENCH_kernel.json``, the cache metrics
 in ``BENCH_cache.json`` (repo root).  See ``docs/performance.md``.
 """
 
@@ -28,6 +28,7 @@ from perf import (  # noqa: E402
     perf_cache,
     perf_client,
     perf_e2e,
+    perf_flood,
     perf_kernel,
     perf_protocol,
     perf_wan,
@@ -46,6 +47,7 @@ def run_all(*, quick: bool = False) -> dict:
             **perf_e2e.run_suite(scale=scale, repeats=repeats),
             **perf_protocol.run_suite(scale=scale, repeats=repeats),
             **perf_client.run_suite(scale=scale, repeats=repeats),
+            **perf_flood.run_suite(scale=scale, repeats=repeats),
         },
         "cache": {
             **perf_cache.run_suite(scale=scale, repeats=repeats),

@@ -41,7 +41,14 @@ from repro.obs import export
 from repro.sim.latency import Fixed
 from repro.sim.network import Network
 
-__all__ = ["run_workload", "send_log_digest", "send_log_record", "diff_snapshots", "main"]
+__all__ = [
+    "run_workload",
+    "SendLog",
+    "send_log_digest",
+    "send_log_record",
+    "diff_snapshots",
+    "main",
+]
 
 #: The seeds :func:`send_log_record` covers.
 SEND_LOG_SEEDS = (51, 7, 1234)
@@ -130,26 +137,35 @@ def run_workload(
     return snap
 
 
-def send_log_digest(seed: int = 51, *, observability: bool = True, **sizes) -> tuple[int, str]:
-    """Run the workload and hash every ``Network.send`` in send order, one
-    ``(time repr, src, dst, repr(payload), size)`` line each; returns the
-    number of sends and their SHA-256 hex digest."""
-    digest = hashlib.sha256()
-    sends = 0
+class SendLog:
+    """Hashes every copy a network sends, in send order, one ``(time repr,
+    src, dst, repr(payload), size)`` line each: a flood sent as one
+    ``Network.send`` call with a tuple of destinations hashes as the same
+    copies sent one by one."""
 
-    def log(network: Network) -> None:
-        send, sim = network.send, network.sim
+    def __init__(self) -> None:
+        self.sends = 0
+        self.digest = hashlib.sha256()
+
+    def attach(self, network: Network) -> None:
+        """Log every copy *network* sends from now on, then send it."""
+        send, sim, update = network.send, network.sim, self.digest.update
 
         def logged(src, dst, payload, *, size=0):
-            nonlocal sends
-            sends += 1
-            digest.update(f"{sim.now!r}\t{src}\t{dst}\t{payload!r}\t{size}\n".encode())
+            for name in dst if dst.__class__ is tuple else (dst,):
+                self.sends += 1
+                update(f"{sim.now!r}\t{src}\t{name}\t{payload!r}\t{size}\n".encode())
             return send(src, dst, payload, size=size)
 
         network.send = logged
 
-    run_workload(seed, observability=observability, on_network=log, **sizes)
-    return sends, digest.hexdigest()
+
+def send_log_digest(seed: int = 51, *, observability: bool = True, **sizes) -> tuple[int, str]:
+    """Run the workload and hash every copy it sends (:class:`SendLog`);
+    returns the number of copies and their SHA-256 hex digest."""
+    log = SendLog()
+    run_workload(seed, observability=observability, on_network=log.attach, **sizes)
+    return log.sends, log.digest.hexdigest()
 
 
 def send_log_record() -> str:

@@ -194,8 +194,11 @@ class ScallaClient:
 
         Replies nobody waits for any more (late, or duplicated) are dropped.
         """
-        entry = self._pending.pop(getattr(payload, "req_id", None), None)
+        pending = self._pending
+        entry = pending.pop(getattr(payload, "req_id", None), None)
         if entry is not None:
+            if not pending:
+                self._pending = {}  # an emptied dict keeps the table it grew
             entry[0].succeed(payload)
 
     def _await_reply(self, req_id: int, timeout: float) -> Event:
@@ -242,6 +245,8 @@ class ScallaClient:
         expired.sort()
         for _, _, req_id in expired:
             pending.pop(req_id)[0].succeed(None)
+        if not pending:
+            self._pending = {}
         if nxt is not None and (
             armed is None or nxt[0] < armed[0] or (nxt[0] == armed[0] and nxt[1] < armed[1])
         ):

@@ -37,19 +37,22 @@ armed under; :meth:`Cmsd.stop` bumps the epoch and a stale callback does
 nothing.
 
 Silent leaves cost no events.  A server cmsd without an observability hub
-registers an offer hook with the network (:meth:`Cmsd._offer`): the
-network keeps on the wire, with no heap entry (:mod:`repro.sim.network`),
-a ``QueryFile`` copy the leaf will not answer — neither its disk nor its
-MSS has the path when the copy is sent — and a ``HeartbeatAck`` from a
-parent that knows the leaf.  Serving such a copy sends nothing; an ack
-only sets the leaf's silence clock, which its heartbeat reads.  So the
-leaf lets the network replay the copies that have arrived whenever
-something observable touches it: a new copy, any other message, its
-heartbeat, a stop, a network-state change or a stats read.
-A replayed copy enters the same FIFO as of its arrival, and its service
-end gets no heap entry; such a *record-served* end applies a served ack
-to the silence clock as of the end's time and starts the next item, when
-a later arrival or the running entry passes it (:meth:`Cmsd._advance`).
+registers an offer hook and a replay hook with the network
+(:meth:`Cmsd._offer`, :meth:`Cmsd._serve_run`): the network keeps on the
+wire, with no heap entry (:mod:`repro.sim.network`), a ``QueryFile`` copy
+the leaf will not answer — neither its disk nor its MSS has the path when
+the copy is sent — and a ``HeartbeatAck`` from a parent that knows the
+leaf.  Serving such a copy sends nothing; an ack only sets the leaf's
+silence clock, which its heartbeat reads.  So the kept copies pile up, and
+the network replays the ones that have arrived as one run whenever
+something observable touches the leaf — any other message, its heartbeat,
+a stop, a network-state change or a stats read — or once a handful
+have piled up (:data:`repro.sim.network.KEPT_RUN`).  Each copy of a run
+enters the same FIFO as of its arrival, and its service end gets no heap
+entry; such a *record-served* end applies a served ack to the silence
+clock as of the end's time and starts the next item, when a later
+arrival or the running entry passes it (:meth:`Cmsd._serve_run`,
+:meth:`Cmsd._advance`).
 An ack from a parent that does not know the leaf is never kept: it sends
 a ``Login``, which draws from the network's RNG in global order.  A real
 message, or a new file on the leaf's disk or MSS that could turn a
@@ -102,6 +105,8 @@ _QueryFile = pr.QueryFile
 _HeartbeatAck = pr.HeartbeatAck
 #: The role strings a Login may carry, read off the Enum once.
 _ROLE_VALUES = frozenset(role.value for role in Role)
+#: The paths of a leaf with no MSS: no tape holds anything.
+_NO_PATHS: frozenset[str] = frozenset()
 
 
 @functools.lru_cache(maxsize=256)
@@ -284,6 +289,16 @@ class Cmsd:
             node_id.role is Role.SERVER and xrootd is not None and obs is None
         )
         self._watching = False
+        #: A silent leaf's disk and MSS paths, live, for :meth:`_offer`'s
+        #: membership tests (no call per copy).
+        self._disk = self._tape = _NO_PATHS
+        if self._silent_leaf:
+            self._disk = xrootd.fs.index()
+            if xrootd.mss is not None:
+                self._tape = xrootd.mss.index()
+        #: The last flood's destination hosts, keyed by what can change
+        #: them (see :meth:`_flood_queries`).
+        self._flood_hosts: tuple | None = None
         self._last_parent_ack: dict[str, float] = {}
         #: Per-parent re-login backoff: parent -> (attempts, earliest next
         #: send).  Populated only while a parent is silent; cleared by the
@@ -302,7 +317,7 @@ class Cmsd:
     def start(self) -> None:
         self.host.listen(self._on_message)
         if self._silent_leaf:
-            self.network.set_offer(self.host.name, self._offer)
+            self.network.set_offer(self.host.name, self._offer, self._serve_run)
         if self.rq is not None or self.parents:
             # Arm through one same-time callback, not here: a daemon
             # started while same-time work is still queued then arms
@@ -544,40 +559,9 @@ class Cmsd:
     def _on_message(self, src: str, msg: object, sent_at: float) -> None:
         """The host's receiver: serve *msg* now if idle, else queue it.
 
-        At a silent leaf a copy the network replays joins the FIFO as of
-        its arrival slot, and any other message first switches the leaf
-        to eager."""
-        if self._silent_leaf:
-            kept = self.network.replaying
-            if kept is not None:
-                # A kept copy joins as of its arrival, as on the eager path:
-                # the service ends before it run first, and if it enters
-                # service, its end gets no heap entry.  (Inlined: this runs
-                # for nearly every query a flood sends.)
-                when, seq, _ = kept
-                item = (msg, src, seq)
-                end = self._end
-                if end is not None and (end < when or (end == when and self._end_seq < seq)):
-                    if self._backlog:
-                        self._advance(when, seq)
-                        end = self._end
-                    else:
-                        # Its one copy was served: idle.
-                        served = self._in_service[0]
-                        if served.__class__ is _HeartbeatAck:
-                            self._on_heartbeat_ack(served, end)
-                        end = None
-                if end is None:
-                    self._in_service = item
-                    self._end = when + self._service.sample(self.rng)
-                    self._end_seq = seq
-                elif self._backlog is not None:
-                    self._backlog.append(item)
-                else:
-                    self._backlog = deque((item,))
-                return
-            if self._end is not None or self.network.keeps(self.host.name):
-                self._go_eager()
+        At a silent leaf the message first switches the leaf to eager."""
+        if self._silent_leaf and (self._end is not None or self.network.keeps(self.host.name)):
+            self._go_eager()
         item = (msg, src)
         if self._in_service is None:
             self._begin_service(item)
@@ -612,9 +596,9 @@ class Cmsd:
         or let the copy be queued.
 
         A known ack only moves the silence clock, which the record-served
-        FIFO sets as the ack's service ends (:meth:`_advance`).  An unknown
-        one sends a ``Login``, which draws a latency from the network's
-        RNG, so it is delivered eagerly; so is anything else.
+        FIFO sets as the ack's service ends (:meth:`_serve_run`).  An
+        unknown one sends a ``Login``, which draws a latency from the
+        network's RNG, so it is delivered eagerly; so is anything else.
         """
         if self._in_service is not None and self._end is None:
             return False  # the FIFO is eager
@@ -622,15 +606,46 @@ class Cmsd:
         if cls is not _QueryFile:
             return cls is _HeartbeatAck and msg.known
         path = msg.path
-        xrootd = self.xrootd
-        if xrootd.fs.exists(path):
-            return False
-        mss = xrootd.mss
-        if mss is not None and mss.has(path):
+        if path in self._disk or path in self._tape:
             return False
         if not self._watching:
             self._watch(True)
         return True
+
+    def _serve_run(self, run: list) -> None:
+        """The network's replay hook: serve a run of kept copies, in slot
+        order, as of their arrivals.
+
+        Each copy joins the FIFO as on the eager path: the service ends
+        ordered before its arrival run first (:meth:`_advance`, inlined),
+        and if it enters service, its end gets no heap entry.  A served
+        query is silent and a served ack only sets the silence clock, so
+        nothing here sends or touches the network.
+        """
+        sample, rng = self._service.sample, self.rng
+        current, end, bound = self._in_service, self._end, self._end_seq
+        backlog = self._backlog
+        for when, seq, src, msg, _sent_at in run:
+            while end is not None and (end < when or (end == when and bound < seq)):
+                served = current[0]
+                if served.__class__ is _HeartbeatAck:
+                    self._on_heartbeat_ack(served, end)
+                if backlog:
+                    current = backlog.popleft()
+                    if current[2] > bound:
+                        bound = current[2]
+                    end += sample(rng)
+                else:
+                    current = end = None
+            item = (msg, src, seq)
+            if end is None:
+                current, end, bound = item, when + sample(rng), seq
+            elif backlog is not None:
+                backlog.append(item)
+            else:
+                backlog = deque((item,))
+        self._in_service, self._end, self._end_seq = current, end, bound
+        self._backlog = backlog
 
     def _advance(self, when: float, seq: float) -> None:
         """Run the record-served service ends ordered before ``(when,
@@ -835,17 +850,18 @@ class Cmsd:
             serial=self._query_serial,
             refresh=refresh,
         )
-        # Every copy is the same message: size it once, not once per target.
-        size = q.wire_size()
-        src = self.host.name
-        send = self.network.send
-        slots = self.membership.slots
-        rest = targets
-        while rest:  # bitvec.iter_bits inlined: one step per silent copy
-            low = rest & -rest
-            send(src, slots[low.bit_length() - 1].host, q, size=size)
-            rest ^= low
-        fanout = bitvec.count(targets)
+        # Every copy is the same message: size it once, and send it in one
+        # call.  A slot's host changes only through a login (which bumps
+        # n_c) or a drop, so the destinations are built once per change.
+        membership = self.membership
+        key = (targets, membership.n_c, membership.drops)
+        memo = self._flood_hosts
+        if memo is None or memo[0] != key:
+            slots = membership.slots
+            hosts = tuple(slots[i].host for i in bitvec.iter_bits(targets))
+            memo = self._flood_hosts = (key, hosts)
+        self.network.send(self.host.name, memo[1], q, size=q.wire_size())
+        fanout = len(memo[1])
         self.stats.messages_sent += fanout
         self.stats.queries_sent += fanout
         if self._obs is not None:

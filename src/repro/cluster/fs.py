@@ -15,6 +15,7 @@ past the end are short, as in POSIX.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 __all__ = ["FileData", "ServerFS", "FSError"]
@@ -61,6 +62,12 @@ class ServerFS:
 
     def exists(self, path: str) -> bool:
         return path in self._files
+
+    def index(self) -> Mapping[str, FileData]:
+        """The stored files by path, live and read-only: a caller that
+        tests many paths (a server cmsd's offer hook) holds this instead of
+        calling :meth:`exists` for each."""
+        return self._files
 
     def create(self, path: str, now: float = 0.0) -> FileData:
         if not path.startswith("/"):

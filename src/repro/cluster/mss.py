@@ -14,6 +14,7 @@ tape drive); the cluster builder decides.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 from repro.sim.kernel import Event, Simulator
 from repro.sim.latency import Fixed, LatencyModel
@@ -64,6 +65,11 @@ class MassStorage:
 
     def has(self, path: str) -> bool:
         return path in self._catalog
+
+    def index(self) -> Mapping[str, int]:
+        """The archived paths and their sizes, live and read-only (see
+        :meth:`repro.cluster.fs.ServerFS.index`)."""
+        return self._catalog
 
     def size_of(self, path: str) -> int:
         return self._catalog[path]

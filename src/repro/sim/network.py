@@ -16,22 +16,31 @@ mailbox listens with a handler that puts into a
 :class:`~repro.sim.sync.Store`.
 
 The one exception is a *kept* copy.  A host's daemon may register an offer
-hook (:meth:`Network.set_offer`); :meth:`Network.send` shows it every copy
-after counting it and drawing its latency and chaos.  A copy the hook
-accepts stays with the network, in a per-host heap ordered by the
-``(arrival, seq)`` slot the kernel reserved for it, and costs no heap
+hook and a replay hook (:meth:`Network.set_offer`); :meth:`Network.send`
+shows the offer hook every copy after counting it and drawing its latency
+and chaos.  A copy the hook accepts stays with the network, in a per-host
+list of ``(arrival, seq, src, payload, sent_at)`` entries, where
+``(arrival, seq)`` is the kernel slot reserved for it, and costs no heap
 entry: a server cmsd accepts the ``QueryFile``s it will not answer and the
 ``HeartbeatAck``s from parents that know it.  The network owns those
-copies until they are delivered.  It replays the ones
-whose slots have passed with :meth:`Network._deliver`'s drop rules and
-delivery counters, and with :attr:`Network.replaying` naming the slot, so
-the receiver can serve the copy as of its arrival.  That happens when the
-host asks (:meth:`Network.catch_up`), before it keeps another copy,
-before anything that changes what an arrival sees — a kill, revive,
-partition, heal or isolation — and before :attr:`Network.stats` is read.
-When the host wants its copies delivered as ordinary entries again
-(:meth:`Network.release`, or removing the hook), the network replays the
-passed ones and queues the rest in their reserved slots.
+copies until they are delivered.  Kept copies pile up and are replayed in
+runs: the network sorts the list, cuts off the entries whose slots have
+passed, applies :meth:`Network._deliver`'s drop rules and delivery
+counters to them, and hands the surviving run to the replay hook in slot
+order, so the receiver can serve each copy as of its arrival.  That
+happens when the host asks (:meth:`Network.catch_up`), once its list
+reaches :data:`KEPT_RUN` entries, before anything that changes what an
+arrival sees — a kill, revive, partition, heal or isolation — and before
+:attr:`Network.stats` is read.  When the host wants its copies delivered
+as ordinary entries again (:meth:`Network.release`, or removing the hook),
+the network replays the passed ones and queues the rest in their reserved
+slots.  A replay hook must not send and must not draw from the network's
+RNG: a run can be replayed in the middle of a :meth:`Network.send`.
+
+A flood is one call: :meth:`Network.send` takes a tuple of destinations
+and does, per copy, only what the output depends on — the liveness check,
+the latency draw in the order separate sends would make it, the seq, the
+offer, and the keep or heap push.
 
 Message payloads are opaque to the network; the cluster layer defines its
 own message classes (:mod:`repro.cluster.protocol`).
@@ -41,16 +50,23 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.sim.kernel import Simulator
-from repro.sim.latency import Fixed, LatencyModel
+from repro.sim.latency import Fixed, LatencyModel, Uniform
 
-__all__ = ["Host", "NetworkStats", "ChaosConfig", "Network"]
+__all__ = ["Host", "NetworkStats", "ChaosConfig", "Network", "KEPT_RUN"]
 
 _heappush = heapq.heappush
-_heappop = heapq.heappop
+
+#: A host's kept copies are replayed as soon as its list holds this many,
+#: so the copies that have arrived but still wait for a catch-up, memory
+#: held per leaf, stay few.  On cold-create this bound adds 0.33 MiB to
+#: the traced peak and 32 adds 0.76 MiB, with no measurable gain in speed
+#: (docs/performance.md).
+KEPT_RUN = 16
 
 
 @dataclass
@@ -168,14 +184,12 @@ class Network:
         #: Counted into on the send path; read through :attr:`stats`, which
         #: first replays the kept copies that have arrived.
         self._stats = NetworkStats()
-        #: Host name -> offer hook (see :meth:`set_offer`).
+        #: Host name -> offer hook and replay hook (see :meth:`set_offer`).
         self._offers: dict[str, Callable[[Any], bool]] = {}
-        #: Host name -> heap of the copies kept for it, as ``(arrival, seq,
-        #: item)`` with the item :meth:`_deliver` takes; no empty heaps.
-        self._kept: dict[str, list[tuple[float, int, tuple]]] = {}
-        #: The kept copy being delivered while it is replayed, as ``(arrival,
-        #: seq, item)``, else None (an ordinary delivery arrives now).
-        self.replaying: tuple[float, int, tuple] | None = None
+        self._replays: dict[str, Callable[[list], None]] = {}
+        #: Host name -> the copies kept for it, as ``(arrival, seq, src,
+        #: payload, sent_at)`` entries in send order; no empty lists.
+        self._kept: dict[str, list[tuple[float, int, str, Any, float]]] = {}
         #: :meth:`_deliver`, bound once: every queued copy's heap entry
         #: takes this one object instead of a fresh bound method.
         self._deliver_fn = self._deliver
@@ -194,22 +208,36 @@ class Network:
 
     # -- kept copies -----------------------------------------------------------
 
-    def set_offer(self, name: str, offer: Callable[[Any], bool] | None) -> None:
-        """Show every copy sent to *name* to ``offer(payload)`` first; None
-        removes the hook and releases the copies it kept (:meth:`release`).
+    def set_offer(
+        self,
+        name: str,
+        offer: Callable[[Any], bool] | None,
+        replay: Callable[[list], None] | None = None,
+    ) -> None:
+        """Show every copy sent to *name* to ``offer(payload)`` first, and
+        hand the kept copies back to ``replay(entries)``; None removes both
+        hooks and releases the copies kept (:meth:`release`).
 
-        The hook runs after the copy is counted and its latency and chaos
-        drawn.  Returning True keeps the copy on the wire in the kernel
-        slot reserved for its arrival, with no heap entry (module
-        docstring).
+        The offer hook runs after the copy is counted and its latency and
+        chaos drawn.  Returning True keeps the copy on the wire in the
+        kernel slot reserved for its arrival, with no heap entry.  Kept
+        copies are replayed in runs, not one by one (module docstring):
+        ``replay`` gets a list of the ``(arrival, seq, src, payload,
+        sent_at)`` entries that have arrived and passed the drop rules, in
+        slot order, and serves them as of their arrivals.  It must neither
+        send nor draw from the network's RNG.
         """
         if name not in self.hosts:
             raise KeyError(f"unknown host {name!r}")
         if offer is None:
             self._offers.pop(name, None)
             self.release(name)
+            self._replays.pop(name, None)
+        elif replay is None:
+            raise ValueError("an offer hook needs a replay hook")
         else:
             self._offers[name] = offer
+            self._replays[name] = replay
 
     def keeps(self, name: str) -> bool:
         """True while copies are kept on the wire for *name*."""
@@ -219,46 +247,58 @@ class Network:
         """Deliver the copies kept for *name* whose slots have passed."""
         kept = self._kept.get(name)
         if kept is not None:
-            self._replay(kept)
-            if not kept:
-                del self._kept[name]
+            self._replay(name, kept)
 
     def release(self, name: str) -> None:
         """Stop keeping copies for *name*: deliver the ones whose slots have
         passed, and queue the rest in their reserved slots."""
-        kept = self._kept.pop(name, None)
+        kept = self._kept.get(name)
         if kept is not None:
-            self._replay(kept)
+            self._replay(name, kept)
+            rest = self._kept.pop(name, ())
             call_at_seq = self.sim.call_at_seq
-            for arrival, seq, item in kept:
-                call_at_seq(arrival, seq, self._deliver_fn, item)
+            target = self.hosts[name]
+            for arrival, seq, src, payload, sent_at in rest:
+                call_at_seq(arrival, seq, self._deliver_fn, (target, src, name, payload, sent_at))
 
-    def _replay(self, kept: list[tuple[float, int, tuple]]) -> None:
-        """Deliver, in slot order, the copies in *kept* whose slots come
-        before the running heap entry (:meth:`Simulator.passed`, inlined)."""
+    def _replay(self, name: str, kept: list) -> None:
+        """Hand *name*'s replay hook, as one run in slot order, the copies
+        in *kept* (its list in :attr:`_kept`) whose slots come before the
+        running heap entry (:meth:`Simulator.passed`), less the ones
+        :meth:`_deliver`'s drop rules take; the rest stay in the list,
+        sorted."""
         sim = self.sim
         now, cur = sim._now, sim._seq_now
+        kept.sort()  # slots are unique, so only (arrival, seq) is compared
+        last = kept[-1]
+        if last[0] < now or (last[0] == now and last[1] < cur):
+            run = kept  # all of them: the usual case at a catch-up
+            del self._kept[name]
+        else:
+            n = bisect_left(kept, (now, cur))
+            if not n:
+                return
+            run = kept[:n]
+            del kept[:n]
+        n = len(run)
         stats = self._stats
-        while kept and (kept[0][0] < now or (kept[0][0] == now and kept[0][1] < cur)):
-            self.replaying = entry = _heappop(kept)
-            # _deliver inlined: the same drop rules and counts.
-            target, src, dst, payload, sent_at = entry[2]
-            if not target.alive or (
-                (self._partitioned or self._partitioned_oneway or self._isolated)
-                and self._blocked(src, dst)
-            ):
-                stats.dropped_dead += not target.alive
-                stats.dropped_partition += target.alive
-                continue
-            stats.delivered += 1
-            target.receive(src, payload, sent_at)
-        self.replaying = None
+        if not self.hosts[name].alive:
+            stats.dropped_dead += n
+            return
+        if self._partitioned or self._partitioned_oneway or self._isolated:
+            blocked = self._blocked
+            run = [entry for entry in run if not blocked(entry[2], name)]
+            stats.dropped_partition += n - len(run)
+            if not run:
+                return
+        stats.delivered += len(run)
+        self._replays[name](run)
 
     def _settle(self) -> None:
         """Deliver every kept copy that has arrived (before a change an
         arrival would see, or a read of :attr:`stats`)."""
-        for name in tuple(self._kept):
-            self.catch_up(name)
+        for name, kept in tuple(self._kept.items()):
+            self._replay(name, kept)
 
     # -- topology management -------------------------------------------------
 
@@ -398,16 +438,21 @@ class Network:
 
     # -- the data path ---------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: Any, *, size: int = 0) -> bool:
+    def send(self, src: str, dst: str | tuple[str, ...], payload: Any, *, size: int = 0) -> bool:
         """Queue *payload* for delivery; returns False when dropped now.
 
+        *dst* is a host name, or a tuple of them: a flood, one copy each,
+        exactly as if the copies were sent one by one in that order.
         Drops are silent to the sender (as on a real network); the return
-        value exists only for tests.  A message to a host that dies while
-        the message is in flight is also lost — checked again at delivery.
-        A host with an offer hook (:meth:`set_offer`) may have the copy
-        kept instead of queued.  An unknown *dst* raises ``KeyError``
+        value exists only for tests, and for a tuple is True only when no
+        copy was dropped.  A message to a host that dies while the message
+        is in flight is also lost — checked again at delivery.  A host
+        with an offer hook (:meth:`set_offer`) may have the copy kept
+        instead of queued.  An unknown destination raises ``KeyError``
         before anything is counted.
         """
+        if dst.__class__ is tuple:
+            return self._send_flood(src, dst, payload, size)
         target = self.hosts[dst]
         stats = self._stats
         stats.sent += 1
@@ -453,12 +498,73 @@ class Network:
                 continue
             kept = self._kept.get(dst)
             if kept is None:
-                self._kept[dst] = [(now + d, seq, item)]
-                continue
-            if kept[0][0] < now or (kept[0][0] == now and kept[0][1] < sim._seq_now):
-                self._replay(kept)  # only copies still on the wire stay kept
-            _heappush(kept, (now + d, seq, item))
+                self._kept[dst] = [(now + d, seq, src, payload, now)]
+            else:
+                kept.append((now + d, seq, src, payload, now))
+                if len(kept) >= KEPT_RUN:
+                    self._replay(dst, kept)
         return True
+
+    def _send_flood(self, src: str, dst: tuple[str, ...], payload: Any, size: int) -> bool:
+        """:meth:`send` to a tuple of destinations."""
+        targets = tuple(map(self.hosts.__getitem__, dst))
+        if (
+            self._partitioned
+            or self._partitioned_oneway
+            or self._isolated
+            or self.chaos is not None
+            or self._link_latency
+            or self._site_latency
+        ):
+            sent = True
+            for name in dst:
+                sent &= _send_one(self, src, name, payload, size=size)
+            return sent
+        # The fast path: per copy only the liveness check, the latency draw
+        # (Uniform.sample inlined: the same float), the seq, the offer, and
+        # the keep or the heap push of the one-copy path.
+        stats = self._stats
+        stats.sent += len(dst)
+        stats.bytes_sent += len(dst) * size
+        rng = self.rng
+        model = self.default_latency
+        if model.__class__ is Uniform:
+            lo = model.lo
+            span = model.hi - lo
+            random = rng.random
+        else:
+            random, sample = None, model.sample
+        sim = self.sim
+        now = sim._now
+        heap = sim._heap
+        deliver = self._deliver_fn
+        offers = self._offers
+        kept_for = self._kept
+        dead = 0
+        for target, name in zip(targets, dst):
+            if not target.alive:
+                dead += 1
+                continue
+            if random is not None:
+                arrival = now + (lo + span * random())
+            else:
+                arrival = now + sample(rng)
+            seq = sim._seq
+            sim._seq = seq + 1
+            offer = offers.get(name)
+            if offer is None or not offer(payload):
+                _heappush(heap, (arrival, seq, deliver, (target, src, name, payload, now)))
+                continue
+            kept = kept_for.get(name)
+            if kept is None:
+                kept_for[name] = [(arrival, seq, src, payload, now)]
+            else:
+                kept.append((arrival, seq, src, payload, now))
+                if len(kept) >= KEPT_RUN:
+                    self._replay(name, kept)
+        if dead:
+            stats.dropped_dead += dead
+        return not dead
 
     def _deliver(self, item: tuple[Host, str, str, Any, float]) -> None:
         """Hand one arrived copy to its target, unless the target died or
@@ -473,3 +579,9 @@ class Network:
             return
         self._stats.delivered += 1
         target.receive(src, payload, sent_at)
+
+
+#: The one-copy path of :meth:`Network.send`, bound at import: a flood's
+#: per-copy fallback calls it, so a wrapper put on ``Network.send`` later
+#: (perfbench's tracer) still sees one call per flood.
+_send_one = Network.send

@@ -2,7 +2,10 @@
 
 import copy
 
-from repro.analysis.determinism import diff_snapshots, run_workload, send_log_digest
+from repro.analysis.determinism import SendLog, diff_snapshots, run_workload, send_log_digest
+from repro.sim.kernel import Simulator
+from repro.sim.latency import Uniform
+from repro.sim.network import Network
 
 # Small workload: enough to exercise cache, queue, flooding, churn, and
 # eviction ticks while keeping the suite fast.
@@ -40,6 +43,28 @@ class TestSendLog:
 
     def test_different_seeds_diverge(self):
         assert send_log_digest(51, **SMALL) != send_log_digest(52, **SMALL)
+
+    def test_a_flood_hashes_as_its_copies_sent_one_by_one(self):
+        names = ("h0", "h1", "h2")
+        logs = []
+        for flood in (True, False):
+            sim = Simulator()
+            net = Network(sim, default_latency=Uniform(8e-6, 12e-6))
+            for name in ("src", *names):
+                net.add_host(name)
+            log = SendLog()
+            log.attach(net)
+            for i in range(3):
+                if flood:
+                    net.send("src", names, f"q{i}", size=30)
+                else:
+                    for name in names:
+                        net.send("src", name, f"q{i}", size=30)
+                net.send("h1", "src", f"reply{i}", size=10)
+                sim.run(until=sim.now + 5e-6)
+            logs.append((log.sends, log.digest.hexdigest()))
+        assert logs[0] == logs[1]
+        assert logs[0][0] == 12
 
 
 class TestDiff:

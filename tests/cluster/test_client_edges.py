@@ -329,3 +329,40 @@ class TestDeadlineTimer:
         sim.run()
         assert sim.now == 5.0
 
+
+
+class TestFinishedClientMemory:
+    """A client whose requests are all answered or expired holds no
+    request table: an emptied dict keeps the table it grew."""
+
+    def test_request_table_is_freed_when_the_last_request_leaves(self):
+        import inspect
+        import tracemalloc
+
+        source, first = inspect.getsourcelines(ScallaClient._await_reply)
+        line = first + next(
+            i for i, text in enumerate(source) if "self._pending[req_id] =" in text
+        )
+        cluster = ScallaCluster(4, config=ScallaConfig(seed=5))
+        cluster.populate(["/store/f.root"])
+        cluster.settle()
+        n = 200
+        tracemalloc.start()
+        try:
+            clients = []
+            for i in range(n):
+                client = cluster.client(f"c{i}")
+                handle = cluster.run_process(client.open("/store/f.root"))
+                cluster.run_process(client.close(handle))
+                clients.append(client)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            stat.size
+            for stat in snapshot.statistics("lineno")
+            if stat.traceback[0].filename == client_mod.__file__
+            and stat.traceback[0].lineno == line
+        )
+        assert all(c._pending == {} for c in clients)
+        assert held < 8 * n  # was 160 B per finished client

@@ -27,17 +27,18 @@ from repro.obs import Observability
 from repro.sim import ChaosConfig
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed, Uniform
-from repro.sim.network import Network
+from repro.sim.network import KEPT_RUN, Network
 
 
 @pytest.fixture
 def send_log(monkeypatch):
-    """Every Network.send as (time, src, dst, payload, size)."""
+    """Every copy Network.send sends, as (time, src, dst, payload, size)."""
     log = []
     send = Network.send
 
     def logged(self, src, dst, payload, *, size=0):
-        log.append((self.sim.now, src, dst, repr(payload), size))
+        for name in dst if isinstance(dst, tuple) else (dst,):
+            log.append((self.sim.now, src, name, repr(payload), size))
         return send(self, src, dst, payload, size=size)
 
     monkeypatch.setattr(Network, "send", logged)
@@ -262,7 +263,10 @@ class TestRecords:
         sim.run(until=1e-3)
         assert [(t, type(m)) for t, m in replies] == [(pytest.approx(100e-6), pr.HaveFile)]
 
-    def test_records_never_exceed_copies_in_flight(self, monkeypatch):
+    def test_passed_copies_wait_for_less_than_one_run(self, monkeypatch):
+        """Kept copies that have arrived are not replayed one by one but
+        pile up; right after a keep fewer than ``KEPT_RUN`` of them are
+        still waiting, and every copy kept is one the hook accepted."""
         peak = [0]
         arrivals = []
         offer = Cmsd._offer
@@ -276,11 +280,11 @@ class TestRecords:
 
         def kept_after(self, src, dst, payload, *, size=0):
             sent = send(self, src, dst, payload, size=size)
-            # Right after an offer every kept copy is still on the wire.
-            kept = self._kept.get(dst, [])
-            in_flight = [a for a in arrivals if not self.sim.passed(*a)]
-            assert sorted(k[:2] for k in kept) == in_flight
-            peak[0] = max(peak[0], len(kept))
+            kept = [k[:2] for k in self._kept.get(dst, [])]
+            assert set(kept) <= set(arrivals)
+            passed = sum(self.sim.passed(*k) for k in kept)
+            assert passed < KEPT_RUN
+            peak[0] = max(peak[0], passed)
             return sent
 
         send = Network.send
@@ -292,7 +296,8 @@ class TestRecords:
             net.send("sup.cmsd", cmsd.host.name, query(f"/store/n{i}", i))
             sim.run(until=sim.now + rng.choice((0.0, 3e-6, 40e-6, 200e-6)))
         sim.run(until=sim.now + 1e-3)
-        assert peak[0] > 1
+        # Only the bound replayed them: a full list less the copy just kept.
+        assert peak[0] == KEPT_RUN - 2
         assert net.stats.delivered == 200
 
     def test_stop_drops_arrived_records_and_delivers_the_rest(self):

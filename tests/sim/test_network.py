@@ -1,13 +1,14 @@
 """Unit tests for the simulated network and failure injection."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.sim.failures import FailureEvent, FailureInjector, random_crash_schedule
 from repro.sim.kernel import Simulator
-from repro.sim.latency import Fixed, Uniform
-from repro.sim.network import Network
+from repro.sim.latency import Fixed, LogNormal, Uniform
+from repro.sim.network import KEPT_RUN, ChaosConfig, Network
 from tests.probe import mailbox
 
 
@@ -437,10 +438,16 @@ class TestKeptCopies:
     (through the drop rules and counters) or released into the heap."""
 
     def rig(self):
+        """``got`` holds ``(now, payload, slot)`` per delivery: the slot
+        ``(arrival, seq)`` for a replayed copy, None for a queued one."""
         sim, net, a, b = make_net(latency=10e-6)
         got = []
-        b.listen(lambda src, payload, sent_at: got.append((sim.now, payload, net.replaying)))
-        net.set_offer("b", lambda payload: payload.startswith("silent"))
+
+        def replay(run):
+            got.extend((sim.now, payload, (arrival, seq)) for arrival, seq, _, payload, _ in run)
+
+        b.listen(lambda src, payload, sent_at: got.append((sim.now, payload, None)))
+        net.set_offer("b", lambda payload: payload.startswith("silent"), replay)
         return sim, net, got
 
     def test_replayed_in_its_slot_without_a_heap_entry(self):
@@ -453,7 +460,7 @@ class TestKeptCopies:
         assert net.stats.delivered == 1  # reading the stats replays it
         (now, payload, slot), = got
         assert payload == "silent" and slot[:2] == (10e-6, seq)
-        assert net.replaying is None and not net.keeps("b")
+        assert not net.keeps("b")
 
     def test_ordinary_copies_are_queued(self):
         sim, net, got = self.rig()
@@ -493,3 +500,104 @@ class TestKeptCopies:
         assert not net.keeps("b")
         sim.run()
         assert got == [(10e-6, "silent", None)]
+
+
+class TestFloodSend:
+    """``send`` with a tuple of destinations is the same copies sent one by
+    one: the same heap entries, kept records, counters, drops and replay
+    runs, on the fast path and on the per-copy fallback."""
+
+    NAMES = tuple(f"h{i}" for i in range(6))
+
+    def twin(self, flood, *, model=None, chaos=None, setup=None, midway=None):
+        sim = Simulator()
+        net = Network(
+            sim,
+            default_latency=model if model is not None else Uniform(8e-6, 12e-6),
+            rng=random.Random(3),
+            chaos=chaos,
+        )
+        net.add_host("src")
+        log = []
+        for name in self.NAMES:
+            host = net.add_host(name)
+            host.listen(lambda src, p, sent_at, n=name: log.append(("queued", n, sim.now, p)))
+            if name in ("h0", "h2", "h3", "h5"):
+
+                def replay(run, n=name):
+                    log.append(("run", n, sim.now, [(e[0], e[1], e[3]) for e in run]))
+
+                net.set_offer(name, lambda p: p.startswith("silent"), replay)
+        if setup is not None:
+            setup(net)
+
+        def state():
+            heap = sorted(
+                (t, seq, item[0].name, *item[1:])
+                for t, seq, fn, item in sim._heap
+                if fn is net._deliver_fn
+            )
+            kept = {name: list(entries) for name, entries in net._kept.items()}
+            return heap, kept, dataclasses.asdict(net._stats), sim._seq, hash(net.rng.getstate())
+
+        states, sent = [], []
+        steps = random.Random(9)
+        for i in range(80):
+            if i == 40 and midway is not None:
+                midway(net)
+            payload = ("loud" if i % 4 == 0 else "silent") + str(i)
+            if flood:
+                sent.append(net.send("src", self.NAMES, payload, size=40))
+            else:
+                sent.append(all([net.send("src", n, payload, size=40) for n in self.NAMES]))
+            states.append(state())
+            sim.run(until=sim.now + steps.choice((0.0, 2e-6, 5e-6, 20e-6)))
+        sim.run()
+        states.append((state(), dataclasses.asdict(net.stats)))
+        return states, sent, log
+
+    @pytest.mark.parametrize(
+        "case",
+        ["uniform", "fixed", "other model", "dead", "partitioned", "chaos", "link override"],
+    )
+    def test_tuple_send_equals_copies_sent_one_by_one(self, case):
+        kw = {}
+        if case == "fixed":
+            kw["model"] = Fixed(10e-6)
+        elif case == "other model":
+            kw["model"] = LogNormal(10e-6, 0.3)
+        elif case == "dead":
+            kw["setup"] = lambda net: net.kill("h2")
+            kw["midway"] = lambda net: (net.kill("h1"), net.revive("h2"))
+        elif case == "partitioned":
+            kw["setup"] = lambda net: net.partition("src", "h3")
+            kw["midway"] = lambda net: (net.heal("src", "h3"), net.partition_oneway("src", "h5"))
+        elif case == "chaos":
+            kw["chaos"] = ChaosConfig(drop_prob=0.1, dup_prob=0.2, delay_spike_prob=0.2, seed=4)
+        elif case == "link override":
+            kw["setup"] = lambda net: net.set_link_latency("src", "h3", Fixed(3e-6))
+        flood = self.twin(True, **kw)
+        assert flood == self.twin(False, **kw)
+        states, sent, log = flood
+        runs = [entry for entry in log if entry[0] == "run"]
+        assert runs and max(len(entry[3]) for entry in runs) > 1  # replayed in runs
+        # Copies piled up between runs.
+        assert any(
+            len(kept) >= KEPT_RUN // 2 for state in states[:-1] for kept in state[1].values()
+        )
+
+    def test_unknown_destination_raises_before_anything_is_counted(self):
+        sim, net, a, b = make_net()
+        with pytest.raises(KeyError):
+            net.send("a", ("b", "nowhere"), "x", size=10)
+        assert dataclasses.asdict(net.stats) == dataclasses.asdict(type(net.stats)())
+        assert sim._heap == []
+
+    def test_dead_target_draws_no_latency_and_takes_no_seq(self):
+        sim, net, a, b = make_net()
+        net.default_latency = Uniform(1e-6, 2e-6)
+        net.kill("b")
+        state = net.rng.getstate(), sim._seq
+        assert not net.send("a", ("b", "b"), "x")
+        assert (net.rng.getstate(), sim._seq) == state
+        assert net.stats.dropped_dead == 2
