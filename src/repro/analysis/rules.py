@@ -33,7 +33,11 @@ reproduction:
   callbacks and reuse recycled timeout storage, and the per-message
   path (``Simulator.call_at()``, ``Network._deliver()``) must stay one
   callback, or the allocation rate the ``benchmarks/perf`` suite gates on
-  silently creeps back.
+  silently creeps back;
+* the cluster daemons read no private attribute of the simulator or the
+  network (SCA004): they run on the public surface alone (``now``,
+  ``call_at``, ``Network.send``, ``Host.listen``), which a second driver
+  over real sockets can provide.
 
 Every rule supports per-line suppression with ``# scalla-lint:
 disable=RULE`` and per-file suppression with ``# scalla-lint:
@@ -550,3 +554,45 @@ class NoDispatchAllocation(Rule):
                             f"{cls.name}.{fn.name}(); the dispatch path must use "
                             "call_at callbacks / pooled timeouts instead",
                         )
+
+
+# -- SCA004: cluster daemons keep to the simulator's public surface --------------
+
+
+@register
+class NoPrivateSimAccess(Rule):
+    id = "SCA004"
+    title = "cluster code reads no private attribute of the simulator or the network"
+    rationale = (
+        "A daemon under `src/repro/cluster/` runs on the simulator's and the "
+        "network's public surface alone (`now`, `call_at`, `Network.send`, "
+        "`Host.listen`, ...), so a second driver can run the same handlers "
+        "over real sockets.  Reaching into `sim._x` or `self.network._x` ties "
+        "a daemon to one simulator's internals."
+    )
+
+    _OWNERS = frozenset({"sim", "network"})
+
+    def applies_to(self, path: str) -> bool:
+        return "src/repro/cluster/" in path or path.startswith("repro/cluster/")
+
+    def check(self, tree: ast.Module, ctx: "FileContext") -> None:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__"):
+                continue  # dunders (``sim.__class__``) are not private state
+            owner = node.value
+            if isinstance(owner, ast.Attribute):
+                name = owner.attr
+            elif isinstance(owner, ast.Name):
+                name = owner.id
+            else:
+                continue
+            if name in self._OWNERS:
+                ctx.report(
+                    self,
+                    node,
+                    f"`{ast.unparse(node)}` reaches into the {name}'s private state; "
+                    "use its public surface",
+                )

@@ -8,8 +8,9 @@ One per node.  Its behaviour depends on the node's tree role:
   responses through the fast response queue, and redirects clients
   (§II-B2/B3, §III).
 * **server** — answers ``QueryFile`` with ``HaveFile`` *only when the local
-  xrootd actually has (or can stage) the file*; silence is the negative
-  response (request-rarely-respond, §III-B).
+  xrootd actually has (or can stage) the file*, read from its disk and tape
+  indexes; silence is the negative response (request-rarely-respond,
+  §III-B).
 
 Every cmsd below the root also runs the subordinate half: login to its
 parents at start, heartbeats carrying load/space metrics, and automatic
@@ -289,15 +290,19 @@ class Cmsd:
             node_id.role is Role.SERVER and xrootd is not None and obs is None
         )
         self._watching = False
-        #: A silent leaf's disk and MSS paths, live, for :meth:`_offer`'s
-        #: membership tests (no call per copy).
+        #: A server's disk and MSS paths, live: the one holdings test, read
+        #: by :meth:`_offer` and :meth:`_on_query_server` (no call per copy).
         self._disk = self._tape = _NO_PATHS
-        if self._silent_leaf:
+        if node_id.role is Role.SERVER and xrootd is not None:
             self._disk = xrootd.fs.index()
             if xrootd.mss is not None:
                 self._tape = xrootd.mss.index()
+            # The "newfile" advisory hook: without it, a manager whose cache
+            # already concluded "nobody has this file" would never learn the
+            # file was just created (its V_q is empty, so nothing re-asks).
+            xrootd.on_create_hooks.append(self._advertise_new_file)
         #: The last flood's destination hosts, keyed by what can change
-        #: them (see :meth:`_flood_queries`).
+        #: them (see :meth:`_flood`).
         self._flood_hosts: tuple | None = None
         self._last_parent_ack: dict[str, float] = {}
         #: Per-parent re-login backoff: parent -> (attempts, earliest next
@@ -305,12 +310,6 @@ class Cmsd:
         #: first ack.
         self._relogin_state: dict[str, tuple[int, float]] = {}
         self._query_serial = 0
-
-        if node_id.role is Role.SERVER and xrootd is not None:
-            # The "newfile" advisory hook: without it, a manager whose cache
-            # already concluded "nobody has this file" would never learn the
-            # file was just created (its V_q is empty, so nothing re-asks).
-            xrootd.on_create_hooks.append(self._advertise_new_file)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -516,16 +515,7 @@ class Cmsd:
             payload = waiter.payload
             if isinstance(payload, _ClientWaiter):
                 self._close_wait_span(payload.span, outcome="timeout")
-                self._send(
-                    payload.reply_to,
-                    pr.Wait(
-                        payload.req_id,
-                        payload.path,
-                        self.config.full_delay,
-                        watch=self.config.late_release,
-                    ),
-                )
-                self.stats.waits_sent += 1
+                self._send_wait(payload, watch=self.config.late_release)
         self._arm_response_clock(epoch)
 
     def _wake_response_clock(self) -> None:
@@ -761,11 +751,8 @@ class Cmsd:
         slot = self.membership.heartbeat(
             msg.node, self.sim.now, msg.site, msg.load, msg.free_space
         )
-        if slot is None:
-            # We do not know this child (we probably restarted): tell it so.
-            self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=False))
-            return
-        self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=True))
+        # An unknown child (we probably restarted) is told so, and logs in.
+        self._send(src, pr.HeartbeatAck(node=self.node_id.name, known=slot is not None))
 
     def _on_heartbeat_ack(self, msg: pr.HeartbeatAck, end: float) -> None:
         """Act on an ack whose service ended at *end*: now, or earlier for
@@ -786,59 +773,75 @@ class Cmsd:
     # -- server-side query handling (the request-rarely-respond leaf) --------------
 
     def _on_query_server(self, msg: pr.QueryFile, src: str) -> None:
-        """Answer only positively; silence is the negative (§III-B)."""
+        """Answer only positively, from the disk and MSS indexes; silence
+        is the negative (§III-B)."""
         assert self.xrootd is not None, "server cmsd needs its xrootd"
-        if self.xrootd.fs.exists(msg.path):
-            reply = pr.HaveFile(
-                path=msg.path,
-                hash_val=msg.hash_val,
-                node=self.node_id.name,
-                pending=False,
-                write_capable=True,
-            )
-        elif self.xrootd.mss is not None and self.xrootd.mss.has(msg.path):
-            reply = pr.HaveFile(
-                path=msg.path,
-                hash_val=msg.hash_val,
-                node=self.node_id.name,
-                pending=True,
-                write_capable=True,
-            )
+        path = msg.path
+        if path in self._disk:
+            pending = False
+        elif path in self._tape:
+            pending = True
         else:
             if self._obs is not None:
                 # Silence IS the protocol's negative answer — the trace is
                 # the only place it becomes a visible fact.
-                self._obs.tracer.event(
-                    msg.path, "server.silent", node=self.node_id.name
-                )
+                self._obs.tracer.event(path, "server.silent", node=self.node_id.name)
             return
-        self.stats.haves_sent += 1
         if self._obs is not None:
-            self._obs.tracer.event(
-                msg.path, "server.have", node=self.node_id.name, pending=reply.pending
-            )
-        self._send(src, reply)
+            self._obs.tracer.event(path, "server.have", node=self.node_id.name, pending=pending)
+        self._send_have_up(src, path, msg.hash_val, pending=pending)
 
     def _advertise_new_file(self, path: str) -> None:
         """Unsolicited HaveFile to all parents after a local create."""
-        msg = pr.HaveFile(
-            path=path,
-            hash_val=hash_name(path),
-            node=self.node_id.name,
-            pending=False,
-            write_capable=True,
-        )
+        hash_val = hash_name(path)
         for parent in self.parents:
-            self._send(cmsd_host(parent), msg)
-            self.stats.haves_sent += 1
+            self._send_have_up(cmsd_host(parent), path, hash_val, pending=False)
 
     # -- supervisor/manager logic ---------------------------------------------------
+    #
+    # Locate, QueryFile and Prepare share one resolution step (§II-B2,
+    # §III-B, §III-C): :meth:`_lookup` finds the path's location object,
+    # after the §III-C1 refresh a request may ask for; a holder is picked
+    # from :meth:`_candidates`; else :meth:`_flood` queries V_q under the
+    # deadline, and the asker waits on the fast response queue.
 
-    def _flood_queries(
-        self, obj, path: str, hash_val: int, mode: str, *, refresh: bool = False
+    def _lookup(self, path: str, now: float, refresh: bool = False):
+        """The cache reference for *path*.  A ``refresh`` first forgets
+        what the cache holds for it (§III-C1): it may rest on queries that
+        never arrived, so it is re-derived from our own children."""
+        cache = self.cache
+        if refresh:
+            existing, _ = cache.lookup(path, now, add=False)
+            if existing is not None:
+                cache.refresh(existing, now)
+                self.stats.refreshes += 1
+        return cache.lookup(path, now)[0]
+
+    def _flood(
+        self,
+        obj,
+        path: str,
+        hash_val: int,
+        mode: str,
+        now: float,
+        *,
+        refresh: bool = False,
+        sync: bool = True,
     ) -> None:
-        """Send QueryFile to every *online* server in V_q; V_q keeps the
-        unreachable remainder (resolution step 6)."""
+        """Steps 1/5/6 under the single-querier rule (§III-C2): if this
+        thread should query, arm the deadline and send QueryFile to every
+        *online* server in V_q; V_q keeps the unreachable remainder.
+
+        ``sync=False`` is the ``deadline_sync`` ablation: a thread cannot
+        tell a flood is already in flight, so it re-queries every eligible
+        server itself — the duplicated work the deadline exists to prevent.
+        """
+        deadline = self.deadline
+        if not deadline.i_should_query(obj, now):
+            if sync or not deadline.active(obj, now):
+                return
+            obj.v_q = self.membership.eligible(path)
+        deadline.arm(obj, now)
         targets = obj.v_q & self.membership.v_online
         if not targets:
             return
@@ -916,19 +919,36 @@ class Cmsd:
                 local |= bitvec.bit(slot)
         return local or candidates
 
-    def _redirect(self, msg: pr.Locate, slot: int, pending: bool) -> None:
+    # The replies.  A client asker is a Locate or a parked _ClientWaiter:
+    # both carry ``reply_to``, ``req_id`` and ``path``.
+
+    def _redirect(self, asker, slot: int, pending: bool) -> None:
         child = self.membership.slots[slot]
         self._send(
-            msg.reply_to,
+            asker.reply_to,
             pr.Redirect(
-                msg.req_id, msg.path, target=child.name, target_role=child.role, pending=pending
+                asker.req_id, asker.path, target=child.name, target_role=child.role, pending=pending
             ),
         )
         self.stats.redirects += 1
 
-    def _send_wait(self, msg: pr.Locate) -> None:
-        self._send(msg.reply_to, pr.Wait(msg.req_id, msg.path, self.config.full_delay))
+    def _send_wait(self, asker, *, watch: bool = False) -> None:
+        wait = pr.Wait(asker.req_id, asker.path, self.config.full_delay, watch=watch)
+        self._send(asker.reply_to, wait)
         self.stats.waits_sent += 1
+
+    def _send_have_up(self, parent_host: str, path: str, hash_val: int, *, pending: bool) -> None:
+        self._send(
+            parent_host,
+            pr.HaveFile(
+                path=path,
+                hash_val=hash_val,
+                node=self.node_id.name,
+                pending=pending,
+                write_capable=True,
+            ),
+        )
+        self.stats.haves_sent += 1
 
     def _on_locate(self, msg: pr.Locate) -> None:
         """Handle a client Locate; the traced wrapper around the resolution.
@@ -955,12 +975,7 @@ class Cmsd:
     def _do_locate(self, msg: pr.Locate) -> str:
         self.stats.locates += 1
         now = self.sim.now
-        if msg.refresh:
-            existing, _ = self.cache.lookup(msg.path, now, add=False)
-            if existing is not None:
-                self.cache.refresh(existing, now)
-                self.stats.refreshes += 1
-        ref, _is_new = self.cache.lookup(msg.path, now)
+        ref = self._lookup(msg.path, now, msg.refresh)
         obj = ref.get()
         mode = AccessMode.WRITE if msg.create or msg.mode == AccessMode.WRITE else AccessMode.READ
 
@@ -973,20 +988,8 @@ class Cmsd:
             self._redirect(msg, slot, pending)
             return "redirect"
 
-        # Steps 1/5/6: flood whoever still needs asking, under the
-        # deadline-based single-querier rule (§III-C2).
-        if self.deadline.i_should_query(obj, now):
-            self.deadline.arm(obj, now)
-            self._flood_queries(obj, msg.path, ref.hash_val, mode, refresh=msg.refresh)
-        elif not self.config.deadline_sync and self.deadline.active(obj, now):
-            # Ablation: with synchronization off, this thread cannot tell a
-            # flood is already in flight, so it re-queries every eligible
-            # server itself — the duplicated work the deadline exists to
-            # prevent.
-            obj.v_q = self.membership.eligible(msg.path)
-            self.deadline.arm(obj, now)
-            self._flood_queries(obj, msg.path, ref.hash_val, mode, refresh=msg.refresh)
-
+        sync = self.config.deadline_sync
+        self._flood(obj, msg.path, ref.hash_val, mode, now, refresh=msg.refresh, sync=sync)
         if self.deadline.active(obj, now):
             # Queries (ours or another thread's) may still be answered:
             # wait on the fast response queue (steps 2/4) — unless the
@@ -1012,7 +1015,11 @@ class Cmsd:
             self._send_wait(msg)
             return "wait-empty"
         if msg.create:
-            return self._place_create(msg, obj)
+            # Non-existence now confirmed: place the brand-new file.
+            eligible = self.membership.eligible(msg.path) & self._usable(msg.avoid)
+            if eligible:
+                self._redirect(msg, CREATE_POLICY.choose(eligible, self.membership.slots), False)
+                return "create-redirect"
         self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
         self.stats.notfounds += 1
         return "notfound"
@@ -1031,17 +1038,6 @@ class Cmsd:
             span.end = self._obs.now()
             span.attrs["outcome"] = outcome
 
-    def _place_create(self, msg: pr.Locate, obj) -> str:
-        """Pick a node for a brand-new file (non-existence now confirmed)."""
-        eligible = self.membership.eligible(msg.path) & self._usable(msg.avoid)
-        if not eligible:
-            self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
-            self.stats.notfounds += 1
-            return "notfound"
-        slot = CREATE_POLICY.choose(eligible, self.membership.slots)
-        self._redirect(msg, slot, pending=False)
-        return "create-redirect"
-
     def _on_prepare(self, msg: pr.Prepare) -> None:
         """Spawn the parallel background look-ups of §III-B2.
 
@@ -1053,11 +1049,8 @@ class Cmsd:
         self.stats.prepares += 1
         now = self.sim.now
         for path in msg.paths:
-            ref, _ = self.cache.lookup(path, now)
-            obj = ref.get()
-            if self.deadline.i_should_query(obj, now):
-                self.deadline.arm(obj, now)
-                self._flood_queries(obj, path, ref.hash_val, AccessMode.READ)
+            ref = self._lookup(path, now)
+            self._flood(ref.get(), path, ref.hash_val, AccessMode.READ, now)
         self._send(msg.reply_to, pr.PrepareAck(msg.req_id, scheduled=len(msg.paths)))
 
     def _on_query_supervisor(self, msg: pr.QueryFile, src: str) -> None:
@@ -1070,42 +1063,16 @@ class Cmsd:
         now = self.sim.now
         if self._obs is not None:
             self._obs.tracer.event(msg.path, "supervisor.query", node=self.node_id.name)
-        if msg.refresh:
-            existing, _ = self.cache.lookup(msg.path, now, add=False)
-            if existing is not None:
-                # Propagated §III-C1 refresh: forget the aggregate we told
-                # the parent before (it may rest on queries that never
-                # arrived) and re-derive it from our own children.
-                self.cache.refresh(existing, now)
-                self.stats.refreshes += 1
-        ref, _ = self.cache.lookup(msg.path, now)
-        obj = ref.get()
-        if obj.v_h & self.membership.v_online:
-            self._send_have_up(src, msg.path, msg.hash_val, pending=False)
+        obj = self._lookup(msg.path, now, msg.refresh).get()
+        holders, pending = self._candidates(obj, (), "")
+        if holders:
+            self._send_have_up(src, msg.path, msg.hash_val, pending=pending)
             return
-        if obj.v_p & self.membership.v_online:
-            self._send_have_up(src, msg.path, msg.hash_val, pending=True)
-            return
-        if self.deadline.i_should_query(obj, now):
-            self.deadline.arm(obj, now)
-            self._flood_queries(obj, msg.path, msg.hash_val, msg.mode, refresh=msg.refresh)
+        self._flood(obj, msg.path, msg.hash_val, msg.mode, now, refresh=msg.refresh)
         if self.deadline.active(obj, now):
             payload = _ParentWaiter(parent_host=src, path=msg.path, hash_val=msg.hash_val)
             self._enqueue_waiter(obj, AccessMode.READ, payload, msg.path)
         # Deadline passed and empty: stay silent — that IS the answer.
-
-    def _send_have_up(self, parent_host: str, path: str, hash_val: int, *, pending: bool) -> None:
-        self._send(
-            parent_host,
-            pr.HaveFile(
-                path=path,
-                hash_val=hash_val,
-                node=self.node_id.name,
-                pending=pending,
-                write_capable=True,
-            ),
-        )
-        self.stats.haves_sent += 1
 
     def _on_have(self, msg: pr.HaveFile) -> None:
         """A subordinate reported holding the file: update cache, release
@@ -1175,17 +1142,7 @@ class Cmsd:
             if isinstance(payload, _ClientWaiter):
                 self._close_wait_span(payload.span, outcome="released")
                 responder.selections += 1
-                self._send(
-                    payload.reply_to,
-                    pr.Redirect(
-                        payload.req_id,
-                        payload.path,
-                        target=msg.node,
-                        target_role=responder.role,
-                        pending=msg.pending,
-                    ),
-                )
-                self.stats.redirects += 1
+                self._redirect(payload, slot, msg.pending)
                 self.stats.released_redirects += 1
             elif isinstance(payload, _ParentWaiter):
                 self._send_have_up(

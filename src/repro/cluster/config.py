@@ -93,10 +93,10 @@ class ScallaConfig:
     #: clients with queries in flight are simply told to wait the full
     #: delay and retry, as a design without §III-B's queue would.
     fast_response: bool = True
-    #: ABLATION (bench E10): when False, deadline-based query
-    #: synchronization is off — every thread finding no holders re-queries
-    #: all eligible servers itself, duplicating floods (§III-C2's "only one
-    #: thread should issue the queries" un-enforced).
+    #: ABLATION (bench E10): when False, a Locate finding no holders
+    #: re-queries all eligible servers itself, duplicating floods (§III-C2's
+    #: "only one thread should issue the queries" un-enforced).  Supervisors
+    #: answering a parent's QueryFile keep synchronizing on the deadline.
     deadline_sync: bool = True
     #: Late-response reconciliation: a HaveFile arriving after its anchor
     #: expired still updates V_h *and* releases clients parked on the full

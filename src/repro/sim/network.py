@@ -29,8 +29,8 @@ passed, applies :meth:`Network._deliver`'s drop rules and delivery
 counters to them, and hands the surviving run to the replay hook in slot
 order, so the receiver can serve each copy as of its arrival.  That
 happens when the host asks (:meth:`Network.catch_up`), once its list
-reaches :data:`KEPT_RUN` entries, before anything that changes what an
-arrival sees — a kill, revive, partition, heal or isolation — and before
+reaches :data:`KEPT_RUN` entries, before a kill or revive of the host
+itself, before a partition, heal or isolation (for every host), and before
 :attr:`Network.stats` is read.  When the host wants its copies delivered
 as ordinary entries again (:meth:`Network.release`, or removing the hook),
 the network replays the passed ones and queues the rest in their reserved
@@ -372,8 +372,8 @@ class Network:
 
     # -- failures ------------------------------------------------------------
 
-    # Every change below first delivers the kept copies that have arrived:
-    # they must see the old state.
+    # Each change first delivers the arrived kept copies whose fate it
+    # changes: a kill or revive the host's own (drops read the target), a cut all.
 
     def _known(self, *names: str) -> None:
         for name in names:
@@ -383,12 +383,12 @@ class Network:
     def kill(self, name: str) -> None:
         """Mark a host dead: in-flight and future messages to it vanish."""
         host = self.hosts[name]
-        self._settle()
+        self.catch_up(name)
         host.alive = False
 
     def revive(self, name: str) -> None:
         host = self.hosts[name]
-        self._settle()
+        self.catch_up(name)
         host.alive = True
 
     def partition(self, a: str, b: str) -> None:

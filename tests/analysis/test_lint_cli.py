@@ -53,7 +53,8 @@ class TestMain:
     def test_list_rules_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SCA001", "SCA002", "SCA003"):
+        rule_ids = ("SIM001", "SIM002", "SIM003", "SIM004", "SCA001", "SCA002", "SCA003", "SCA004")
+        for rule_id in rule_ids:
             assert rule_id in out
 
     def test_directory_walk_skips_fixture(self, capsys):

@@ -419,6 +419,46 @@ class TestSca003NoDispatchAllocation:
         assert rule_ids(src) == []
 
 
+class TestSca004PrivateSimAccess:
+    def test_network_private_read(self):
+        src = "def f(self):\n    return self.network._kept\n"
+        assert rule_ids(src) == ["SCA004"]
+
+    def test_sim_private_read_bare_and_chained(self):
+        src = "def f(sim, node):\n    return sim._seq_now, node.sim._heap\n"
+        assert rule_ids(src) == ["SCA004", "SCA004"]
+
+    def test_private_write_flagged(self):
+        src = "def f(self):\n    self.network._kept = {}\n"
+        assert rule_ids(src) == ["SCA004"]
+
+    def test_public_surface_is_clean(self):
+        src = (
+            "def f(self):\n"
+            "    self.sim.call_at(self.sim.now, self._tick)\n"
+            "    self.network.send(self.host.name, 'x', None)\n"
+            "    return self._sim_state, self.sim.__class__\n"
+        )
+        assert rule_ids(src) == []
+
+    def test_scope_is_the_cluster_package(self):
+        src = "def f(sim):\n    return sim._heap\n"
+        assert rule_ids(src, path="src/repro/sim/network.py") == []
+        assert rule_ids(src, path="tests/cluster/t.py") == []
+        assert rule_ids(src, path="repro/cluster/cmsd.py") == ["SCA004"]
+
+    def test_suppressed(self):
+        src = "def f(sim):\n    return sim._heap  # scalla-lint: disable=SCA004\n"
+        assert rule_ids(src) == []
+
+    def test_seeded_fixture_read(self):
+        """The fixture's private read is flagged once linted as cluster code."""
+        text = FIXTURE.read_text()
+        found = [v for v in run(text) if v.rule == "SCA004"]
+        assert len(found) == 1
+        assert "self.network._kept" in text.splitlines()[found[0].line - 1]
+
+
 class TestSuppressionMachinery:
     def test_disable_file(self):
         src = "# scalla-lint: disable-file=SIM002\nimport random\nx = random.random()\n"

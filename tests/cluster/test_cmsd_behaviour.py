@@ -183,6 +183,46 @@ class TestRequestRarelyRespond:
         assert len(probe) == 0
 
 
+class TestDeadlineSync:
+    """§III-C2's single querier, and its ``deadline_sync=False`` ablation,
+    on a tree: 8 clients locate one cold file at once."""
+
+    def storm(self, sync):
+        cluster = ScallaCluster(
+            16, config=ScallaConfig(seed=101, fanout=4, deadline_sync=sync)
+        )
+        cluster.populate(["/store/cold.root"], size=64)
+        cluster.settle()
+        supervisors = [cluster.node(s).cmsd for s in cluster.topology.supervisors]
+        found = []
+
+        def one(i):
+            node, _pending = yield from cluster.client(f"c{i}").locate("/store/cold.root")
+            found.append(node)
+
+        def storm():
+            yield cluster.sim.all_of([cluster.sim.process(one(i)) for i in range(8)])
+
+        cluster.run_process(storm(), limit=120)
+        return (
+            cluster.manager_cmsd().stats.queries_sent,
+            sum(s.stats.queries_sent for s in supervisors),
+            found,
+        )
+
+    def test_one_flood_per_level_with_sync(self):
+        manager, supervisors, found = self.storm(True)
+        assert (manager, supervisors) == (4, 16)
+        assert len(found) == 8 and len(set(found)) == 1
+
+    def test_ablation_refloods_at_the_manager_only(self):
+        # Each of the 8 locates floods the manager's 4 supervisors; a
+        # supervisor still synchronizes on its deadline.
+        manager, supervisors, found = self.storm(False)
+        assert (manager, supervisors) == (32, 16)
+        assert len(found) == 8 and len(set(found)) == 1
+
+
 class TestEdgeBehaviour:
     def test_create_with_no_eligible_servers_is_notfound(self):
         from repro.cluster.client import NoSuchFile

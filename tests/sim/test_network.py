@@ -481,6 +481,27 @@ class TestKeptCopies:
         assert [p for _, p, _ in got] == ["silent-early"]
         assert (stats.delivered, stats.dropped_partition) == (1, 1)
 
+    def test_a_kill_or_revive_settles_only_its_own_host(self):
+        sim, net, got = self.rig()
+        net.add_host("c")
+        got_c = []
+        net.set_offer("c", lambda payload: True, lambda run: got_c.extend(e[3] for e in run))
+        net.send("a", "b", "silent-b")  # arrives at 10 us
+        net.send("a", "c", "silent-c1")  # arrives at 10 us
+        sim.run(until=20e-6)
+        net.send("a", "c", "silent-c2")  # arrives at 30 us, after the kill
+        net.kill("c")
+        assert got_c == ["silent-c1"]  # c's arrived copy, served before it died
+        assert got == [] and net.keeps("b")  # b's passed copy is not touched
+        sim.run(until=40e-6)
+        net.revive("c")
+        assert got_c == ["silent-c1"]  # silent-c2 reached a dead host
+        assert got == [] and net.keeps("b")
+        net.catch_up("b")
+        assert [(p, s[0]) for _, p, s in got] == [("silent-b", 10e-6)]
+        stats = net.stats
+        assert (stats.sent, stats.delivered, stats.dropped_dead) == (3, 2, 1)
+
     def test_release_queues_the_rest_in_their_slots(self):
         sim, net, got = self.rig()
         net.send("a", "b", "silent-1")
