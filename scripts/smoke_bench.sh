@@ -34,7 +34,7 @@ python scripts/check_snapshots.py \
   benchmarks/results/e6.metrics.json \
   benchmarks/results/e14.metrics.json
 
-echo "== send log (every Network.send of the determinism workload, seeds 51, 7, 1234)"
+echo "== send log (every Network.send of the determinism workload, seeds 51, 7, 1234, one and three copies per file)"
 python -c "from repro.analysis.determinism import send_log_record; print(send_log_record(), end='')" \
   > benchmarks/results/send-log.md
 

@@ -22,7 +22,8 @@ Used four ways:
   that sanitization really is a pure read (identical streams with it on);
 * :func:`send_log_record` hashes every message the workload sends, for
   seeds 51, 7 and 1234, with observability on and off (the off run keeps
-  silent-leaf copies on the wire).  ``scripts/smoke_bench.sh`` commits
+  silent-leaf copies on the wire), with one copy of each file and with
+  three (so reads choose among replicas).  ``scripts/smoke_bench.sh`` commits
   the digests as ``benchmarks/results/send-log.md`` and fails when a
   change moves one message.
 """
@@ -52,6 +53,9 @@ __all__ = [
 
 #: The seeds :func:`send_log_record` covers.
 SEND_LOG_SEEDS = (51, 7, 1234)
+#: The copies per file :func:`send_log_record` covers: with one, no read
+#: ever chooses between holders.
+SEND_LOG_COPIES = (1, 3)
 
 
 def run_workload(
@@ -62,6 +66,7 @@ def run_workload(
     files: int = 30,
     lookups: int = 60,
     misses: int = 8,
+    copies: int = 1,
     sanitize: bool = False,
     observability: bool = True,
     on_network: Callable[[Network], None] | None = None,
@@ -75,7 +80,8 @@ def run_workload(
     vectors, a server disconnect mid-run (correction machinery), two
     window ticks (eviction sweep + background removal), and the xrootd's
     request handling: service timers, NIC transfers and MSS staging.
-    *on_network* gets the cluster's network before any daemon starts.
+    Each file is placed on *copies* servers, so with more than one, reads
+    choose among replicas.  *on_network* gets the cluster's network before any daemon starts.
     """
     config = ScallaConfig(
         seed=seed,
@@ -90,7 +96,7 @@ def run_workload(
         on_network(cluster.network)
     cluster.start()
     paths = [f"/store/d{i % 5}/f{i:03d}.root" for i in range(files)]
-    cluster.populate(paths)
+    cluster.populate(paths, copies=copies)
     cluster.settle()
 
     rng = random.Random(seed ^ 0xD5)
@@ -169,17 +175,18 @@ def send_log_digest(seed: int = 51, *, observability: bool = True, **sizes) -> t
 
 
 def send_log_record() -> str:
-    """The send-log digests of :data:`SEND_LOG_SEEDS`, observability on
-    and off, as the text of ``benchmarks/results/send-log.md``."""
-    lines = [
-        "# Send log: SHA-256 of every Network.send of the determinism workload",
-        "",
-        "seed  observability  sends  sha256",
-    ]
-    for seed in SEND_LOG_SEEDS:
-        for obs in ("on", "off"):
-            sends, digest = send_log_digest(seed, observability=obs == "on")
-            lines.append(f"{seed:<4}  {obs:<13}  {sends:<5}  {digest}")
+    """The send-log digests of :data:`SEND_LOG_SEEDS` and
+    :data:`SEND_LOG_COPIES`, observability on and off, as the text of
+    ``benchmarks/results/send-log.md``."""
+    lines = ["# Send log: SHA-256 of every Network.send of the determinism workload"]
+    for copies in SEND_LOG_COPIES:
+        if copies > 1:
+            lines += ["", f"With {copies} copies of each file (reads choose among replicas):"]
+        lines += ["", "seed  observability  sends  sha256"]
+        for seed in SEND_LOG_SEEDS:
+            for obs in ("on", "off"):
+                sends, digest = send_log_digest(seed, observability=obs == "on", copies=copies)
+                lines.append(f"{seed:<4}  {obs:<13}  {sends:<5}  {digest}")
     return "\n".join(lines) + "\n"
 
 

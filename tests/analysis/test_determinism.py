@@ -35,11 +35,12 @@ class TestSendLog:
     def test_observability_moves_no_message(self):
         """Without observability, server cmsds are silent leaves whose
         unanswered queries stay on the wire; the messages sent are the
-        same."""
-        on = send_log_digest(51, observability=True, **SMALL)
-        off = send_log_digest(51, observability=False, **SMALL)
-        assert on == off
-        assert on[0] > 0
+        same, also when reads choose among three replicas."""
+        for copies in (1, 3):
+            on = send_log_digest(51, observability=True, copies=copies, **SMALL)
+            off = send_log_digest(51, observability=False, copies=copies, **SMALL)
+            assert on == off
+            assert on[0] > 0
 
     def test_different_seeds_diverge(self):
         assert send_log_digest(51, **SMALL) != send_log_digest(52, **SMALL)
