@@ -6,7 +6,7 @@ Layers:
 * :mod:`repro.core` — the paper's primary contribution: the cmsd name cache
   (bit-vector location objects, CRC32 + Fibonacci hash table, sliding-window
   eviction, O(1) accuracy corrections, fast response queue, deadline
-  synchronization, selection policies).
+  synchronization, replica selection).
 * :mod:`repro.sim` — a from-scratch deterministic discrete-event simulator
   (processes, network, latency models, failures, measurement).
 * :mod:`repro.cluster` — the simulated Scalla deployment: xrootd + cmsd

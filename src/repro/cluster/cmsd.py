@@ -83,7 +83,7 @@ from repro.core.corrections import ClusterMembership
 from repro.core.crc32 import hash_name
 from repro.core.deadline import DeadlinePolicy
 from repro.core.response_queue import DEFAULT_ANCHORS, DEFAULT_PERIOD, AccessMode, ResponseQueue
-from repro.core.selection import MostSpace, RoundRobin
+from repro.core.selection import least_selected, most_space
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -96,11 +96,6 @@ RELOGIN_BACKOFF_CAP = 30.0
 #: Jitter fraction on re-login backoff delays (decorrelates a 64-wide
 #: subtree re-discovering its parent at once).
 RELOGIN_JITTER = 0.25
-#: Selection policy for read/write redirection, and for placing new
-#: files.  Both are stateless (``choose`` reads and counts on the calling
-#: cmsd's membership records), so every cmsd shares one of each.
-READ_POLICY = RoundRobin()
-CREATE_POLICY = MostSpace()
 
 _QueryFile = pr.QueryFile
 _HeartbeatAck = pr.HeartbeatAck
@@ -519,8 +514,9 @@ class Cmsd:
         self._arm_response_clock(epoch)
 
     def _wake_response_clock(self) -> None:
-        """A first anchor opened: wake the parked clock with one same-time
-        callback (a no-op while it is armed)."""
+        """A waiter was queued: wake the parked clock with one same-time
+        callback.  A no-op while it is armed, which it is while any anchor
+        is open, so only the add that opens the first anchor wakes it."""
         if not self._rq_armed:
             self._rq_armed = True
             self.sim.call_at(self.sim.now, self._arm_response_clock, self._epoch)
@@ -872,16 +868,15 @@ class Cmsd:
         obj.v_q &= ~targets & bitvec.FULL_MASK
 
     def _enqueue_waiter(self, obj, mode: str, payload, path: str = "") -> bool:
-        outcome = self.rq.add_waiter(obj, mode, payload, self.sim.now)
-        if outcome.accepted and outcome.queue_was_empty:
+        if self.rq.add_waiter(obj, mode, payload, self.sim.now):
             self._wake_response_clock()
-        if not outcome.accepted:
-            # Anchor exhaustion: this client just got condemned to the full
-            # conservative delay.  Make the pressure visible.
-            self.stats.rq_rejected += 1
-            if self._obs is not None and path:
-                self._obs.tracer.event(path, "rq.rejected", node=self.node_id.name)
-        return outcome.accepted
+            return True
+        # Anchor exhaustion: this client just got condemned to the full
+        # conservative delay.  Make the pressure visible.
+        self.stats.rq_rejected += 1
+        if self._obs is not None and path:
+            self._obs.tracer.event(path, "rq.rejected", node=self.node_id.name)
+        return False
 
     def _candidates(
         self, obj, avoid: tuple[str, ...], client_site: str = ""
@@ -984,8 +979,7 @@ class Cmsd:
         # POSIX outcome).
         candidates, pending = self._candidates(obj, msg.avoid, msg.client_site)
         if candidates:
-            slot = READ_POLICY.choose(candidates, self.membership.slots)
-            self._redirect(msg, slot, pending)
+            self._redirect(msg, least_selected(candidates, self.membership.slots), pending)
             return "redirect"
 
         sync = self.config.deadline_sync
@@ -1018,7 +1012,7 @@ class Cmsd:
             # Non-existence now confirmed: place the brand-new file.
             eligible = self.membership.eligible(msg.path) & self._usable(msg.avoid)
             if eligible:
-                self._redirect(msg, CREATE_POLICY.choose(eligible, self.membership.slots), False)
+                self._redirect(msg, most_space(eligible, self.membership.slots), False)
                 return "create-redirect"
         self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
         self.stats.notfounds += 1

@@ -215,8 +215,10 @@ class LoginAck:
 class Heartbeat:
     """Periodic liveness + metrics report from subordinate to parent.
 
-    ``load`` and ``free_space`` feed the parent's selection policy
-    (§II-B3's "load, selection frequency, space" criteria).
+    The parent keeps ``load`` and ``free_space`` on the child's membership
+    record (§II-B3's "load, selection frequency, space" criteria).  New
+    files go to the eligible child with the most free space; no selection
+    rule reads load yet.
     """
 
     node: str

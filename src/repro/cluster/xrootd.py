@@ -10,8 +10,8 @@ why the real daemon is heavily threaded.
 
 The daemon also feeds two side channels:
 
-* load / free-space metrics, reported to parents via cmsd heartbeats and
-  consumed by selection policies;
+* load / free-space metrics, reported to parents via cmsd heartbeats
+  (free space places new files; no selection rule reads load yet);
 * :class:`~repro.cluster.protocol.NamespaceUpdate` notifications to the
   cnsd (footnote 3's Cluster Name Space daemon) on create/remove.
 """

@@ -23,17 +23,8 @@ from repro.core.response_queue import (
     DEFAULT_ANCHORS,
     DEFAULT_PERIOD,
     AccessMode,
-    AddOutcome,
     ResponseQueue,
     Waiter,
-)
-from repro.core.selection import (
-    LeastLoad,
-    MostSpace,
-    RandomChoice,
-    RoundRobin,
-    SelectionPolicy,
-    WeightedComposite,
 )
 
 __all__ = [
@@ -67,14 +58,7 @@ __all__ = [
     "StaleReference",
     "ResponseQueue",
     "AccessMode",
-    "AddOutcome",
     "Waiter",
     "DEFAULT_ANCHORS",
     "DEFAULT_PERIOD",
-    "SelectionPolicy",
-    "RoundRobin",
-    "LeastLoad",
-    "MostSpace",
-    "WeightedComposite",
-    "RandomChoice",
 ]

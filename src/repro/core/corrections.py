@@ -76,8 +76,9 @@ class ServerSlot:
     #: Utilization in [0, 1] and free bytes, from its latest heartbeat.
     load: float = 0.0
     free_space: float = 0.0
-    #: How often a selection policy chose it (§II-B3's "selection
-    #: frequency"); the cmsd resets it at each Login.
+    #: How often a selection rule chose it (§II-B3's "selection
+    #: frequency", :mod:`repro.core.selection`); the cmsd resets it at
+    #: each Login.
     selections: int = 0
 
 

@@ -31,7 +31,10 @@ One extension beyond the paper, inert while no response arrives late:
 This module is thread-free and clock-agnostic like the rest of
 :mod:`repro.core`: the host calls :meth:`ResponseQueue.expire` from whatever
 plays the role of the response thread (a timed kernel callback in the
-cluster layer).
+cluster layer).  The host also knows whether that thread is idle, so
+:meth:`ResponseQueue.add_waiter` only says whether the waiter was accepted;
+the paper's "the notification is only performed if the queue was empty"
+is the host waking its parked clock.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from repro.core.location import NO_QUEUE, LocationObject
 __all__ = [
     "AccessMode",
     "Waiter",
-    "AddOutcome",
     "ResponseQueue",
     "DEFAULT_ANCHORS",
     "DEFAULT_PERIOD",
@@ -84,21 +86,6 @@ class Waiter:
     enqueued_at: float
     mode: str
     server: int = -1
-
-
-@dataclass
-class AddOutcome:
-    """Result of :meth:`ResponseQueue.add_waiter`.
-
-    ``accepted`` False means all 1024 anchors were busy; the paper's
-    fallback applies ("the client is asked to wait a full time period and
-    retry").  ``queue_was_empty`` True means the caller should wake the
-    response clock — "the notification is only performed if the queue was
-    empty implying that the response queue thread is idle".
-    """
-
-    accepted: bool
-    queue_was_empty: bool = False
 
 
 @dataclass
@@ -191,8 +178,10 @@ class ResponseQueue:
 
     # -- enqueue ---------------------------------------------------------------
 
-    def add_waiter(self, loc: LocationObject, mode: str, payload: Any, now: float) -> AddOutcome:
-        """Queue a client for the answer to *loc* under *mode*.
+    def add_waiter(self, loc: LocationObject, mode: str, payload: Any, now: float) -> bool:
+        """Queue a client for the answer to *loc* under *mode*; False when
+        all anchors are busy, and the paper's fallback applies ("the client
+        is asked to wait a full time period and retry").
 
         Joins the location object's existing anchor when its reference is
         still valid; otherwise takes a fresh anchor and records the
@@ -200,12 +189,11 @@ class ResponseQueue:
         anchor expires one period after it opens; a join leaves that expiry
         alone, since extending it per joiner would starve the expiry sweep.
         """
-        was_empty = self._active == 0
         anchor = self._valid_anchor(loc, mode)
         if anchor is None:
             if not self._free:
                 self.rejected += 1
-                return AddOutcome(accepted=False)
+                return False
             idx = self._free.pop()
             anchor = self._anchors[idx]
             if anchor is None:
@@ -219,7 +207,7 @@ class ResponseQueue:
             self._associate(loc, mode, anchor)
         anchor.waiters.append(Waiter(payload=payload, enqueued_at=now, mode=mode))
         self.enqueued += 1
-        return AddOutcome(accepted=True, queue_was_empty=was_empty)
+        return True
 
     # -- release paths ---------------------------------------------------------
 

@@ -1,115 +1,61 @@
-"""Server selection policies.
+"""Server selection: the two rules that pick one holder.
 
 When more than one node can serve a file, "a selection is made based on
 configuration defined criteria (e.g., load, selection frequency, space,
-etc.)" (paper §II-B3).  This module implements those criteria over the
-64-bit candidate vectors, reading each candidate's membership record
-(:class:`~repro.core.corrections.ServerSlot`): the load and free space its
-heartbeats report and how often it has been selected.
+etc.)" (paper §II-B3).  The cmsd applies two fixed rules over the 64-bit
+candidate vectors, reading each candidate's membership record
+(:class:`~repro.core.corrections.ServerSlot`):
 
-All policies are deterministic given their inputs (the random policy takes
-an explicit seeded RNG), which keeps cluster simulations reproducible.
+* reads go to the holder selected least often (:func:`least_selected`),
+  which with equal traffic is a strict rotation;
+* new files go to the eligible server with the most free space its
+  heartbeats report (:func:`most_space`).
+
+Heartbeats report load too, and the record keeps it, but no rule reads it
+yet.  Both rules walk the candidates in ascending slot order and keep the
+first strict best, so ties go to the lower slot and every pick is
+deterministic.  Each counts the pick on the chosen record.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
-from repro.core import bitvec
+from repro.core.bitvec import FULL_MASK
 from repro.core.corrections import ServerSlot
 
-__all__ = ["SelectionPolicy", "RoundRobin", "LeastLoad", "MostSpace", "WeightedComposite", "RandomChoice"]
+__all__ = ["least_selected", "most_space"]
 
 
-class SelectionPolicy:
-    """Base class: choose one slot out of a candidate vector."""
-
-    def choose(self, candidates: int, slots: Sequence[ServerSlot | None]) -> int:
-        """Return the chosen slot index; raises on an empty vector.
-
-        *slots* holds the records, by slot index, of every candidate; the
-        chosen one's ``selections`` goes up by one.  Subclasses implement
-        :meth:`_score`; lower score wins, ties broken by slot index for
-        determinism.
-        """
-        best = None
-        best_score = None
-        for slot in bitvec.iter_bits(candidates):
-            child = slots[slot]
-            score = self._score(child)
-            if best_score is None or score < best_score:
-                best, best_score = child, score
-        if best is None:
-            raise ValueError("cannot select from an empty candidate vector")
-        best.selections += 1
-        return best.index
-
-    def _score(self, child: ServerSlot) -> float:
-        raise NotImplementedError
+def least_selected(candidates: int, slots: Sequence[ServerSlot | None]) -> int:
+    """The candidate slot with the fewest selections; raises on an empty
+    vector.  *slots* holds the records, by slot index, of every candidate."""
+    v = candidates & FULL_MASK
+    if not v:
+        raise ValueError("cannot select from an empty candidate vector")
+    best = None
+    while v:
+        low = v & -v
+        child = slots[low.bit_length() - 1]
+        if best is None or child.selections < best.selections:
+            best = child
+        v ^= low
+    best.selections += 1
+    return best.index
 
 
-class RoundRobin(SelectionPolicy):
-    """Pick the least-recently/least-often selected slot.
-
-    With equal traffic this degenerates to strict rotation, which is the
-    default cmsd behaviour.
-    """
-
-    def _score(self, child: ServerSlot) -> float:
-        return child.selections
-
-
-class LeastLoad(SelectionPolicy):
-    """Pick the slot reporting the lowest load."""
-
-    def _score(self, child: ServerSlot) -> float:
-        return child.load
-
-
-class MostSpace(SelectionPolicy):
-    """Pick the slot with the most free space (for writes/creates)."""
-
-    def _score(self, child: ServerSlot) -> float:
-        return -child.free_space
-
-
-class WeightedComposite(SelectionPolicy):
-    """Configurable blend of load, selection frequency, and space.
-
-    Mirrors cmsd's ``cms.sched`` weighting: each criterion is normalized to
-    [0, 1] across the candidate set's plausible ranges and combined with the
-    given weights.  Space contributes negatively (more space → better).
-    """
-
-    def __init__(self, w_load: float = 1.0, w_freq: float = 0.0, w_space: float = 0.0) -> None:
-        total = w_load + w_freq + w_space
-        if total <= 0:
-            raise ValueError("at least one weight must be positive")
-        self.w_load = w_load / total
-        self.w_freq = w_freq / total
-        self.w_space = w_space / total
-
-    def _score(self, child: ServerSlot) -> float:
-        freq = child.selections
-        freq_norm = freq / (1.0 + freq)
-        space_norm = 1.0 / (1.0 + child.free_space)
-        return self.w_load * child.load + self.w_freq * freq_norm + self.w_space * space_norm
-
-
-class RandomChoice(SelectionPolicy):
-    """Uniform random choice with an injected RNG (determinism in sims)."""
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-
-    def choose(self, candidates: int, slots: Sequence[ServerSlot | None]) -> int:
-        indices = bitvec.to_indices(candidates)
-        if not indices:
-            raise ValueError("cannot select from an empty candidate vector")
-        slot = self._rng.choice(indices)
-        slots[slot].selections += 1
-        return slot
-
-    def _score(self, child: ServerSlot) -> float:  # pragma: no cover
-        raise NotImplementedError("RandomChoice overrides choose()")
+def most_space(candidates: int, slots: Sequence[ServerSlot | None]) -> int:
+    """The candidate slot with the most free space; raises on an empty
+    vector.  *slots* holds the records, by slot index, of every candidate."""
+    v = candidates & FULL_MASK
+    if not v:
+        raise ValueError("cannot select from an empty candidate vector")
+    best = None
+    while v:
+        low = v & -v
+        child = slots[low.bit_length() - 1]
+        if best is None or child.free_space > best.free_space:
+            best = child
+        v ^= low
+    best.selections += 1
+    return best.index

@@ -14,19 +14,6 @@ def make_loc(key="/store/f.root"):
 
 
 class TestAddWaiter:
-    def test_first_add_reports_queue_was_empty(self):
-        q = ResponseQueue()
-        loc = make_loc()
-        out = q.add_waiter(loc, AccessMode.READ, "client-1", now=0.0)
-        assert out.accepted and out.queue_was_empty
-
-    def test_second_add_does_not_rewake(self):
-        q = ResponseQueue()
-        loc = make_loc()
-        q.add_waiter(loc, AccessMode.READ, "c1", now=0.0)
-        out = q.add_waiter(loc, AccessMode.READ, "c2", now=0.001)
-        assert out.accepted and not out.queue_was_empty
-
     def test_same_loc_same_mode_shares_anchor(self):
         q = ResponseQueue()
         loc = make_loc()
@@ -47,10 +34,9 @@ class TestAddWaiter:
     def test_exhaustion_rejected(self):
         q = ResponseQueue(anchors=2)
         locs = [make_loc(f"/f{i}") for i in range(3)]
-        assert q.add_waiter(locs[0], AccessMode.READ, "a", 0.0).accepted
-        assert q.add_waiter(locs[1], AccessMode.READ, "b", 0.0).accepted
-        out = q.add_waiter(locs[2], AccessMode.READ, "c", 0.0)
-        assert not out.accepted
+        assert q.add_waiter(locs[0], AccessMode.READ, "a", 0.0)
+        assert q.add_waiter(locs[1], AccessMode.READ, "b", 0.0)
+        assert not q.add_waiter(locs[2], AccessMode.READ, "c", 0.0)
         assert q.rejected == 1
 
     def test_zero_anchors_invalid(self):
@@ -96,7 +82,7 @@ class TestResponses:
         loc1, loc2 = make_loc("/a"), make_loc("/b")
         q.add_waiter(loc1, AccessMode.READ, "c", now=0.0)
         q.on_response(loc1, server=0, write_capable=False)
-        assert q.add_waiter(loc2, AccessMode.READ, "d", now=0.0).accepted
+        assert q.add_waiter(loc2, AccessMode.READ, "d", now=0.0)
 
 
 class TestLooseCoupling:
@@ -233,7 +219,7 @@ class TestLateResponses:
         q.add_waiter(loc, AccessMode.READ, "slow", now=0.0)
         q.expire(now=0.14)
         # The single anchor is immediately reused (stamp bumped) by /b.
-        assert q.add_waiter(other, AccessMode.READ, "fresh", now=0.15).accepted
+        assert q.add_waiter(other, AccessMode.READ, "fresh", now=0.15)
         released = q.on_late_response(loc, server=2, write_capable=True, now=0.2)
         assert [w.payload for w in released] == ["slow"]
         # /b's live anchor is untouched by /a's late answer.
@@ -313,10 +299,8 @@ class TestAnchorsOnDemand:
     def test_1025th_distinct_anchor_is_rejected(self):
         q = ResponseQueue()
         for i in range(1024):
-            out = q.add_waiter(make_loc(f"/store/f{i}"), AccessMode.READ, i, now=0.0)
-            assert out.accepted
+            assert q.add_waiter(make_loc(f"/store/f{i}"), AccessMode.READ, i, now=0.0)
         assert None not in q._anchors
-        out = q.add_waiter(make_loc("/store/one-too-many"), AccessMode.READ, "x", now=0.0)
-        assert not out.accepted
+        assert not q.add_waiter(make_loc("/store/one-too-many"), AccessMode.READ, "x", now=0.0)
         assert q.rejected == 1
         assert q.active_anchors == 1024

@@ -39,8 +39,8 @@ class ResponseQueueMachine(RuleBasedStateMachine):
         wid = self._next_waiter
         self._next_waiter += 1
         mode = AccessMode.WRITE if write else AccessMode.READ
-        out = self.q.add_waiter(self.locs[loc], mode, wid, self.now)
-        self.outcomes[wid] = [] if out.accepted else ["rejected"]
+        accepted = self.q.add_waiter(self.locs[loc], mode, wid, self.now)
+        self.outcomes[wid] = [] if accepted else ["rejected"]
 
     @rule(loc=st.integers(min_value=0, max_value=2), server=st.integers(min_value=0, max_value=5), wc=st.booleans())
     def respond(self, loc, server, wc):
