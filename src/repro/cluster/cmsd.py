@@ -603,10 +603,11 @@ class Cmsd:
         order, as of their arrivals.
 
         Each copy joins the FIFO as on the eager path: the service ends
-        ordered before its arrival run first (:meth:`_advance`, inlined),
-        and if it enters service, its end gets no heap entry.  A served
-        query is silent and a served ack only sets the silence clock, so
-        nothing here sends or touches the network.
+        ordered before its arrival run first (:meth:`_advance`, inlined:
+        a call per copy made cold-create measurably slower), and if it
+        enters service, its end gets no heap entry.  A served query is
+        silent and a served ack only sets the silence clock, so nothing
+        here sends or touches the network.
         """
         sample, rng = self._service.sample, self.rng
         current, end, bound = self._in_service, self._end, self._end_seq
